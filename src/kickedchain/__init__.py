@@ -35,7 +35,9 @@ from .propagator import (
     amplitude_series,
     eigendecompose,
     evolve_kicked,
+    kick_lattice,
     kick_step,
+    kicked_columns,
     unitary_exp,
 )
 from .fidelity import (
@@ -46,12 +48,15 @@ from .fidelity import (
     bell_fidelity_direct,
     bell_fidelity_direct_averaged,
     bell_fidelity_omega1,
+    bell_fidelity_omega1_array,
     bell_fidelity_omega2,
+    bell_fidelity_omega2_array,
     bloch_average_single_qubit,
     classical_threshold,
     conformance_report,
     out_of_range,
     single_qubit_fidelity,
+    single_qubit_fidelity_array,
 )
 from .sweep import (
     CONTINUOUS_TIMES,
@@ -61,6 +66,7 @@ from .sweep import (
     SweepResult,
     SweepRow,
     continuous_fidelity_series,
+    fidelity_lattice,
     fidelity_series,
     float_grid,
     max_fidelity,

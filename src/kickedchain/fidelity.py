@@ -30,7 +30,7 @@ import numpy as np
 
 from .basis import ExcitationBasis, enumerate_basis, index_of
 from .model import ChainParams, build_hamiltonian, uniform_profile, vacuum_phase
-from .propagator import KickSchedule, kick_step, unitary_exp
+from .propagator import KickSchedule, kick_step, kicked_columns, unitary_exp
 
 __all__ = [
     "KNOWN_STATES",
@@ -39,8 +39,11 @@ __all__ = [
     "BellInput",
     "classical_threshold",
     "single_qubit_fidelity",
+    "single_qubit_fidelity_array",
     "bell_fidelity_omega1",
+    "bell_fidelity_omega1_array",
     "bell_fidelity_omega2",
+    "bell_fidelity_omega2_array",
     "bell_fidelity_direct",
     "bell_fidelity_direct_averaged",
     "bloch_average_single_qubit",
@@ -113,24 +116,44 @@ class BellInput:
         return cls(family, (0.5 + 0.5j, 0.5 + 0.5j))
 
 
+def _abs2_array(z: np.ndarray) -> np.ndarray:
+    return z.real * z.real + z.imag * z.imag
+
+
+def single_qubit_fidelity_array(f) -> np.ndarray:
+    """Elementwise ``single_qubit_fidelity`` over an array of amplitudes."""
+    f = np.asarray(f, dtype=complex)
+    abs2 = _abs2_array(f)
+    worst = float(np.max(abs2, initial=0.0))
+    if worst > (1.0 + 1e-9) ** 2:
+        raise ValueError(f"amplitude modulus {worst ** 0.5} exceeds 1; propagator broken?")
+    value = (2.0 * f.real + np.minimum(abs2, 1.0)) / 6.0 + 0.5
+    return np.clip(value, 0.0, 1.0)
+
+
 def single_qubit_fidelity(f: complex) -> float:
     """Input-averaged single-qubit transfer fidelity from the amplitude f.
 
     Implements F = |f| cos(gamma)/3 + |f|^2/6 + 1/2 with gamma = arg(f),
     written as Re(f)/3 + |f|^2/6 + 1/2 so that the trivial values come out
-    exact.  The amplitude must come from a unitary propagator, so moduli
-    beyond 1 + 1e-9 are rejected as evidence of a broken propagator.
+    exact, and clipped to [0, 1].  The amplitude must come from a unitary
+    propagator, so moduli beyond 1 + 1e-9 are rejected as evidence of a
+    broken propagator.
     """
-    f = complex(f)
-    abs2 = _abs2(f)
-    if abs2 > (1.0 + 1e-9) ** 2:
-        raise ValueError(f"amplitude modulus {abs2 ** 0.5} exceeds 1; propagator broken?")
-    value = (2.0 * f.real + min(abs2, 1.0)) / 6.0 + 0.5
-    if value > 1.0:
-        value = 1.0
-    elif value < 0.0:
-        value = 0.0
-    return float(value)
+    return float(single_qubit_fidelity_array(complex(f)))
+
+
+def bell_fidelity_omega1_array(f_matched_near, f_matched_far,
+                               f_cross_near, f_cross_far) -> np.ndarray:
+    """Elementwise ``bell_fidelity_omega1`` over arrays of amplitudes."""
+    near, far, cross_near, cross_far = (
+        np.asarray(f, dtype=complex)
+        for f in (f_matched_near, f_matched_far, f_cross_near, f_cross_far)
+    )
+    s = (_abs2_array(near) + _abs2_array(far)
+         + (_abs2_array(cross_near) + _abs2_array(cross_far)) / 2.0)
+    cross = (far * near.conj()).real
+    return (s + cross) / 3.0
 
 
 def bell_fidelity_omega1(f_matched_near: complex, f_matched_far: complex,
@@ -142,10 +165,20 @@ def bell_fidelity_omega1(f_matched_near: complex, f_matched_far: complex,
     order-preserving, "matched" pair), then sender 2 -> receiver N-1 and
     sender 1 -> receiver N (the swapped, "cross" pair).
     """
-    s = (_abs2(f_matched_near) + _abs2(f_matched_far)
-         + (_abs2(f_cross_near) + _abs2(f_cross_far)) / 2.0)
-    cross = (complex(f_matched_far) * complex(f_matched_near).conjugate()).real
-    return (s + cross) / 3.0
+    return float(bell_fidelity_omega1_array(f_matched_near, f_matched_far,
+                                            f_cross_near, f_cross_far))
+
+
+def bell_fidelity_omega2_array(cross_amplitudes, final_amplitude,
+                               convention: str = "re_amplitude") -> np.ndarray:
+    """``bell_fidelity_omega2`` over arrays: cross amplitudes run along the last axis."""
+    if convention not in OMEGA2_CONVENTIONS:
+        raise ValueError(f"unknown convention {convention!r}; expected one of {OMEGA2_CONVENTIONS}")
+    cross = np.asarray(cross_amplitudes, dtype=complex)
+    g = np.asarray(final_amplitude, dtype=complex)
+    cross_sum = np.sum(cross.real ** 2 + cross.imag ** 2, axis=-1)
+    last = g.real if convention == "re_amplitude" else np.abs(g)
+    return (3.0 - cross_sum + 2.0 * (_abs2_array(g) + last)) / 6.0
 
 
 def bell_fidelity_omega2(cross_amplitudes: Iterable, final_amplitude: complex,
@@ -162,13 +195,8 @@ def bell_fidelity_omega2(cross_amplitudes: Iterable, final_amplitude: complex,
     (default) or "abs_amplitude".  The value is returned unclamped and can
     exceed 1; pair it with ``out_of_range``.
     """
-    if convention not in OMEGA2_CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}; expected one of {OMEGA2_CONVENTIONS}")
     flat = np.asarray(cross_amplitudes, dtype=complex).ravel()
-    cross_sum = float(np.sum(flat.real ** 2 + flat.imag ** 2))
-    g = complex(final_amplitude)
-    last = g.real if convention == "re_amplitude" else abs(g)
-    return (3.0 - cross_sum + 2.0 * (_abs2(g) + last)) / 6.0
+    return float(bell_fidelity_omega2_array(flat, complex(final_amplitude), convention))
 
 
 # ---------------------------------------------------------------------------
@@ -188,12 +216,7 @@ def _evolved_columns(params: ChainParams, basis: ExcitationBasis, sources: Seque
         return u[:, idx]
     m = schedule.n_kicks if n_kicks is None else n_kicks
     step = kick_step(params, schedule, basis, u0_convention=u0_convention).matrix
-    cols = np.zeros((basis.size, len(idx)), dtype=complex)
-    for j, i in enumerate(idx):
-        cols[i, j] = 1.0
-    for _ in range(m):
-        cols = step @ cols
-    return cols
+    return kicked_columns(step, np.eye(basis.size, dtype=complex)[:, idx], m)
 
 
 def _elapsed_time(time, schedule, n_kicks):

@@ -14,7 +14,6 @@ on the worker count.
 
 from __future__ import annotations
 
-import cmath
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -26,10 +25,10 @@ from .basis import enumerate_basis, index_of
 from .fidelity import (
     KNOWN_STATES,
     OMEGA2_CONVENTIONS,
-    bell_fidelity_omega1,
-    bell_fidelity_omega2,
+    bell_fidelity_omega1_array,
+    bell_fidelity_omega2_array,
     out_of_range,
-    single_qubit_fidelity,
+    single_qubit_fidelity_array,
 )
 from .model import (
     ChainParams,
@@ -40,7 +39,7 @@ from .model import (
     uniform_profile,
     vacuum_energy,
 )
-from .propagator import U0_CONVENTIONS, KickSchedule, eigendecompose, kick_step
+from .propagator import U0_CONVENTIONS, KickSchedule, eigendecompose, kick_lattice
 
 __all__ = [
     "SWEEP_AXES",
@@ -51,6 +50,7 @@ __all__ = [
     "SweepRow",
     "SweepResult",
     "fidelity_series",
+    "fidelity_lattice",
     "continuous_fidelity_series",
     "max_fidelity",
     "sweep_axis",
@@ -188,21 +188,48 @@ def _probe(state: str, n_sites: int):
     return 2, ((1, 2),), cross + ((n_sites - 1, n_sites),)
 
 
-def _score(state: str, amp: np.ndarray, vacuum_angle: float, omega2_convention: str) -> float:
-    """Fidelity from the (targets x sources) amplitude block at one instant.
+def _score(state: str, amps: np.ndarray, vacuum_angles: np.ndarray,
+           omega2_convention: str) -> np.ndarray:
+    """Fidelities from (..., targets, sources) amplitude blocks, one per leading index.
 
-    The single-qubit amplitude is taken in the vacuum gauge (multiplied by
-    e^{+i E_vac t}) because its fidelity formula interferes the excitation
-    against the vacuum branch.  The Bell formulas consume the raw sector
-    amplitudes as printed: omega1 is insensitive to the shared phase and
-    omega2's final term is deliberately left in the bare convention, with
-    the direct oracle available to quantify the difference.
+    ``vacuum_angles`` (E_vac t per instant) broadcasts against the leading
+    shape.  The single-qubit amplitude is taken in the vacuum gauge
+    (multiplied by e^{+i E_vac t}) because its fidelity formula interferes
+    the excitation against the vacuum branch.  The Bell formulas consume
+    the raw sector amplitudes as printed: omega1 is insensitive to the
+    shared phase and omega2's final term is deliberately left in the bare
+    convention, with the direct oracle available to quantify the difference.
     """
     if state == "omega0":
-        return single_qubit_fidelity(complex(amp[0, 0]) * cmath.exp(1j * vacuum_angle))
+        return single_qubit_fidelity_array(amps[..., 0, 0] * np.exp(1j * vacuum_angles))
     if state == "omega1":
-        return bell_fidelity_omega1(amp[0, 0], amp[1, 1], amp[0, 1], amp[1, 0])
-    return bell_fidelity_omega2(amp[:-1, 0], complex(amp[-1, 0]), omega2_convention)
+        return bell_fidelity_omega1_array(amps[..., 0, 0], amps[..., 1, 1],
+                                          amps[..., 0, 1], amps[..., 1, 0])
+    return bell_fidelity_omega2_array(amps[..., :-1, 0], amps[..., -1, 0], omega2_convention)
+
+
+def fidelity_lattice(params: ChainParams, state: str, tau_grid: Sequence[float], m_max: int,
+                     e0: float = 0.1, e1: float = 1.0,
+                     u0_convention: str = "hamiltonian_tau",
+                     omega2_convention: str = "re_amplitude") -> np.ndarray:
+    """Fidelity after 0..m_max kicks at every kick interval: a (len(tau_grid), m_max + 1) array.
+
+    Entry [i, m] is evaluated just after the m-th kick at interval
+    tau_grid[i]; column 0 is the untouched initial state (0.5 for the single
+    qubit, whose amplitude has not yet reached the receiver).
+    """
+    n = params.profile.n_sites
+    k, sources, targets = _probe(state, n)
+    basis = enumerate_basis(n, k)
+    e_vac = vacuum_energy(params)
+
+    def score(amps, taus, ms):
+        return _score(state, amps, np.multiply.outer(e_vac * taus, ms), omega2_convention)
+
+    return kick_lattice(params, basis, tau_grid, e0, e1,
+                        [index_of(basis, s) for s in sources],
+                        [index_of(basis, t) for t in targets],
+                        m_max, score, u0_convention=u0_convention)
 
 
 def fidelity_series(params: ChainParams, schedule: KickSchedule, state: str,
@@ -214,26 +241,13 @@ def fidelity_series(params: ChainParams, schedule: KickSchedule, state: str,
     untouched initial state (0.5 for the single qubit, whose amplitude has
     not yet reached the receiver).
     """
-    n = params.profile.n_sites
     if m_max is None:
         m_max = schedule.n_kicks
     if m_max < 0:
         raise ValueError(f"m_max must be non-negative, got {m_max}")
-    k, sources, targets = _probe(state, n)
-    basis = enumerate_basis(n, k)
-    step = kick_step(params, schedule, basis, u0_convention=u0_convention).matrix
-    src_idx = [index_of(basis, s) for s in sources]
-    tgt_idx = [index_of(basis, t) for t in targets]
-    cols = np.zeros((basis.size, len(src_idx)), dtype=complex)
-    for j, i in enumerate(src_idx):
-        cols[i, j] = 1.0
-    e_vac = vacuum_energy(params)
-    out = np.empty(m_max + 1, dtype=float)
-    for m in range(m_max + 1):
-        if m:
-            cols = step @ cols
-        out[m] = _score(state, cols[tgt_idx, :], e_vac * schedule.tau * m, omega2_convention)
-    return out
+    return fidelity_lattice(params, state, (schedule.tau,), m_max, e0=schedule.e0,
+                            e1=schedule.e1, u0_convention=u0_convention,
+                            omega2_convention=omega2_convention)[0]
 
 
 def continuous_fidelity_series(params: ChainParams, times: Sequence[float], state: str,
@@ -252,15 +266,10 @@ def continuous_fidelity_series(params: ChainParams, times: Sequence[float], stat
     # <t|e^{-iHt}|s> = sum_a v[t,a] conj(v[s,a]) e^{-i w_a t}, one weight row per (t, s)
     weights = np.stack([v[ti, :] * v[si, :].conj() for ti in tgt_idx for si in src_idx])
     t_arr = np.asarray(times, dtype=float)
-    phases = np.exp(-1j * np.outer(w, t_arr))
-    amp_all = weights @ phases
-    e_vac = vacuum_energy(params)
-    out = np.empty(t_arr.size, dtype=float)
-    shape = (len(tgt_idx), len(src_idx))
-    for j in range(t_arr.size):
-        amp = amp_all[:, j].reshape(shape)
-        out[j] = _score(state, amp, e_vac * t_arr[j], omega2_convention)
-    return out
+    amp_all = weights @ np.exp(-1j * np.outer(w, t_arr))
+    # (targets * sources, times) -> a (times, targets, sources) view
+    amps = np.moveaxis(amp_all.reshape(len(tgt_idx), len(src_idx), t_arr.size), -1, 0)
+    return _score(state, amps, vacuum_energy(params) * t_arr, omega2_convention)
 
 
 def max_fidelity(params: ChainParams, state: str,
@@ -284,16 +293,12 @@ def max_fidelity(params: ChainParams, state: str,
                                             omega2_convention=omega2_convention)
         best = int(np.argmax(series))
         return float(series[best]), 1.0, int(continuous_times[best])
-    best_val, best_tau, best_m = -math.inf, taus[0], 0
-    for tau in taus:
-        schedule = KickSchedule(tau=tau, e0=e0, e1=e1, n_kicks=m_max)
-        series = fidelity_series(params, schedule, state, m_max,
-                                 u0_convention=u0_convention,
-                                 omega2_convention=omega2_convention)
-        m = int(np.argmax(series))
-        if series[m] > best_val:
-            best_val, best_tau, best_m = float(series[m]), float(tau), m
-    return best_val, best_tau, best_m
+    lattice = fidelity_lattice(params, state, taus, m_max, e0=e0, e1=e1,
+                               u0_convention=u0_convention,
+                               omega2_convention=omega2_convention)
+    # row-major argmax: the first maximum has the smallest tau, then the smallest m
+    i, m = np.unravel_index(int(np.argmax(lattice)), lattice.shape)
+    return float(lattice[i, m]), taus[i], int(m)
 
 
 def _point_setup(plan: SweepPlan, value: float):
@@ -328,15 +333,11 @@ def _evaluate_point(plan: SweepPlan, idx: int) -> list[SweepRow]:
         series = None
         if fixed_kicks is not None and e1 != 0.0:
             # fixed kick count: search tau only, scoring the series endpoint
-            best_val, best_tau = -math.inf, taus[0]
-            for tau in taus:
-                schedule = KickSchedule(tau=tau, e0=plan.e0, e1=e1, n_kicks=fixed_kicks)
-                full = fidelity_series(params, schedule, state, fixed_kicks,
-                                       u0_convention=plan.u0_convention,
-                                       omega2_convention=plan.omega2_convention)
-                if full[-1] > best_val:
-                    best_val, best_tau = float(full[-1]), float(tau)
-            val, atau, am = best_val, best_tau, fixed_kicks
+            endpoints = fidelity_lattice(params, state, taus, fixed_kicks, e0=plan.e0, e1=e1,
+                                         u0_convention=plan.u0_convention,
+                                         omega2_convention=plan.omega2_convention)[:, -1]
+            best = int(np.argmax(endpoints))
+            val, atau, am = float(endpoints[best]), taus[best], fixed_kicks
             if plan.retain_series:
                 series = (val,)
         else:

@@ -1,6 +1,7 @@
 """Config parsing, table writing, and the command-line entry point."""
 
 import json
+import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import kickedchain
 from kickedchain import DEFAULT_TAU_GRID, float_grid
 from kickedchain.cli import (
     ConfigError,
@@ -321,9 +323,12 @@ def test_main_validate_prints_normalized_config(capsys):
 
 
 def test_module_entry_point_wiring(tmp_path):
+    # the subprocess runs in tmp_path, so a relative PYTHONPATH would not find the package
+    src = str(Path(kickedchain.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
         [sys.executable, "-m", "kickedchain", "validate"],
-        capture_output=True, text=True, cwd=tmp_path,
+        capture_output=True, text=True, cwd=tmp_path, env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("chain:")

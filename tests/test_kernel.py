@@ -1,0 +1,213 @@
+"""The batched kick kernel against a naive per-tau, per-kick loop, and its scorers.
+
+The reference loop here is written out independently of the package's
+kernel: one ``kick_step`` matrix per tau, repeated ``@``, and the scalar
+closed-form scorers cell by cell.
+"""
+
+import cmath
+
+import numpy as np
+import pytest
+
+import kickedchain.fidelity as fidelity_module
+import kickedchain.model as model_module
+import kickedchain.propagator as propagator_module
+import kickedchain.sweep as sweep_module
+from kickedchain import (
+    DEFAULT_TAU_GRID,
+    ChainParams,
+    KickSchedule,
+    bell_fidelity_omega1,
+    bell_fidelity_omega1_array,
+    bell_fidelity_omega2,
+    bell_fidelity_omega2_array,
+    enumerate_basis,
+    fidelity_lattice,
+    index_of,
+    kick_step,
+    max_fidelity,
+    single_qubit_fidelity,
+    single_qubit_fidelity_array,
+    uniform_profile,
+    vacuum_energy,
+)
+
+N = 6
+TAUS = (0.4, 1.3, 2.0, 2.7, 3.9)
+M_MAX = 30
+E0, E1 = 0.1, 0.8
+
+
+def params_for(j1=1.0, j2=-0.7, e=0.1):
+    return ChainParams(uniform_profile(N, j1, j2), dm_field=e)
+
+
+def probe(state):
+    """Sector, sources and targets of each input family, as the closed forms read them."""
+    if state == "omega0":
+        return 1, [(1,)], [(N,)]
+    if state == "omega1":
+        return 1, [(1,), (2,)], [(N - 1,), (N,)]
+    cross = [(m, N - 1) for m in range(1, N - 1)] + [(m, N) for m in range(1, N - 1)]
+    return 2, [(1, 2)], cross + [(N - 1, N)]
+
+
+def naive_lattice(params, state, taus, m_max, u0_convention, omega2_convention):
+    k, sources, targets = probe(state)
+    basis = enumerate_basis(N, k)
+    src = [index_of(basis, s) for s in sources]
+    tgt = [index_of(basis, t) for t in targets]
+    e_vac = vacuum_energy(params)
+    out = np.empty((len(taus), m_max + 1))
+    for i, tau in enumerate(taus):
+        step = kick_step(params, KickSchedule(tau=tau, e0=E0, e1=E1), basis,
+                         u0_convention=u0_convention).matrix
+        cols = np.eye(basis.size, dtype=complex)[:, src]
+        for m in range(m_max + 1):
+            if m:
+                cols = step @ cols
+            amp = cols[tgt, :]
+            if state == "omega0":
+                out[i, m] = single_qubit_fidelity(amp[0, 0] * cmath.exp(1j * e_vac * tau * m))
+            elif state == "omega1":
+                out[i, m] = bell_fidelity_omega1(amp[0, 0], amp[1, 1], amp[0, 1], amp[1, 0])
+            else:
+                out[i, m] = bell_fidelity_omega2(amp[:-1, 0], amp[-1, 0], omega2_convention)
+    return out
+
+
+def naive_argmax(lattice, taus):
+    """Smallest tau, then smallest kick count, among the maxima: strict > in scan order."""
+    best, where = -np.inf, None
+    for i, row in enumerate(lattice):
+        for m, value in enumerate(row):
+            if value > best:
+                best, where = value, (taus[i], m)
+    return where
+
+
+@pytest.mark.parametrize("omega2_convention", ["re_amplitude", "abs_amplitude"])
+@pytest.mark.parametrize("u0_convention", ["hamiltonian_tau", "literal_eq5"])
+@pytest.mark.parametrize("state", ["omega0", "omega1", "omega2"])
+def test_kernel_lattice_matches_naive_loop(state, u0_convention, omega2_convention):
+    params = params_for()
+    want = naive_lattice(params, state, TAUS, M_MAX, u0_convention, omega2_convention)
+    got = fidelity_lattice(params, state, TAUS, M_MAX, e0=E0, e1=E1,
+                           u0_convention=u0_convention, omega2_convention=omega2_convention)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12
+    value, atau, am = max_fidelity(params, state, TAUS, M_MAX, e0=E0, e1=E1,
+                                   u0_convention=u0_convention,
+                                   omega2_convention=omega2_convention)
+    assert (atau, am) == naive_argmax(want, TAUS)
+    assert abs(value - want.max()) <= 1e-12
+
+
+def test_kernel_chunking_does_not_change_the_lattice(monkeypatch):
+    """Budgets small enough to split taus and kicks into many uneven chunks."""
+    params = params_for()
+    whole = fidelity_lattice(params, "omega2", TAUS, M_MAX, e0=E0, e1=E1)
+    step_bytes = 2 * 16 * enumerate_basis(N, 2).size ** 2      # two taus per stack
+    monkeypatch.setattr(propagator_module, "_STEP_STACK_BYTES", step_bytes)
+    monkeypatch.setattr(propagator_module, "_AMPLITUDE_BLOCK_BYTES", 2 * 7 * 9 * 16)
+    chunked = fidelity_lattice(params, "omega2", TAUS, M_MAX, e0=E0, e1=E1)
+    assert np.array_equal(chunked, whole)
+
+
+def test_ties_go_to_the_smallest_tau_then_the_smallest_kick_count():
+    # Without exchange or static field H0 vanishes, so U0(tau) is exactly the
+    # identity and every tau row of the lattice is the same: the maximum is
+    # attained once per tau.
+    params = ChainParams(uniform_profile(N, 0.0, 0.0), dm_field=0.0)
+    taus = (0.5, 1.0, 1.5)
+    lattice = fidelity_lattice(params, "omega0", taus, M_MAX, e0=0.0, e1=E1)
+    assert np.array_equal(lattice[0], lattice[1]) and np.array_equal(lattice[0], lattice[2])
+    value, atau, am = max_fidelity(params, "omega0", taus, M_MAX, e0=0.0, e1=E1)
+    assert value == lattice.max()
+    assert (atau, am) == (0.5, int(np.argmax(lattice[0])))
+    assert (atau, am) == naive_argmax(lattice, taus)
+
+
+def test_ties_within_a_lattice_follow_row_major_order(monkeypatch):
+    lattice = np.array([[0.1, 0.2, 0.3, 0.2],
+                        [0.4, 0.9, 0.2, 0.9],
+                        [0.9, 0.1, 0.9, 0.0]])
+    monkeypatch.setattr(sweep_module, "fidelity_lattice", lambda *args, **kwargs: lattice)
+    value, atau, am = max_fidelity(params_for(), "omega0", (1.0, 2.0, 3.0), 3)
+    assert (value, atau, am) == (0.9, 2.0, 1)
+
+
+# -- array scorers ----------------------------------------------------------------
+
+def unitary_columns(rng, dim, count):
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, _ = np.linalg.qr(z)
+    return q[:, :count]
+
+
+def test_array_scorers_equal_scalar_scorers_elementwise():
+    rng = np.random.default_rng(5)
+    cols = np.stack([unitary_columns(rng, 15, 2) for _ in range(40)])    # (40, 15, 2)
+    f = cols[:, 0, 0]
+    assert np.array_equal(single_qubit_fidelity_array(f),
+                          [single_qubit_fidelity(x) for x in f])
+    near, far, cross_near, cross_far = cols[:, 0, 0], cols[:, 1, 1], cols[:, 0, 1], cols[:, 1, 0]
+    assert np.array_equal(
+        bell_fidelity_omega1_array(near, far, cross_near, cross_far),
+        [bell_fidelity_omega1(*args) for args in zip(near, far, cross_near, cross_far)])
+    cross, final = cols[:, :-1, 0], cols[:, -1, 0]
+    for convention in ("re_amplitude", "abs_amplitude"):
+        assert np.array_equal(
+            bell_fidelity_omega2_array(cross, final, convention),
+            [bell_fidelity_omega2(c, g, convention) for c, g in zip(cross, final)])
+
+
+def test_single_qubit_array_clips_to_the_unit_interval():
+    f = np.array([1.0 + 5e-10, -1.0, 0.0, 1j, 0.6 - 0.8j])
+    values = single_qubit_fidelity_array(f)
+    assert values[0] == 1.0
+    assert np.all((values >= 0.0) & (values <= 1.0))
+    assert np.array_equal(values, [single_qubit_fidelity(x) for x in f])
+
+
+def test_single_qubit_array_rejects_moduli_beyond_one():
+    with pytest.raises(ValueError, match="exceeds 1"):
+        single_qubit_fidelity_array(np.array([0.5, 1.0 + 1e-4j, 0.0]))
+    with pytest.raises(ValueError, match="exceeds 1"):
+        single_qubit_fidelity(1.0 + 1e-4j)
+
+
+def test_omega2_array_is_unclamped_above_one():
+    values = bell_fidelity_omega2_array(np.zeros((3, 4)), np.array([1.0, -1.0, 1j]),
+                                        "abs_amplitude")
+    assert np.array_equal(values, [7.0 / 6.0] * 3)
+    assert bell_fidelity_omega2_array(np.zeros(4), 1.0) == 7.0 / 6.0
+
+
+# -- hoisting ------------------------------------------------------------------------
+
+def count_calls(monkeypatch, name, original):
+    """Wrap a function in every package module that holds it; returns the call counter."""
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    for module in (model_module, propagator_module, fidelity_module, sweep_module):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_hamiltonian_and_eigendecompositions_do_not_scale_with_the_tau_grid(monkeypatch):
+    builds = count_calls(monkeypatch, "build_hamiltonian", model_module.build_hamiltonian)
+    eighs = count_calls(monkeypatch, "eigendecompose", propagator_module.eigendecompose)
+    counts = []
+    for taus in (DEFAULT_TAU_GRID[:5], DEFAULT_TAU_GRID):
+        builds[0] = eighs[0] = 0
+        max_fidelity(params_for(), "omega2", taus, m_max=3)
+        counts.append((builds[0], eighs[0]))
+    assert counts[0] == counts[1]
+    assert counts[0][0] <= 3 and counts[0][1] <= 2
