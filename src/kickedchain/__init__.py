@@ -44,7 +44,6 @@ from .fidelity import (
     KNOWN_STATES,
     OMEGA2_CONVENTIONS,
     BellInput,
-    FidelityRecord,
     bell_fidelity_direct,
     bell_fidelity_direct_averaged,
     bell_fidelity_omega1,

@@ -35,6 +35,7 @@ from .model import (
 from .propagator import U0_CONVENTIONS, KickSchedule
 from .sweep import (
     DEFAULT_TAU_GRID,
+    SWEEP_AXES,
     SweepPlan,
     fidelity_series,
     float_grid,
@@ -113,7 +114,6 @@ class RunBlock:
     grid: tuple[float, ...] | None = None
     tau_grid: tuple[float, ...] = DEFAULT_TAU_GRID
     m_max: int = 500
-    seed: int = 0
     workers: int = 1
 
 
@@ -276,6 +276,13 @@ def _parse_impurity(block: dict, chain: ChainBlock) -> ImpurityBlock | None:
                          spec.ratio_nnn_strong, spec.ratio_nnn_weak)
 
 
+def _require_sweep_axis_and_grid(run_block: RunBlock):
+    if run_block.axis is None:
+        raise ConfigError("run.axis", "required for sweep mode")
+    if run_block.grid is None:
+        raise ConfigError("run.grid", "required for sweep mode")
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a YAML experiment description.
 
@@ -329,12 +336,10 @@ def parse_config(text: str) -> ExperimentConfig:
     run_block = RunBlock(
         mode=_pop_choice(run_raw, "mode", "run", MODES, "evolve"),
         states=_pop_states(run_raw, "states", "run", ("omega0",)),
-        axis=_pop_choice(run_raw, "axis", "run",
-                         ("tau", "e1", "j2_over_j1", "impurity_ratio", "kick_count"), None),
+        axis=_pop_choice(run_raw, "axis", "run", SWEEP_AXES, None),
         grid=_pop_grid(run_raw, "grid", "run", None),
         tau_grid=_pop_grid(run_raw, "tau_grid", "run", DEFAULT_TAU_GRID),
         m_max=_pop_int(run_raw, "m_max", "run", 500),
-        seed=_pop_int(run_raw, "seed", "run", 0),
         workers=_pop_int(run_raw, "workers", "run", 1),
     )
     _reject_unknown(run_raw, "run")
@@ -343,13 +348,13 @@ def parse_config(text: str) -> ExperimentConfig:
     if run_block.workers < 1:
         raise ConfigError("run.workers", f"must be >= 1, got {run_block.workers}")
     if run_block.mode == "sweep":
-        if run_block.axis is None:
-            raise ConfigError("run.axis", "required for sweep mode")
-        if run_block.grid is None:
-            raise ConfigError("run.grid", "required for sweep mode")
+        _require_sweep_axis_and_grid(run_block)
 
+    path = out_raw.pop("path", "results")
+    if not isinstance(path, str):
+        raise ConfigError("output.path", f"expected a string, got {path!r}")
     output = OutputBlock(
-        path=str(out_raw.pop("path", "results")),
+        path=path,
         format=_pop_choice(out_raw, "format", "output", OUTPUT_FORMATS, "csv"),
         physical_time_column=_pop_bool(out_raw, "physical_time_column", "output", True),
     )
@@ -396,7 +401,6 @@ def serialize_config(config: ExperimentConfig) -> str:
     run_doc.update({
         "tau_grid": list(config.run.tau_grid),
         "m_max": config.run.m_max,
-        "seed": config.run.seed,
         "workers": config.run.workers,
     })
     doc["run"] = run_doc
@@ -452,10 +456,7 @@ def _evolve_tables(config: ExperimentConfig):
 
 def _sweep_tables(config: ExperimentConfig, workers: int):
     run_block = config.run
-    if run_block.axis is None:
-        raise ConfigError("run.axis", "required for sweep mode")
-    if run_block.grid is None:
-        raise ConfigError("run.grid", "required for sweep mode")
+    _require_sweep_axis_and_grid(run_block)
     plan = SweepPlan(
         params=_template_params(config, with_impurity=False),
         axis=run_block.axis,
@@ -569,8 +570,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", type=Path, default=None,
                         help="YAML experiment file (defaults apply when omitted)")
         sp.add_argument("--out", default=None, help="override output.path")
-        sp.add_argument("--workers", type=int, default=None, help="override run.workers")
-        sp.add_argument("--seed", type=int, default=None, help="override run.seed")
+        sp.add_argument("--workers", type=int, default=None,
+                        help="override run.workers (does not change scheduling or results)")
     return parser
 
 
@@ -581,19 +582,12 @@ def main(argv=None) -> int:
         config = parse_config(text)
         if args.command in MODES and config.run.mode != args.command:
             config = replace(config, run=replace(config.run, mode=args.command))
-            if config.run.mode == "sweep":
-                if config.run.axis is None:
-                    raise ConfigError("run.axis", "required for sweep mode")
-                if config.run.grid is None:
-                    raise ConfigError("run.grid", "required for sweep mode")
         if args.out is not None:
             config = replace(config, output=replace(config.output, path=args.out))
         if args.workers is not None:
             if args.workers < 1:
                 raise ConfigError("run.workers", f"must be >= 1, got {args.workers}")
             config = replace(config, run=replace(config.run, workers=args.workers))
-        if args.seed is not None:
-            config = replace(config, run=replace(config.run, seed=args.seed))
         if args.command == "validate":
             sys.stdout.write(serialize_config(config))
             return 0

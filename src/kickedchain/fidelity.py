@@ -18,7 +18,19 @@ Three input families are scored:
 embeds the Bell state over the all-down background, evolves every
 excitation sector (the vacuum by its pure phase), partial-traces down to
 the receiver pair (N-1, N) and evaluates <Omega|rho_out|Omega> directly.
-``conformance_report`` tabulates both readings side by side.
+
+``bell_fidelity_direct_averaged`` and ``bloch_average_single_qubit``
+average that oracle over the input family exactly, not by sampling.  An
+input c0|k0> + c1|k1> reaches the receivers as c0*t0 + c1*t1, one row per
+environment configuration, and its fidelity is a quartic form in (c0, c1).
+Under the Haar measure on C^2, E|c0|^4 = E|c1|^4 = 1/3, E|c0|^2|c1|^2 =
+1/6 and every phase-unbalanced moment vanishes, so with A, B = t0, t1 in
+the slot of |k0> and C, D = t0, t1 in the slot of |k1> the family average
+is the moment sum
+
+    sum_env (|A|^2 + |D|^2 + Re(A conj(D)))/3 + (|B|^2 + |C|^2)/6.
+
+``conformance_report`` tabulates the closed forms against both readings.
 """
 
 from __future__ import annotations
@@ -35,7 +47,6 @@ from .propagator import KickSchedule, kick_step, kicked_columns, unitary_exp
 __all__ = [
     "KNOWN_STATES",
     "OMEGA2_CONVENTIONS",
-    "FidelityRecord",
     "BellInput",
     "classical_threshold",
     "single_qubit_fidelity",
@@ -69,19 +80,6 @@ def classical_threshold() -> float:
 def out_of_range(value: float) -> bool:
     """True when a fidelity value falls outside the physical interval [0, 1]."""
     return not 0.0 <= value <= 1.0
-
-
-@dataclass(frozen=True)
-class FidelityRecord:
-    """One scored point: which input family, when, and from which amplitudes."""
-
-    state: str
-    value: float
-    time: float
-    kick_index: int | None = None
-    amplitudes: tuple = ()
-    point: str = ""
-    out_of_range: bool = False
 
 
 @dataclass(frozen=True)
@@ -226,79 +224,68 @@ def _elapsed_time(time, schedule, n_kicks):
     return m * schedule.tau
 
 
-def _grouped_by_environment(entries, receiver_sites):
-    """Stack configuration amplitudes into per-environment occupation vectors.
+def _environment_tables(branches, receiver_sites) -> np.ndarray:
+    """Put every branch's (config, amplitude) entries on one environment index.
 
     Two full-chain configurations interfere in the receivers' reduced
     density matrix only when they agree outside the receiver sites, so the
     partial trace is a sum of rank-one projectors, one per environment
-    configuration.  Returns the environment index map and a dense
-    (n_env, 2**len(receiver_sites)) amplitude table.
+    configuration.  Returns a (n_branches, n_env, 2**len(receiver_sites))
+    table of receiver amplitudes, the first receiver site being the high bit.
     """
     rec = tuple(receiver_sites)
     env_index: dict[tuple, int] = {}
     located = []
-    for cfg, amp in entries:
-        env = tuple(s for s in cfg if s not in rec)
-        occ = 0
-        for pos, site in enumerate(rec):
-            if site in cfg:
-                occ |= 1 << (len(rec) - 1 - pos)
-        if env not in env_index:
-            env_index[env] = len(env_index)
-        located.append((env_index[env], occ, amp))
-    table = np.zeros((len(env_index), 1 << len(rec)), dtype=complex)
-    for row, occ, amp in located:
-        table[row, occ] += amp
-    return env_index, table
-
-
-def _branch_tables(params: ChainParams, family: str, receiver_sites,
-                   time=None, schedule=None, n_kicks=None,
-                   u0_convention="hamiltonian_tau"):
-    """Environment-grouped amplitude tables for the two basis kets of a family.
-
-    The input state c0|k0> + c1|k1> evolves to c0 * branch0 + c1 * branch1;
-    each branch is returned as a (n_env, occ) table on a shared
-    environment index.
-    """
-    n = params.profile.n_sites
-    entries0 = []
-    entries1 = []
-    if family == "omega1":
-        basis1 = enumerate_basis(n, 1)
-        cols = _evolved_columns(params, basis1, [(2,), (1,)], time=time,
-                                schedule=schedule, n_kicks=n_kicks,
-                                u0_convention=u0_convention)
-        entries0 = list(zip(basis1.configs, cols[:, 0]))   # |01> starts at site 2
-        entries1 = list(zip(basis1.configs, cols[:, 1]))   # |10> starts at site 1
-    elif family == "omega2":
-        basis2 = enumerate_basis(n, 2)
-        col = _evolved_columns(params, basis2, [(1, 2)], time=time,
-                               schedule=schedule, n_kicks=n_kicks,
-                               u0_convention=u0_convention)[:, 0]
-        phase = vacuum_phase(params, _elapsed_time(time, schedule, n_kicks))
-        entries0 = [((), phase)]
-        entries1 = list(zip(basis2.configs, col))
-    else:
-        raise ValueError(f"unknown Bell family {family!r}; expected one of {BELL_FAMILIES}")
-
-    env_index, _ = _grouped_by_environment(entries0 + entries1, receiver_sites)
-    tables = []
-    for entries in (entries0, entries1):
-        table = np.zeros((len(env_index), 1 << len(receiver_sites)), dtype=complex)
+    for branch, entries in enumerate(branches):
         for cfg, amp in entries:
-            env = tuple(s for s in cfg if s not in receiver_sites)
+            env = tuple(s for s in cfg if s not in rec)
             occ = 0
-            for pos, site in enumerate(receiver_sites):
+            for pos, site in enumerate(rec):
                 if site in cfg:
-                    occ |= 1 << (len(receiver_sites) - 1 - pos)
-            table[env_index[env], occ] += amp
-        tables.append(table)
+                    occ |= 1 << (len(rec) - 1 - pos)
+            row = env_index.setdefault(env, len(env_index))
+            located.append((branch, row, occ, amp))
+    tables = np.zeros((len(branches), len(env_index), 1 << len(rec)), dtype=complex)
+    for branch, row, occ, amp in located:
+        tables[branch, row, occ] += amp
     return tables
 
 
-_FAMILY_SLOTS = {"omega1": (1, 2), "omega2": (0, 3)}   # |01>,|10> and |00>,|11>
+def _branch_tables(params: ChainParams, family: str,
+                   time=None, schedule=None, n_kicks=None,
+                   u0_convention="hamiltonian_tau") -> np.ndarray:
+    """Environment-grouped receiver tables for the two basis kets of a family.
+
+    The input state c0|k0> + c1|k1> evolves to c0 * branch0 + c1 * branch1.
+    The receivers are site N for ``omega0`` (|k0> the vacuum, |k1> an
+    excitation at site 1) and the pair (N-1, N) for the Bell families.
+    """
+    n = params.profile.n_sites
+    evolution = dict(time=time, schedule=schedule, n_kicks=n_kicks,
+                     u0_convention=u0_convention)
+    if family == "omega1":
+        basis = enumerate_basis(n, 1)
+        cols = _evolved_columns(params, basis, [(2,), (1,)], **evolution)
+        # |01> starts at site 2, |10> at site 1
+        branches = [zip(basis.configs, cols[:, 0]), zip(basis.configs, cols[:, 1])]
+    elif family in ("omega0", "omega2"):
+        k, source = (1, (1,)) if family == "omega0" else (2, (1, 2))
+        basis = enumerate_basis(n, k)
+        col = _evolved_columns(params, basis, [source], **evolution)[:, 0]
+        phase = vacuum_phase(params, _elapsed_time(time, schedule, n_kicks))
+        branches = [[((), phase)], zip(basis.configs, col)]
+    else:
+        raise ValueError(f"unknown input family {family!r}; expected one of {KNOWN_STATES}")
+    return _environment_tables(branches, (n,) if family == "omega0" else (n - 1, n))
+
+
+# receiver slots of |k0> and |k1>: |0>,|1>; |01>,|10>; |00>,|11>
+_FAMILY_SLOTS = {"omega0": (0, 1), "omega1": (1, 2), "omega2": (0, 3)}
+
+
+def _check_bell_geometry(params: ChainParams):
+    if params.profile.n_sites < 4:
+        raise ValueError("sender pair (1,2) and receiver pair (N-1,N) overlap below N=4")
 
 
 def bell_fidelity_direct(params: ChainParams, bell: BellInput,
@@ -316,13 +303,9 @@ def bell_fidelity_direct(params: ChainParams, bell: BellInput,
     Pass either ``time`` for continuous evolution or ``schedule`` (and
     optionally ``n_kicks``) for kicked evolution.
     """
-    n = params.profile.n_sites
-    if n < 4:
-        raise ValueError("sender pair (1,2) and receiver pair (N-1,N) overlap below N=4")
-    receivers = (n - 1, n)
-    t0, t1 = _branch_tables(params, bell.family, receivers, time=time,
-                            schedule=schedule, n_kicks=n_kicks,
-                            u0_convention=u0_convention)
+    _check_bell_geometry(params)
+    t0, t1 = _branch_tables(params, bell.family, time=time, schedule=schedule,
+                            n_kicks=n_kicks, u0_convention=u0_convention)
     c0, c1 = bell.coefficients
     vectors = c0 * t0 + c1 * t1                # (n_env, 4) receiver amplitudes
     slot0, slot1 = _FAMILY_SLOTS[bell.family]
@@ -330,85 +313,48 @@ def bell_fidelity_direct(params: ChainParams, bell: BellInput,
     return float(np.sum(overlap.real ** 2 + overlap.imag ** 2))
 
 
+def _family_average(params: ChainParams, family: str, **evolution) -> float:
+    """Exact Haar mean over (c0, c1) of sum_env |<psi_in|c0*t0 + c1*t1>|^2.
+
+    Per environment the overlap is |c0|^2 A + conj(c0) c1 B + conj(c1) c0 C
+    + |c1|^2 D; its mean square is the moment sum in the module docstring.
+    """
+    t0, t1 = _branch_tables(params, family, **evolution)
+    slot0, slot1 = _FAMILY_SLOTS[family]
+    a, b, c, d = t0[:, slot0], t1[:, slot0], t0[:, slot1], t1[:, slot1]
+    per_env = ((_abs2_array(a) + _abs2_array(d) + (a * d.conj()).real) / 3.0
+               + (_abs2_array(b) + _abs2_array(c)) / 6.0)
+    return float(np.sum(per_env))
+
+
 def bell_fidelity_direct_averaged(params: ChainParams, family: str,
                                   time: float | None = None,
                                   schedule: KickSchedule | None = None,
                                   n_kicks: int | None = None,
-                                  n_samples: int = 10_000, seed: int = 0,
                                   u0_convention: str = "hamiltonian_tau") -> float:
-    """Monte Carlo mean of the direct fidelity over Haar-random coefficient pairs."""
-    n = params.profile.n_sites
-    if n < 4:
-        raise ValueError("sender pair (1,2) and receiver pair (N-1,N) overlap below N=4")
-    receivers = (n - 1, n)
-    t0, t1 = _branch_tables(params, family, receivers, time=time,
-                            schedule=schedule, n_kicks=n_kicks,
-                            u0_convention=u0_convention)
-    slots = _FAMILY_SLOTS[family]
-    coeffs = _haar_pairs(n_samples, seed)
-    return _mc_average(t0, t1, slots, coeffs)
+    """Exact mean of the direct fidelity over Haar-random coefficient pairs."""
+    if family not in BELL_FAMILIES:
+        raise ValueError(f"unknown Bell family {family!r}; expected one of {BELL_FAMILIES}")
+    _check_bell_geometry(params)
+    return _family_average(params, family, time=time, schedule=schedule,
+                           n_kicks=n_kicks, u0_convention=u0_convention)
 
 
 def bloch_average_single_qubit(params: ChainParams,
                                time: float | None = None,
                                schedule: KickSchedule | None = None,
                                n_kicks: int | None = None,
-                               n_samples: int = 10_000, seed: int = 0,
                                u0_convention: str = "hamiltonian_tau") -> float:
-    """Monte Carlo mean of <psi_in|rho_out|psi_in> for single-qubit transfer.
+    """Exact Bloch-sphere mean of <psi_in|rho_out|psi_in> for single-qubit transfer.
 
     The input qubit alpha|0> + beta|1> sits at site 1; the output density
-    matrix of site N is built per sample from the vacuum branch (evolved
-    by the vacuum phase) and the one-excitation branch, then scored
-    against the input state.  This is the sampling-based check on
-    ``single_qubit_fidelity``.
+    matrix of site N is built from the vacuum branch (evolved by the
+    vacuum phase) and the one-excitation branch, then scored against the
+    input state and averaged over the input exactly.  This is the
+    partial-trace check on ``single_qubit_fidelity``.
     """
-    n = params.profile.n_sites
-    basis1 = enumerate_basis(n, 1)
-    col = _evolved_columns(params, basis1, [(1,)], time=time, schedule=schedule,
-                           n_kicks=n_kicks, u0_convention=u0_convention)[:, 0]
-    phase = vacuum_phase(params, _elapsed_time(time, schedule, n_kicks))
-    entries0 = [((), phase)]
-    entries1 = list(zip(basis1.configs, col))
-    env_index, _ = _grouped_by_environment(entries0 + entries1, (n,))
-    tables = []
-    for entries in (entries0, entries1):
-        table = np.zeros((len(env_index), 2), dtype=complex)
-        for cfg, amp in entries:
-            env = tuple(s for s in cfg if s != n)
-            table[env_index[env], 1 if n in cfg else 0] += amp
-        tables.append(table)
-    coeffs = _haar_pairs(n_samples, seed)
-    return _mc_average(tables[0], tables[1], (0, 1), coeffs)
-
-
-def _haar_pairs(n_samples: int, seed: int) -> np.ndarray:
-    """Uniform random normalized coefficient pairs (Haar measure on C^2)."""
-    rng = np.random.default_rng(seed)
-    z = rng.normal(size=(n_samples, 2)) + 1j * rng.normal(size=(n_samples, 2))
-    return z / np.linalg.norm(z, axis=1, keepdims=True)
-
-
-def _mc_average(table0: np.ndarray, table1: np.ndarray, slots, coeffs: np.ndarray) -> float:
-    """Mean fidelity over coefficient pairs from environment-grouped branches.
-
-    For each sample the receiver state per environment is c0*table0 +
-    c1*table1 and the score is sum_env |<psi_in|vec_env>|^2, which expands
-    into a fixed 4-term bilinear form in the coefficients.
-    """
-    slot0, slot1 = slots
-    c0, c1 = coeffs[:, 0], coeffs[:, 1]
-    weights = np.stack([
-        c0.conjugate() * c0,
-        c0.conjugate() * c1,
-        c1.conjugate() * c0,
-        c1.conjugate() * c1,
-    ], axis=1)
-    parts = np.stack([table0[:, slot0], table1[:, slot0],
-                      table0[:, slot1], table1[:, slot1]], axis=0)
-    overlap = weights @ parts                          # (n_samples, n_env)
-    per_sample = np.sum(overlap.real ** 2 + overlap.imag ** 2, axis=1)
-    return float(per_sample.mean())
+    return _family_average(params, "omega0", time=time, schedule=schedule,
+                           n_kicks=n_kicks, u0_convention=u0_convention)
 
 
 # ---------------------------------------------------------------------------
@@ -418,16 +364,15 @@ def _mc_average(table0: np.ndarray, table1: np.ndarray, slots, coeffs: np.ndarra
 def conformance_report(n_sites_values: Sequence[int] = (4, 5, 6),
                        times: Sequence[float] = (0.0, 0.5, 1.0, 2.0, 4.0),
                        j1: float = 1.0, j2: float = -1.0, e0: float = 0.1,
-                       b_field: float = 0.0,
-                       n_samples: int = 4000, seed: int = 11) -> list[dict]:
+                       b_field: float = 0.0) -> list[dict]:
     """Tabulate the Bell closed forms against the partial-trace oracle.
 
     The Bell formulas are stated for general coefficients but the
     experiments transport the maximally entangled pair, and their phase
     conventions admit two readings of the final term.  Rather than pick a
     winner, every row records the literal formula value(s), the direct
-    oracle at the maximally entangled point, its Monte Carlo average over
-    the coefficient family, and the deviations of the literal value from
+    oracle at the maximally entangled point, its exact average over the
+    coefficient family, and the deviations of the literal value from
     both.
 
     Row keys: n_sites, time, state, literal, literal_alt (the
@@ -452,8 +397,7 @@ def conformance_report(n_sites_values: Sequence[int] = (4, 5, 6),
             literal1 = bell_fidelity_omega1(u1[near, s1], u1[far, s2],
                                             u1[near, s2], u1[far, s1])
             direct1 = bell_fidelity_direct(params, BellInput.maximal("omega1"), time=t)
-            avg1 = bell_fidelity_direct_averaged(params, "omega1", time=t,
-                                                 n_samples=n_samples, seed=seed)
+            avg1 = bell_fidelity_direct_averaged(params, "omega1", time=t)
             rows.append({
                 "n_sites": n, "time": t, "state": "omega1",
                 "literal": literal1, "literal_alt": None,
@@ -469,8 +413,7 @@ def conformance_report(n_sites_values: Sequence[int] = (4, 5, 6),
             literal2 = bell_fidelity_omega2(cross, g_last, "re_amplitude")
             literal2_abs = bell_fidelity_omega2(cross, g_last, "abs_amplitude")
             direct2 = bell_fidelity_direct(params, BellInput.maximal("omega2"), time=t)
-            avg2 = bell_fidelity_direct_averaged(params, "omega2", time=t,
-                                                 n_samples=n_samples, seed=seed)
+            avg2 = bell_fidelity_direct_averaged(params, "omega2", time=t)
             rows.append({
                 "n_sites": n, "time": t, "state": "omega2",
                 "literal": literal2, "literal_alt": literal2_abs,

@@ -21,7 +21,6 @@ memory: the step stack of one tau chunk, and one chunk of amplitudes.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any
 
 import numpy as np
 
@@ -75,11 +74,10 @@ class KickSchedule:
 
 @dataclass(frozen=True)
 class UnitaryPropagator:
-    """Dense unitary on a fixed sector, tagged with how it was built."""
+    """Dense unitary on a fixed sector."""
 
     matrix: np.ndarray
     sector: tuple[int, int] | None = None
-    provenance: tuple[Any, ...] = ()
 
     @property
     def dim(self) -> int:
@@ -128,7 +126,7 @@ def unitary_exp(h: np.ndarray, t: float,
                 sector: tuple[int, int] | None = None) -> UnitaryPropagator:
     """Continuous-evolution propagator exp(-i h t)."""
     u = _exp_matrix(np.asarray(h, dtype=complex), t)
-    return UnitaryPropagator(u, sector=sector, provenance=("continuous", float(t)))
+    return UnitaryPropagator(u, sector=sector)
 
 
 def _floquet_builder(params: ChainParams, basis: ExcitationBasis, e0: float, e1: float,
@@ -174,11 +172,7 @@ def kick_step(params: ChainParams, schedule: KickSchedule, basis: ExcitationBasi
     """
     build = _floquet_builder(params, basis, schedule.e0, schedule.e1, u0_convention)
     step = build(np.array([schedule.tau]))[0]
-    return UnitaryPropagator(
-        step,
-        sector=(basis.n_sites, basis.n_excitations),
-        provenance=("kick_step", schedule, u0_convention),
-    )
+    return UnitaryPropagator(step, sector=(basis.n_sites, basis.n_excitations))
 
 
 def _stroboscopic_blocks(steps: np.ndarray, cols: np.ndarray, targets, m_max: int):

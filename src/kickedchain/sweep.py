@@ -7,15 +7,13 @@ kick-count lattice together with where it was attained.  Setting the kick
 amplitude to zero switches a point to the no-kick protocol: continuous
 evolution probed at integer times 1..5000.
 
-Grid points are independent; the engine may evaluate them on a thread
-pool, and rows are always emitted in grid order so results do not depend
-on the worker count.
+Grid points are evaluated one after another, in grid order, in the
+caller's thread.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -365,31 +363,21 @@ def _evaluate_point(plan: SweepPlan, idx: int) -> list[SweepRow]:
 
 
 def sweep_axis(plan: SweepPlan, workers: int = 1) -> SweepResult:
-    """Evaluate the plan at every grid value; rows ordered by grid index.
+    """Evaluate the plan at every grid value, in grid order, in the caller's thread.
 
-    ``workers`` bounds the thread pool; results are bit-identical for any
-    worker count because each grid point is computed independently and
-    aggregation follows grid order.
+    ``workers`` is validated (>= 1) but does not change scheduling or
+    results: the grid points are BLAS-bound, and a thread pool over them
+    measured slower than running them in order.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-
-    def job(idx: int) -> list[SweepRow]:
+    rows = []
+    for idx, value in enumerate(plan.grid):
         try:
-            return _evaluate_point(plan, idx)
+            rows += _evaluate_point(plan, idx)
         except Exception as exc:
-            raise RuntimeError(
-                f"sweep point {idx} (grid value {plan.grid[idx]!r}) failed: {exc}"
-            ) from exc
-
-    indices = range(len(plan.grid))
-    if workers == 1:
-        chunks = [job(i) for i in indices]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(job, indices))
-    rows = tuple(row for chunk in chunks for row in chunk)
-    return SweepResult(axis=plan.axis, grid=plan.grid, states=plan.states, rows=rows)
+            raise RuntimeError(f"sweep point {idx} (grid value {value!r}) failed: {exc}") from exc
+    return SweepResult(axis=plan.axis, grid=plan.grid, states=plan.states, rows=tuple(rows))
 
 
 def periodogram(series: Sequence[float]):

@@ -169,3 +169,28 @@ def single_qubit_fidelity_full(psi: np.ndarray, theta: float, phi: float,
 def single_qubit_sender_state(theta: float, phi: float, n: int) -> np.ndarray:
     a_down, a_up = bloch_state(theta, phi)
     return a_down * basis_state((), n) + a_up * basis_state((1,), n)
+
+
+def sampled_family_average(family: str, unitary: np.ndarray, n: int,
+                           n_samples: int = 10_000, seed: int = 0) -> float:
+    """Monte Carlo mean transfer fidelity over Haar-random inputs.
+
+    `unitary` is the full 2**n propagator.  Each sample draws a Haar
+    random pair (c0, c1), prepares the sender state of `family` from it
+    (for omega0 the Bloch state with the same |c0|, |c1| and relative
+    phase), evolves it and scores the receiver against the input.
+    """
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(n_samples, 2)) + 1j * rng.normal(size=(n_samples, 2))
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    total = 0.0
+    for c0, c1 in z:
+        if family == "omega0":
+            theta = 2.0 * np.arctan2(abs(c1), abs(c0))
+            phi = np.angle(c1) - np.angle(c0)
+            psi = unitary @ single_qubit_sender_state(theta, phi, n)
+            total += single_qubit_fidelity_full(psi, theta, phi, n)
+        else:
+            psi = unitary @ bell_sender_state(family, c0, c1, n)
+            total += bell_fidelity_full(psi, family, c0, c1, n)
+    return total / n_samples

@@ -40,7 +40,7 @@ def test_empty_document_yields_canonical_defaults():
     assert cfg.run.mode == "evolve"
     assert cfg.run.states == ("omega0",)
     assert cfg.run.tau_grid == DEFAULT_TAU_GRID
-    assert (cfg.run.m_max, cfg.run.seed, cfg.run.workers) == (500, 0, 1)
+    assert (cfg.run.m_max, cfg.run.workers) == (500, 1)
     assert (cfg.output.path, cfg.output.format) == ("results", "csv")
     assert cfg.output.physical_time_column
 
@@ -90,6 +90,7 @@ def test_all_checked_in_recipes_parse():
     ("chain: {bogus: 1}\n", "chain.bogus"),
     ("drive: {amplitude: 1}\n", "drive.amplitude"),
     ("run: {modes: evolve}\n", "run.modes"),
+    ("run: {seed: 1}\n", "run.seed"),
     ("output: {fmt: csv}\n", "output.fmt"),
     ("impurity: {kind: type1, strength: 1.5, power: 2}\n", "impurity.power"),
 ])
@@ -120,6 +121,9 @@ def test_unknown_keys_are_rejected_with_their_path(text, key_path):
     ("run: {mode: sweep, axis: tau, grid: [1.0, true]}\n", "run.grid[1]"),
     ("run: {mode: sweep, axis: tau, grid: []}\n", "run.grid"),
     ("output: {format: parquet}\n", "output.format"),
+    ("output: {path: null}\n", "output.path"),
+    ("output: {path: 3}\n", "output.path"),
+    ("output: {path: [a]}\n", "output.path"),
     ("output: {physical_time_column: yes please}\n", "output"),
     ("impurity: {strength: 1.5}\n", "impurity.kind"),
     ("impurity: {kind: type3, strength: 1.5}\n", "impurity.kind"),

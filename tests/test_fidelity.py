@@ -76,7 +76,7 @@ def test_single_qubit_formula_matches_bloch_sampling():
     f = u[index_of(basis, (4,)), index_of(basis, (1,))]
     f_gauged = f * vacuum_phase(p, 1.7).conjugate()
     closed = single_qubit_fidelity(f_gauged)
-    sampled = bloch_average_single_qubit(p, time=1.7, n_samples=20_000, seed=4)
+    sampled = bloch_average_single_qubit(p, time=1.7)
     assert abs(closed - sampled) < 0.01
 
 
@@ -86,7 +86,7 @@ def test_bloch_sampling_without_gauge_disagrees():
     basis = enumerate_basis(4, 1)
     u = unitary_exp(build_hamiltonian(p, basis), 2.0).matrix
     f = u[index_of(basis, (4,)), index_of(basis, (1,))]
-    sampled = bloch_average_single_qubit(p, time=2.0, n_samples=20_000, seed=4)
+    sampled = bloch_average_single_qubit(p, time=2.0)
     gauged = single_qubit_fidelity(f * vacuum_phase(p, 2.0).conjugate())
     raw = single_qubit_fidelity(f)
     assert abs(gauged - sampled) < 0.01
@@ -220,8 +220,7 @@ def test_omega1_closed_form_equals_family_average():
     s1, s2 = index_of(basis, (1,)), index_of(basis, (2,))
     near, far = index_of(basis, (n - 1,)), index_of(basis, (n,))
     literal = bell_fidelity_omega1(u[near, s1], u[far, s2], u[near, s2], u[far, s1])
-    averaged = bell_fidelity_direct_averaged(p, "omega1", time=t,
-                                             n_samples=30_000, seed=2)
+    averaged = bell_fidelity_direct_averaged(p, "omega1", time=t)
     assert abs(literal - averaged) < 0.01
 
 
@@ -238,8 +237,7 @@ def test_two_site_round_trip_is_perfect_after_gauge():
 # -- conformance report ----------------------------------------------------------
 
 def test_conformance_report_shape_and_time_zero_rows():
-    rows = conformance_report(n_sites_values=(4,), times=(0.0, 1.0),
-                              n_samples=500, seed=3)
+    rows = conformance_report(n_sites_values=(4,), times=(0.0, 1.0))
     assert len(rows) == 4
     keys = {"n_sites", "time", "state", "literal", "literal_alt",
             "direct_maximal", "direct_family_avg", "delta_maximal",

@@ -1,0 +1,102 @@
+"""Exact Haar family averages: closed forms, conformance rows and full-space sampling."""
+
+import numpy as np
+import pytest
+
+import oracle
+from kickedchain import (
+    ChainParams,
+    KickSchedule,
+    amplitude_series,
+    bell_fidelity_direct_averaged,
+    bloch_average_single_qubit,
+    build_hamiltonian,
+    conformance_report,
+    enumerate_basis,
+    index_of,
+    single_qubit_fidelity,
+    uniform_profile,
+    unitary_exp,
+    vacuum_phase,
+)
+
+
+def params_for(n, e=0.1, b=0.0):
+    return ChainParams(uniform_profile(n, 1.0, -1.0), dm_field=e, b_field=b)
+
+
+# the ten points of acceptance criterion 4: (n, b, time) or (n, b, tau, kicks)
+CONTINUOUS_POINTS = [(4, 0.0, 0.8), (4, 0.9, 1.7), (6, 0.0, 3.1), (6, 0.5, 0.9),
+                     (8, 0.0, 2.4), (8, 0.7, 5.0)]
+KICKED_POINTS = [(4, 0.0, 2.0, 3), (6, 0.9, 1.3, 7), (8, 0.0, 2.0, 5), (10, 0.4, 2.1, 9)]
+
+
+@pytest.mark.parametrize("n,b,t", CONTINUOUS_POINTS)
+def test_omega0_closed_form_is_the_exact_bloch_average_continuous(n, b, t):
+    params = params_for(n, b=b)
+    basis = enumerate_basis(n, 1)
+    u = unitary_exp(build_hamiltonian(params, basis), t).matrix
+    f = u[index_of(basis, (n,)), index_of(basis, (1,))]
+    closed = single_qubit_fidelity(f * vacuum_phase(params, t).conjugate())
+    assert abs(closed - bloch_average_single_qubit(params, time=t)) <= 1e-12
+
+
+@pytest.mark.parametrize("n,b,tau,m", KICKED_POINTS)
+def test_omega0_closed_form_is_the_exact_bloch_average_kicked(n, b, tau, m):
+    static = ChainParams(uniform_profile(n, 1.0, -1.0), b_field=b)
+    schedule = KickSchedule(tau=tau, e0=0.1, e1=1.0, n_kicks=m)
+    f = amplitude_series(static, schedule, enumerate_basis(n, 1), (1,), (n,), m)[m]
+    closed = single_qubit_fidelity(complex(f) * vacuum_phase(static, m * tau).conjugate())
+    assert abs(closed - bloch_average_single_qubit(static, schedule=schedule)) <= 1e-12
+
+
+def test_conformance_family_averages_are_exact():
+    rows = conformance_report((4, 5, 6), (0.0, 0.5, 1.0, 2.0, 4.0))
+    omega1 = [r for r in rows if r["state"] == "omega1"]
+    assert len(omega1) == 15
+    assert max(abs(r["delta_family"]) for r in omega1) <= 1e-12
+    at_zero = [r for r in rows if r["time"] == 0.0]
+    for r in at_zero:
+        want = 0.0 if r["state"] == "omega1" else 0.5
+        assert abs(r["direct_family_avg"] - want) <= 1e-15
+    # the omega2 literal reading is not the family average; the gap is reported
+    gap = {(r["n_sites"], r["time"]): r["delta_family"] for r in rows if r["state"] == "omega2"}
+    assert gap[(4, 4.0)] == pytest.approx(0.217, abs=1e-3)
+    assert gap[(6, 4.0)] == pytest.approx(0.051, abs=1e-3)
+
+
+def test_family_averages_are_deterministic():
+    p = params_for(5, b=0.3)
+    assert bloch_average_single_qubit(p, time=1.3) == bloch_average_single_qubit(p, time=1.3)
+    for family in ("omega1", "omega2"):
+        first = bell_fidelity_direct_averaged(p, family, time=1.3)
+        assert bell_fidelity_direct_averaged(p, family, time=1.3) == first
+
+
+def test_bell_average_rejects_the_single_qubit_family():
+    with pytest.raises(ValueError):
+        bell_fidelity_direct_averaged(params_for(5), "omega0", time=1.0)
+
+
+@pytest.mark.parametrize("kicked", [False, True], ids=["continuous", "kicked"])
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("family", ["omega0", "omega1", "omega2"])
+def test_exact_averages_match_full_space_sampling(family, n, kicked):
+    j1, j2, b = [1.0] * (n - 1), [-1.0] * (n - 2), 0.3
+    if kicked:
+        schedule = KickSchedule(tau=1.4, e0=0.1, e1=0.8, n_kicks=6)
+        params = ChainParams(uniform_profile(n, 1.0, -1.0), b_field=b)
+        evolution = {"schedule": schedule}
+        step = oracle.kick_unitary(j1, j2, b, 0.1, 0.8, 1.4, n)
+        unitary = np.linalg.matrix_power(step, schedule.n_kicks)
+    else:
+        params = params_for(n, b=b)
+        evolution = {"time": 2.3}
+        full_h = oracle.full_hamiltonian(j1, j2, b, 0.1, n)
+        unitary = oracle.evolve(full_h, np.eye(2 ** n, dtype=complex), 2.3)
+    if family == "omega0":
+        exact = bloch_average_single_qubit(params, **evolution)
+    else:
+        exact = bell_fidelity_direct_averaged(params, family, **evolution)
+    sampled = oracle.sampled_family_average(family, unitary, n, n_samples=10_000, seed=n)
+    assert abs(exact - sampled) < 1e-2
