@@ -18,8 +18,10 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from .fidelity import KNOWN_STATES, OMEGA2_CONVENTIONS, classical_threshold
@@ -436,22 +438,18 @@ def _evolve_tables(config: ExperimentConfig):
         for s in states
     }
     with_ps = config.output.physical_time_column
-    columns = ["kick_index", "time"]
+    names = ["kick_index", "time"]
     if with_ps:
-        columns.append("physical_time_ps")   # tau = 1 corresponds to 0.5 ps
-    columns += [f"fidelity_{s}" for s in states]
-    columns.append("classical_threshold")
-    threshold = classical_threshold()
-    rows = []
-    for m in range(drive.n_kicks + 1):
-        t = m * drive.tau
-        row: list = [m, float(t)]
-        if with_ps:
-            row.append(0.5 * t)
-        row += [float(series[s][m]) for s in states]
-        row.append(threshold)
-        rows.append(row)
-    return columns, rows
+        names.append("physical_time_ps")   # tau = 1 corresponds to 0.5 ps
+    names += [f"fidelity_{s}" for s in states]
+    names.append("classical_threshold")
+    times = np.arange(drive.n_kicks + 1) * drive.tau
+    columns = [range(drive.n_kicks + 1), times.tolist()]
+    if with_ps:
+        columns.append((0.5 * times).tolist())
+    columns += [series[s].tolist() for s in states]
+    columns.append([classical_threshold()] * (drive.n_kicks + 1))
+    return names, list(zip(*columns))
 
 
 def _sweep_tables(config: ExperimentConfig, workers: int):
@@ -498,14 +496,48 @@ def _periodogram_tables(config: ExperimentConfig):
     return columns, rows
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+# Cell types a table column may hold; bool comes before int, its base class.
+_CELL_TYPES = (bool, int, float, str)
+_CSV_SPECS = {bool: "%d", int: "%d", float: "%.17g", str: "%s"}
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _column_type(name: str, cells) -> type:
+    """The one cell type of a column, from _CELL_TYPES (str for an empty column)."""
+    kinds = {next((k for k in _CELL_TYPES if issubclass(t, k)), t) for t in set(map(type, cells))}
+    if len(kinds) > 1 or not kinds <= set(_CELL_TYPES):
+        found = ", ".join(sorted(k.__name__ for k in kinds))
+        raise TypeError(f"column {name!r} must hold one of bool, int, float, str; got {found}")
+    return kinds.pop() if kinds else str
+
+
+def _json_tokens(kind: type, cells):
+    """Cells as the tokens json.dumps writes; ints stay numbers for the %d spec."""
+    if kind is float:
+        return [_JSON_NONFINITE.get(t, t) for t in map(float.__repr__, cells)]
+    if kind is bool:
+        return ["true" if v else "false" for v in cells]
+    if kind is str:
+        return [json.dumps(v) for v in cells]
+    return cells
+
+
+def _render_csv(names: list[str], types: list[type], rows: list) -> str:
+    header = ",".join(names).replace("%", "%%") + "\n"
+    row = ",".join(_CSV_SPECS[k] for k in types) + "\n"
+    return (header + row * len(rows)) % tuple(chain.from_iterable(rows))
+
+
+def _render_json(names: list[str], types: list[type], by_column: list, n_rows: int) -> str:
+    """The text of json.dumps(records, indent=2), one record per row, and a newline."""
+    if not n_rows:
+        return "[]\n"
+    fields = ",".join(f'\n    {json.dumps(n).replace("%", "%%")}: {"%d" if k is int else "%s"}'
+                      for n, k in zip(names, types))
+    record = "  {" + fields + "\n  }"
+    tokens = [_json_tokens(k, cells) for k, cells in zip(types, by_column)]
+    template = "[\n" + ",\n".join([record] * n_rows) + "\n]\n"
+    return template % tuple(chain.from_iterable(zip(*tokens)))
 
 
 def _output_paths(config: ExperimentConfig) -> tuple[Path, Path]:
@@ -521,17 +553,22 @@ def _output_paths(config: ExperimentConfig) -> tuple[Path, Path]:
     return csv_path, json_path
 
 
-def write_tables(config: ExperimentConfig, columns: list[str], rows: list[list]) -> list[Path]:
-    """Emit the CSV table and its JSON mirror; returns paths, primary first."""
+def write_tables(config: ExperimentConfig, columns: list[str], rows: list) -> list[Path]:
+    """Emit the CSV table and its JSON mirror; returns paths, primary first.
+
+    Every column holds one cell type: bool, int, float or str.  Each file
+    is one %-format pass over a row template typed by column, and its bytes
+    equal a cell-by-cell rendering: CSV cells as 1/0, %d, %.17g and %s,
+    and the JSON as json.dumps(records, indent=2) of one record per row.
+    """
     primary, mirror = _output_paths(config)
     csv_path = primary if primary.suffix == ".csv" else mirror
     json_path = primary if primary.suffix == ".json" else mirror
-    lines = [",".join(columns)]
-    lines += [",".join(_format_cell(v) for v in row) for row in rows]
+    by_column = list(zip(*rows)) or [()] * len(columns)
+    types = [_column_type(name, cells) for name, cells in zip(columns, by_column)]
     csv_path.parent.mkdir(parents=True, exist_ok=True)
-    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    records = [dict(zip(columns, row)) for row in rows]
-    json_path.write_text(json.dumps(records, indent=2) + "\n", encoding="utf-8")
+    csv_path.write_text(_render_csv(columns, types, rows), encoding="utf-8")
+    json_path.write_text(_render_json(columns, types, by_column, len(rows)), encoding="utf-8")
     return [primary, mirror]
 
 

@@ -201,27 +201,30 @@ def bell_fidelity_omega2(cross_amplitudes: Iterable, final_amplitude: complex,
 # Direct (partial-trace) oracle
 # ---------------------------------------------------------------------------
 
-def _evolved_columns(params: ChainParams, basis: ExcitationBasis, sources: Sequence,
-                     time: float | None = None, schedule: KickSchedule | None = None,
-                     n_kicks: int | None = None,
-                     u0_convention: str = "hamiltonian_tau") -> np.ndarray:
-    """Propagator columns <config|U|source>, continuous (time) or kicked (schedule)."""
+def _propagation(params: ChainParams, time: float | None = None,
+                 schedule: KickSchedule | None = None, n_kicks: int | None = None,
+                 u0_convention: str = "hamiltonian_tau"):
+    """``(columns, elapsed)`` for continuous (``time``) or kicked (``schedule``) evolution.
+
+    ``columns(basis, sources)`` returns the propagator columns
+    <config|U|source> in that sector; ``elapsed`` is the evolution time.
+    """
     if (time is None) == (schedule is None):
         raise ValueError("specify exactly one of time= or schedule=")
-    idx = [index_of(basis, s) for s in sources]
     if time is not None:
-        u = unitary_exp(build_hamiltonian(params, basis), time).matrix
-        return u[:, idx]
-    m = schedule.n_kicks if n_kicks is None else n_kicks
-    step = kick_step(params, schedule, basis, u0_convention=u0_convention).matrix
-    return kicked_columns(step, np.eye(basis.size, dtype=complex)[:, idx], m)
+        def columns(basis: ExcitationBasis, sources: Sequence) -> np.ndarray:
+            u = unitary_exp(build_hamiltonian(params, basis), time).matrix
+            return u[:, [index_of(basis, s) for s in sources]]
 
-
-def _elapsed_time(time, schedule, n_kicks):
-    if time is not None:
-        return float(time)
+        return columns, float(time)
     m = schedule.n_kicks if n_kicks is None else n_kicks
-    return m * schedule.tau
+
+    def columns(basis: ExcitationBasis, sources: Sequence) -> np.ndarray:
+        step = kick_step(params, schedule, basis, u0_convention=u0_convention).matrix
+        idx = [index_of(basis, s) for s in sources]
+        return kicked_columns(step, np.eye(basis.size, dtype=complex)[:, idx], m)
+
+    return columns, m * schedule.tau
 
 
 def _environment_tables(branches, receiver_sites) -> np.ndarray:
@@ -251,29 +254,26 @@ def _environment_tables(branches, receiver_sites) -> np.ndarray:
     return tables
 
 
-def _branch_tables(params: ChainParams, family: str,
-                   time=None, schedule=None, n_kicks=None,
-                   u0_convention="hamiltonian_tau") -> np.ndarray:
+def _branch_tables(params: ChainParams, family: str, columns, elapsed: float) -> np.ndarray:
     """Environment-grouped receiver tables for the two basis kets of a family.
 
     The input state c0|k0> + c1|k1> evolves to c0 * branch0 + c1 * branch1.
     The receivers are site N for ``omega0`` (|k0> the vacuum, |k1> an
     excitation at site 1) and the pair (N-1, N) for the Bell families.
+    ``columns`` and ``elapsed`` describe the evolution, as ``_propagation``
+    returns them.
     """
     n = params.profile.n_sites
-    evolution = dict(time=time, schedule=schedule, n_kicks=n_kicks,
-                     u0_convention=u0_convention)
     if family == "omega1":
         basis = enumerate_basis(n, 1)
-        cols = _evolved_columns(params, basis, [(2,), (1,)], **evolution)
+        cols = columns(basis, [(2,), (1,)])
         # |01> starts at site 2, |10> at site 1
         branches = [zip(basis.configs, cols[:, 0]), zip(basis.configs, cols[:, 1])]
     elif family in ("omega0", "omega2"):
         k, source = (1, (1,)) if family == "omega0" else (2, (1, 2))
         basis = enumerate_basis(n, k)
-        col = _evolved_columns(params, basis, [source], **evolution)[:, 0]
-        phase = vacuum_phase(params, _elapsed_time(time, schedule, n_kicks))
-        branches = [[((), phase)], zip(basis.configs, col)]
+        col = columns(basis, [source])[:, 0]
+        branches = [[((), vacuum_phase(params, elapsed))], zip(basis.configs, col)]
     else:
         raise ValueError(f"unknown input family {family!r}; expected one of {KNOWN_STATES}")
     return _environment_tables(branches, (n,) if family == "omega0" else (n - 1, n))
@@ -286,6 +286,16 @@ _FAMILY_SLOTS = {"omega0": (0, 1), "omega1": (1, 2), "omega2": (0, 3)}
 def _check_bell_geometry(params: ChainParams):
     if params.profile.n_sites < 4:
         raise ValueError("sender pair (1,2) and receiver pair (N-1,N) overlap below N=4")
+
+
+def _bell_overlap(tables: np.ndarray, bell: BellInput) -> float:
+    """<Omega|rho_out|Omega> for one Bell input, from its family's branch tables."""
+    t0, t1 = tables
+    c0, c1 = bell.coefficients
+    vectors = c0 * t0 + c1 * t1                # (n_env, 4) receiver amplitudes
+    slot0, slot1 = _FAMILY_SLOTS[bell.family]
+    overlap = c0.conjugate() * vectors[:, slot0] + c1.conjugate() * vectors[:, slot1]
+    return float(np.sum(overlap.real ** 2 + overlap.imag ** 2))
 
 
 def bell_fidelity_direct(params: ChainParams, bell: BellInput,
@@ -304,22 +314,17 @@ def bell_fidelity_direct(params: ChainParams, bell: BellInput,
     optionally ``n_kicks``) for kicked evolution.
     """
     _check_bell_geometry(params)
-    t0, t1 = _branch_tables(params, bell.family, time=time, schedule=schedule,
-                            n_kicks=n_kicks, u0_convention=u0_convention)
-    c0, c1 = bell.coefficients
-    vectors = c0 * t0 + c1 * t1                # (n_env, 4) receiver amplitudes
-    slot0, slot1 = _FAMILY_SLOTS[bell.family]
-    overlap = c0.conjugate() * vectors[:, slot0] + c1.conjugate() * vectors[:, slot1]
-    return float(np.sum(overlap.real ** 2 + overlap.imag ** 2))
+    evolution = _propagation(params, time, schedule, n_kicks, u0_convention)
+    return _bell_overlap(_branch_tables(params, bell.family, *evolution), bell)
 
 
-def _family_average(params: ChainParams, family: str, **evolution) -> float:
+def _family_average(tables: np.ndarray, family: str) -> float:
     """Exact Haar mean over (c0, c1) of sum_env |<psi_in|c0*t0 + c1*t1>|^2.
 
     Per environment the overlap is |c0|^2 A + conj(c0) c1 B + conj(c1) c0 C
     + |c1|^2 D; its mean square is the moment sum in the module docstring.
     """
-    t0, t1 = _branch_tables(params, family, **evolution)
+    t0, t1 = tables
     slot0, slot1 = _FAMILY_SLOTS[family]
     a, b, c, d = t0[:, slot0], t1[:, slot0], t0[:, slot1], t1[:, slot1]
     per_env = ((_abs2_array(a) + _abs2_array(d) + (a * d.conj()).real) / 3.0
@@ -336,8 +341,8 @@ def bell_fidelity_direct_averaged(params: ChainParams, family: str,
     if family not in BELL_FAMILIES:
         raise ValueError(f"unknown Bell family {family!r}; expected one of {BELL_FAMILIES}")
     _check_bell_geometry(params)
-    return _family_average(params, family, time=time, schedule=schedule,
-                           n_kicks=n_kicks, u0_convention=u0_convention)
+    evolution = _propagation(params, time, schedule, n_kicks, u0_convention)
+    return _family_average(_branch_tables(params, family, *evolution), family)
 
 
 def bloch_average_single_qubit(params: ChainParams,
@@ -353,8 +358,8 @@ def bloch_average_single_qubit(params: ChainParams,
     input state and averaged over the input exactly.  This is the
     partial-trace check on ``single_qubit_fidelity``.
     """
-    return _family_average(params, "omega0", time=time, schedule=schedule,
-                           n_kicks=n_kicks, u0_convention=u0_convention)
+    evolution = _propagation(params, time, schedule, n_kicks, u0_convention)
+    return _family_average(_branch_tables(params, "omega0", *evolution), "omega0")
 
 
 # ---------------------------------------------------------------------------
@@ -377,11 +382,13 @@ def conformance_report(n_sites_values: Sequence[int] = (4, 5, 6),
 
     Row keys: n_sites, time, state, literal, literal_alt (the
     abs-amplitude reading; None for omega1), direct_maximal,
-    direct_family_avg, delta_maximal, delta_family.
+    direct_family_avg, delta_maximal, delta_family.  Per (N, t) the k=1 and
+    k=2 propagators are formed once and feed all three readings.
     """
     rows = []
     for n in n_sites_values:
         params = ChainParams(uniform_profile(n, j1, j2), dm_field=e0, b_field=b_field)
+        _check_bell_geometry(params)
         basis1 = enumerate_basis(n, 1)
         basis2 = enumerate_basis(n, 2)
         h1 = build_hamiltonian(params, basis1)
@@ -390,14 +397,19 @@ def conformance_report(n_sites_values: Sequence[int] = (4, 5, 6),
             u1 = unitary_exp(h1, t).matrix
             u2 = unitary_exp(h2, t).matrix
 
+            def columns(basis, sources):
+                u = u1 if basis.n_excitations == 1 else u2
+                return u[:, [index_of(basis, s) for s in sources]]
+
             near = index_of(basis1, (n - 1,))
             far = index_of(basis1, (n,))
             s1 = index_of(basis1, (1,))
             s2 = index_of(basis1, (2,))
             literal1 = bell_fidelity_omega1(u1[near, s1], u1[far, s2],
                                             u1[near, s2], u1[far, s1])
-            direct1 = bell_fidelity_direct(params, BellInput.maximal("omega1"), time=t)
-            avg1 = bell_fidelity_direct_averaged(params, "omega1", time=t)
+            tables1 = _branch_tables(params, "omega1", columns, float(t))
+            direct1 = _bell_overlap(tables1, BellInput.maximal("omega1"))
+            avg1 = _family_average(tables1, "omega1")
             rows.append({
                 "n_sites": n, "time": t, "state": "omega1",
                 "literal": literal1, "literal_alt": None,
@@ -412,8 +424,9 @@ def conformance_report(n_sites_values: Sequence[int] = (4, 5, 6),
             g_last = u2[index_of(basis2, (n - 1, n)), pair]
             literal2 = bell_fidelity_omega2(cross, g_last, "re_amplitude")
             literal2_abs = bell_fidelity_omega2(cross, g_last, "abs_amplitude")
-            direct2 = bell_fidelity_direct(params, BellInput.maximal("omega2"), time=t)
-            avg2 = bell_fidelity_direct_averaged(params, "omega2", time=t)
+            tables2 = _branch_tables(params, "omega2", columns, float(t))
+            direct2 = _bell_overlap(tables2, BellInput.maximal("omega2"))
+            avg2 = _family_average(tables2, "omega2")
             rows.append({
                 "n_sites": n, "time": t, "state": "omega2",
                 "literal": literal2, "literal_alt": literal2_abs,

@@ -11,15 +11,22 @@ read out just after the kick.
 
 How the lattice search runs: every kicked result, from one amplitude
 series to a full tau x kick lattice, comes from one kick loop, driven by
-``kick_lattice``.  Per call it builds H0 and D and diagonalises each once,
-forms U1 U0(tau) for a stack of taus at once, and advances the whole stack
-by one kick per ``np.matmul``.  Target amplitudes are gathered over chunks
-of kicks and scored a chunk at a time.  Two fixed byte budgets bound the
-memory: the step stack of one tau chunk, and one chunk of amplitudes.
+``kick_lattice``.  Per call it builds H0 and D and diagonalises each once
+and forms U1 U0(tau) for a stack of taus at once.  The loop then advances
+B kicks per iteration, B the power of two nearest sqrt(m_max + 1): it
+builds the target rows of step^r for r < B and step^B once, and each
+iteration reads B kicks' target amplitudes off one batched product of
+those rows with the current columns before advancing the columns by
+step^B.  So m_max kicks take O(sqrt(m_max)) batched products instead of
+m_max, with no eigendecomposition of the non-Hermitian step.  Amplitudes
+are scored a chunk of kicks at a time.  Two fixed byte budgets bound the
+memory: one stack of taus with their steps and row stacks (B is halved
+until one tau fits), and one chunk of amplitudes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -48,9 +55,9 @@ __all__ = [
 #       the e0 chirality term enters with unit weight, for comparison.
 U0_CONVENTIONS = ("hamiltonian_tau", "literal_eq5")
 
-# Memory budgets of the kick loop: a tau chunk holds as many Floquet steps
-# as fit in the first, and a chunk of gathered target amplitudes spans as
-# many kicks as fit in the second.
+# Memory budgets of the kick loop: a tau chunk holds as many Floquet steps,
+# each with its stack of target rows, as fit in the first, and a chunk of
+# gathered target amplitudes spans as many kicks as fit in the second.
 _STEP_STACK_BYTES = 256 * 1024
 _AMPLITUDE_BLOCK_BYTES = 64 * 1024
 _COMPLEX_BYTES = np.dtype(complex).itemsize
@@ -175,27 +182,60 @@ def kick_step(params: ChainParams, schedule: KickSchedule, basis: ExcitationBasi
     return UnitaryPropagator(step, sector=(basis.n_sites, basis.n_excitations))
 
 
+def _interval_bytes(dim: int, n_targets: int, b: int) -> int:
+    """Bytes the kick loop holds per kick interval: its step and its B target rows."""
+    return _COMPLEX_BYTES * dim * (dim + b * n_targets)
+
+
+def _kicks_per_iteration(m_max: int, dim: int, n_targets: int) -> int:
+    """B, the kicks one iteration of the kick loop advances.
+
+    B is the power of two nearest sqrt(m_max + 1) on a log scale, which
+    balances the B row products built up front against the (m_max + 1) / B
+    iterations, halved until one kick interval fits in _STEP_STACK_BYTES.
+    """
+    b = 1 << round(math.log2(m_max + 1) / 2)
+    while b > 1 and _interval_bytes(dim, n_targets, b) > _STEP_STACK_BYTES:
+        b //= 2
+    return b
+
+
 def _stroboscopic_blocks(steps: np.ndarray, cols: np.ndarray, targets, m_max: int):
-    """The kick loop: every step of the stack is applied once per kick.
+    """The kick loop: every step of the stack is applied m = 0..m_max times, B kicks at a time.
 
     ``steps`` is (n_tau, dim, dim) and ``cols`` the (n_tau, dim, n_src)
     starting columns.  Yields ``(m0, block)`` where block[t, j] holds rows
-    ``targets`` of steps[t]^(m0 + j) @ cols[t], covering m = 0..m_max in
-    chunks of kicks sized to _AMPLITUDE_BLOCK_BYTES.  The block buffer is
+    ``targets`` of steps[t]^(m0 + j) @ cols[t], covering m = 0..m_max.
+
+    The target rows of steps^r for r < B are built once, by repeated
+    multiplication, and steps^B by squaring.  Each iteration then gives
+    kicks m..m+B-1 as one product of that row stack with x = steps^m @ cols,
+    and advances x by steps^B.  A block spans as many whole iterations as
+    fit in _AMPLITUDE_BLOCK_BYTES, and at least one.  The block buffer is
     reused: a consumer must be done with one block before taking the next.
     """
-    n_tau, _, n_src = cols.shape
-    m_chunk = _AMPLITUDE_BLOCK_BYTES // (_COMPLEX_BYTES * n_tau * len(targets) * n_src)
-    block = np.empty((n_tau, min(max(1, m_chunk), m_max + 1), len(targets), n_src),
-                     dtype=complex)
+    n_tau, dim, n_src = cols.shape
+    n_tgt = len(targets)
+    b = _kicks_per_iteration(m_max, dim, n_tgt)
+    rows = np.empty((n_tau, b, n_tgt, dim), dtype=complex)
+    rows[:, 0] = np.eye(dim)[targets]
+    for r in range(1, b):
+        rows[:, r] = np.matmul(rows[:, r - 1], steps)
+    rows = rows.reshape(n_tau, b * n_tgt, dim)
+    leap = steps
+    for _ in range(b.bit_length() - 1):
+        leap = np.matmul(leap, leap)
+    per_block = b * max(1, _AMPLITUDE_BLOCK_BYTES // (_COMPLEX_BYTES * n_tau * b * n_tgt * n_src))
+    block = np.empty((n_tau, min(per_block, m_max + 1), n_tgt, n_src), dtype=complex)
     m0 = 0
-    for m in range(m_max + 1):
+    for m in range(0, m_max + 1, b):
         if m:
-            cols = np.matmul(steps, cols)
-        block[:, m - m0] = cols[:, targets, :]
-        if m - m0 + 1 == block.shape[1] or m == m_max:
-            yield m0, block[:, : m - m0 + 1]
-            m0 = m + 1
+            cols = np.matmul(leap, cols)
+        j, k = m - m0, min(b, m_max + 1 - m)
+        block[:, j:j + k] = np.matmul(rows[:, :k * n_tgt], cols).reshape(n_tau, k, n_tgt, n_src)
+        if j + k == block.shape[1] or m + k > m_max:
+            yield m0, block[:, :j + k]
+            m0 = m + k
 
 
 def kick_lattice(params: ChainParams, basis: ExcitationBasis, taus, e0: float, e1: float,
@@ -211,7 +251,8 @@ def kick_lattice(params: ChainParams, basis: ExcitationBasis, taus, e0: float, e
     the (len(taus), m_max + 1) lattice, in the dtype ``score`` returns.
 
     H0 and D are diagonalised once per call, however many taus there are;
-    taus are stepped in stacks sized to _STEP_STACK_BYTES.
+    taus are stepped in stacks whose steps and target-row stacks together
+    fit in _STEP_STACK_BYTES (at least one tau per stack).
     """
     taus = np.asarray(taus, dtype=float)
     if taus.ndim != 1 or taus.size == 0:
@@ -222,7 +263,8 @@ def kick_lattice(params: ChainParams, basis: ExcitationBasis, taus, e0: float, e
         raise ValueError(f"m_max must be non-negative, got {m_max}")
     build = _floquet_builder(params, basis, e0, e1, u0_convention)
     targets = np.asarray(targets, dtype=int)
-    tau_chunk = max(1, _STEP_STACK_BYTES // (_COMPLEX_BYTES * basis.size ** 2))
+    b = _kicks_per_iteration(m_max, basis.size, targets.size)
+    tau_chunk = max(1, _STEP_STACK_BYTES // _interval_bytes(basis.size, targets.size, b))
     lattice = None
     for t0 in range(0, taus.size, tau_chunk):
         chunk = taus[t0:t0 + tau_chunk]

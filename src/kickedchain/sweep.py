@@ -194,9 +194,13 @@ def _score(state: str, amps: np.ndarray, vacuum_angles: np.ndarray,
     shape.  The single-qubit amplitude is taken in the vacuum gauge
     (multiplied by e^{+i E_vac t}) because its fidelity formula interferes
     the excitation against the vacuum branch.  The Bell formulas consume
-    the raw sector amplitudes as printed: omega1 is insensitive to the
-    shared phase and omega2's final term is deliberately left in the bare
-    convention, with the direct oracle available to quantify the difference.
+    the raw sector amplitudes as printed, and omega1 is insensitive to the
+    shared phase.  omega2 is not: its |00> half is the vacuum, which the
+    partial-trace oracle evolves by e^{-i E_vac t}, so in the oracle's gauge
+    the final term would read Re(g e^{+i E_vac t}) where this passes the
+    bare g.  The bare reading is kept, so outputs do not change; at N=6,
+    t=4 (J1=1, J2=-1, E0=0.1) it is above the gauged one by 0.0188.  The
+    abs_amplitude reading does not depend on the gauge.
     """
     if state == "omega0":
         return single_qubit_fidelity_array(amps[..., 0, 0] * np.exp(1j * vacuum_angles))

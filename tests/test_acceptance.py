@@ -156,7 +156,7 @@ def test_criterion_3_kick_identity_at_zero_amplitude():
            f"max amplitude deviation={worst:.2e} for m<=100, k=1 and k=2")
 
 
-def test_criterion_4_single_qubit_formula_vs_bloch_sampling():
+def test_criterion_4_single_qubit_formula_vs_exact_bloch_average():
     started = time.perf_counter()
     cases = []
     for n, b, t in ((4, 0.0, 0.8), (4, 0.9, 1.7), (6, 0.0, 3.1), (6, 0.5, 0.9),
@@ -167,27 +167,27 @@ def test_criterion_4_single_qubit_formula_vs_bloch_sampling():
         cases.append((canonical_params(n, b=b), None, tau, m))
     assert len(cases) == 10
     worst = 0.0
-    for i, (params, t, tau, m) in enumerate(cases):
+    for params, t, tau, m in cases:
         n = params.profile.n_sites
         basis = enumerate_basis(n, 1)
         if t is not None:
             u = unitary_exp(build_hamiltonian(params, basis), t).matrix
             f = u[index_of(basis, (n,)), index_of(basis, (1,))]
             gauge = vacuum_phase(params, t).conjugate()
-            sampled = bloch_average_single_qubit(params, time=t)
+            average = bloch_average_single_qubit(params, time=t)
         else:
             schedule = KickSchedule(tau=tau, e0=0.1, e1=1.0, n_kicks=m)
             static = ChainParams(params.profile, b_field=params.b_field)
             series = amplitude_series(static, schedule, basis, (1,), (n,), m)
             f = series[m]
             gauge = vacuum_phase(params, m * tau).conjugate()
-            sampled = bloch_average_single_qubit(static, schedule=schedule)
+            average = bloch_average_single_qubit(static, schedule=schedule)
         closed = single_qubit_fidelity(complex(f) * gauge)
-        worst = max(worst, abs(closed - sampled))
+        worst = max(worst, abs(closed - average))
     elapsed = time.perf_counter() - started
-    report(4, "single-qubit closed form vs Bloch sampling",
-           worst <= 1e-2 and elapsed < 60.0,
-           f"max |closed-sampled|={worst:.2e} over 10 points, {elapsed:.1f}s")
+    report(4, "single-qubit closed form vs exact Bloch average",
+           worst <= 1e-12 and elapsed < 60.0,
+           f"max |closed-average|={worst:.2e} over 10 points, {elapsed:.1f}s")
 
 
 def test_criterion_5_threshold_crossing_and_periodicity():

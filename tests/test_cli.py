@@ -7,6 +7,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import kickedchain
@@ -18,6 +19,7 @@ from kickedchain.cli import (
     parse_config,
     run,
     serialize_config,
+    write_tables,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -218,6 +220,48 @@ def test_json_format_puts_json_first(tmp_path):
     cfg = replace(cfg, output=replace(cfg.output, path=str(tmp_path / "t")))
     paths = run(cfg)
     assert paths[0].suffix == ".json" and paths[1].suffix == ".csv"
+
+
+def reference_rendering(columns, rows):
+    """CSV and JSON text rendered cell by cell: what write_tables must reproduce."""
+    def cell(value):
+        if isinstance(value, bool):
+            return "1" if value else "0"
+        if isinstance(value, int):
+            return str(value)
+        if isinstance(value, float):
+            return format(value, ".17g")
+        return str(value)
+
+    lines = [",".join(columns)] + [",".join(cell(v) for v in row) for row in rows]
+    records = [dict(zip(columns, row)) for row in rows]
+    return "\n".join(lines) + "\n", json.dumps(records, indent=2) + "\n"
+
+
+TYPED_COLUMNS = ["index", "state", "value", "flag", "rate_%d"]
+TYPED_ROWS = [
+    [0, "omega0", 0.1, True, -0.0],
+    [-7, 'say "hi" \\ 100%', float("nan"), False, float("inf")],
+    [2 ** 70, "caf\u00e9", 1e-300, True, float("-inf")],
+    [3, "", np.float64(2.0 / 3.0), False, 5e-324],
+    [4, "%s,%d", -2.5e17, True, 1.0],
+]
+
+
+@pytest.mark.parametrize("rows", [TYPED_ROWS, TYPED_ROWS[:1], []],
+                         ids=["typed", "one_row", "zero_rows"])
+def test_write_tables_equals_the_cell_by_cell_rendering(tmp_path, rows):
+    cfg = parse_config(f"output: {{path: {tmp_path / 't'}}}")
+    csv_path, json_path = write_tables(cfg, TYPED_COLUMNS, rows)
+    want_csv, want_json = reference_rendering(TYPED_COLUMNS, rows)
+    assert csv_path.read_text(encoding="utf-8") == want_csv
+    assert json_path.read_text(encoding="utf-8") == want_json
+
+
+def test_write_tables_rejects_a_column_of_mixed_types(tmp_path):
+    cfg = parse_config(f"output: {{path: {tmp_path / 't'}}}")
+    with pytest.raises(TypeError, match="'value'"):
+        write_tables(cfg, ["value"], [[1.0], [2]])
 
 
 SWEEP_TEXT = (

@@ -18,14 +18,19 @@ from kickedchain import (
     DEFAULT_TAU_GRID,
     ChainParams,
     KickSchedule,
+    StateVector,
     bell_fidelity_omega1,
     bell_fidelity_omega1_array,
     bell_fidelity_omega2,
     bell_fidelity_omega2_array,
+    conformance_report,
     enumerate_basis,
+    evolve_kicked,
     fidelity_lattice,
+    fidelity_series,
     index_of,
     kick_step,
+    kicked_columns,
     max_fidelity,
     single_qubit_fidelity,
     single_qubit_fidelity_array,
@@ -105,12 +110,19 @@ def test_kernel_lattice_matches_naive_loop(state, u0_convention, omega2_conventi
 
 
 def test_kernel_chunking_does_not_change_the_lattice(monkeypatch):
-    """Budgets small enough to split taus and kicks into many uneven chunks."""
+    """Budgets small enough to split taus and kicks into many uneven chunks.
+
+    The kicks per loop iteration (B) set how the powers of the step are
+    factored, so the budgets here still fit one tau at the default B.
+    """
     params = params_for()
     whole = fidelity_lattice(params, "omega2", TAUS, M_MAX, e0=E0, e1=E1)
-    step_bytes = 2 * 16 * enumerate_basis(N, 2).size ** 2      # two taus per stack
+    dim = enumerate_basis(N, 2).size
+    b = propagator_module._kicks_per_iteration(M_MAX, dim, 9)
+    step_bytes = 2 * 16 * dim * (dim + b * 9)                  # two taus per stack
     monkeypatch.setattr(propagator_module, "_STEP_STACK_BYTES", step_bytes)
     monkeypatch.setattr(propagator_module, "_AMPLITUDE_BLOCK_BYTES", 2 * 7 * 9 * 16)
+    assert propagator_module._kicks_per_iteration(M_MAX, dim, 9) == b > 1
     chunked = fidelity_lattice(params, "omega2", TAUS, M_MAX, e0=E0, e1=E1)
     assert np.array_equal(chunked, whole)
 
@@ -136,6 +148,51 @@ def test_ties_within_a_lattice_follow_row_major_order(monkeypatch):
     monkeypatch.setattr(sweep_module, "fidelity_lattice", lambda *args, **kwargs: lattice)
     value, atau, am = max_fidelity(params_for(), "omega0", (1.0, 2.0, 3.0), 3)
     assert (value, atau, am) == (0.9, 2.0, 1)
+
+
+# -- B kicks per loop iteration -------------------------------------------------------
+
+# (m_max, B): the kicks per iteration at that m_max, where m_max + 1 kicks end
+# one short of, on, and one past a whole number of iterations.
+BLOCK_EDGES = [(0, 1), (1, 1), (2, 2), (3, 2), (4, 2), (14, 4), (15, 4), (16, 4),
+               (62, 8), (63, 8), (64, 8)]
+
+
+@pytest.mark.parametrize("state", ["omega0", "omega1", "omega2"])
+@pytest.mark.parametrize("m_max,b", BLOCK_EDGES)
+def test_blocked_loop_matches_naive_loop_around_block_edges(m_max, b, state):
+    k, _, targets = probe(state)
+    dim = enumerate_basis(N, k).size
+    assert propagator_module._kicks_per_iteration(m_max, dim, len(targets)) == b
+    params = params_for()
+    want = naive_lattice(params, state, TAUS, m_max, "hamiltonian_tau", "re_amplitude")
+    got = fidelity_lattice(params, state, TAUS, m_max, e0=E0, e1=E1)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("u0_convention", ["hamiltonian_tau", "literal_eq5"])
+@pytest.mark.parametrize("state", ["omega0", "omega1", "omega2"])
+def test_blocked_loop_matches_naive_loop_over_5000_kicks(state, u0_convention):
+    params = params_for()
+    want = naive_lattice(params, state, (2.1,), 5000, u0_convention, "re_amplitude")[0]
+    got = fidelity_series(params, KickSchedule(tau=2.1, e0=E0, e1=E1), state, 5000,
+                          u0_convention=u0_convention)
+    assert np.abs(got - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n_kicks", [0, 1, 7, 8, 9, 63, 64, 65, 5000])
+def test_kicked_columns_and_evolve_kicked_match_repeated_products(n_kicks):
+    basis = enumerate_basis(N, 2)
+    step = kick_step(params_for(), KickSchedule(tau=1.3, e0=E0, e1=E1), basis)
+    cols = np.eye(basis.size, dtype=complex)[:, [0, 4, 9]]
+    want = cols
+    for _ in range(n_kicks):
+        want = step.matrix @ want
+    assert np.abs(kicked_columns(step.matrix, cols, n_kicks) - want).max() <= 1e-12
+    psi = StateVector(cols[:, 1], sector=(N, 2))
+    out = evolve_kicked(step, n_kicks, psi)
+    assert np.abs(out.amplitudes - want[:, 1]).max() <= 1e-12
 
 
 # -- array scorers ----------------------------------------------------------------
@@ -211,3 +268,23 @@ def test_hamiltonian_and_eigendecompositions_do_not_scale_with_the_tau_grid(monk
         counts.append((builds[0], eighs[0]))
     assert counts[0] == counts[1]
     assert counts[0][0] <= 3 and counts[0][1] <= 2
+
+
+def test_conformance_report_builds_and_diagonalises_each_sector_once_per_point(monkeypatch):
+    # one (N, t) point: the k=1 and k=2 sector blocks are built and exponentiated
+    # once and shared by the literal values, the direct oracle and the family
+    # average; the 1x1 k=0 block gives the vacuum phase of the omega2 branch
+    sectors = []
+    original = model_module.build_hamiltonian
+
+    def recorded(params, basis):
+        sectors.append(basis.n_excitations)
+        return original(params, basis)
+
+    for module in (model_module, propagator_module, fidelity_module, sweep_module):
+        if hasattr(module, "build_hamiltonian"):
+            monkeypatch.setattr(module, "build_hamiltonian", recorded)
+    eighs = count_calls(monkeypatch, "eigendecompose", propagator_module.eigendecompose)
+    conformance_report((5,), (1.0,))
+    assert sorted(sectors) == [0, 1, 2]
+    assert eighs[0] == 2
