@@ -9,6 +9,15 @@ evolution probed at integer times 1..5000.
 
 Grid points are evaluated one after another, in grid order, in the
 caller's thread.
+
+How the kick-free path runs: each (point, state) diagonalises its sector
+once, H = V diag(w) V+, and every receiver amplitude at every probe time is
+one product of a weight matrix V[r,a] conj(V[s,a]) with the phase table
+e^{-i w_a t}.  On an evenly spaced grid (the integer probe times are one)
+the table is factorized into a coarse and a fine table of about sqrt(n)
+columns each (``_phase_table``), so it costs about 2*sqrt(n) complex
+exponentials per eigenvalue instead of n.  The series is computed once per
+(point, state), also when it is retained.
 """
 
 from __future__ import annotations
@@ -252,6 +261,31 @@ def fidelity_series(params: ChainParams, schedule: KickSchedule, state: str,
                             omega2_convention=omega2_convention)[0]
 
 
+def _phase_table(w: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The (len(w), len(t)) table e^{-i w_a t_k}.
+
+    An evenly spaced grid, t_k == t0 + k*dt exactly in floating point (as
+    every integer-time grid is), is factorized: with R = ceil(sqrt(n)) and
+    k = q*R + r, e^{-i w t_k} = e^{-i w q R dt} * e^{-i w t_r}, so a (dim, Q)
+    and a (dim, R) table of exponentials and one broadcast product give the
+    whole table from about 2*sqrt(n) exponentials per eigenvalue instead of
+    n.  Any other grid takes one exponential per entry.  The two forms round
+    the phase argument w*t differently, each to within about half an ulp of
+    |w| t (the ulp is 3.6e-12 for the omega2 sector at N = 10, where |w| t
+    reaches 16 464 at t = 5000), so neither is more exact than the other and
+    their entries differ by little more than one such ulp.
+    """
+    n = t.size
+    dt = t[1] - t[0] if n > 1 else 0.0
+    if n == 0 or not np.array_equal(t, t[0] + dt * np.arange(n)):
+        return np.exp(-1j * np.outer(w, t))
+    r = math.isqrt(n - 1) + 1
+    q = -(-n // r)
+    coarse = np.exp(-1j * np.outer(w, (r * dt) * np.arange(q)))
+    fine = np.exp(-1j * np.outer(w, t[:r]))
+    return (coarse[:, :, None] * fine[:, None, :]).reshape(w.size, q * r)[:, :n]
+
+
 def continuous_fidelity_series(params: ChainParams, times: Sequence[float], state: str,
                                omega2_convention: str = "re_amplitude") -> np.ndarray:
     """Fidelity under continuous (kick-free) evolution at each requested time.
@@ -268,10 +302,16 @@ def continuous_fidelity_series(params: ChainParams, times: Sequence[float], stat
     # <t|e^{-iHt}|s> = sum_a v[t,a] conj(v[s,a]) e^{-i w_a t}, one weight row per (t, s)
     weights = np.stack([v[ti, :] * v[si, :].conj() for ti in tgt_idx for si in src_idx])
     t_arr = np.asarray(times, dtype=float)
-    amp_all = weights @ np.exp(-1j * np.outer(w, t_arr))
+    amp_all = weights @ _phase_table(w, t_arr)
     # (targets * sources, times) -> a (times, targets, sources) view
     amps = np.moveaxis(amp_all.reshape(len(tgt_idx), len(src_idx), t_arr.size), -1, 0)
     return _score(state, amps, vacuum_energy(params) * t_arr, omega2_convention)
+
+
+def _continuous_maximum(series: np.ndarray, times: Sequence[float]):
+    """(max value, 1.0, argmax time) of a kick-free series; ties go to the earliest time."""
+    best = int(np.argmax(series))
+    return float(series[best]), 1.0, int(times[best])
 
 
 def max_fidelity(params: ChainParams, state: str,
@@ -293,8 +333,7 @@ def max_fidelity(params: ChainParams, state: str,
     if e1 == 0.0:
         series = continuous_fidelity_series(params, continuous_times, state,
                                             omega2_convention=omega2_convention)
-        best = int(np.argmax(series))
-        return float(series[best]), 1.0, int(continuous_times[best])
+        return _continuous_maximum(series, continuous_times)
     lattice = fidelity_lattice(params, state, taus, m_max, e0=e0, e1=e1,
                                u0_convention=u0_convention,
                                omega2_convention=omega2_convention)
@@ -342,22 +381,25 @@ def _evaluate_point(plan: SweepPlan, idx: int) -> list[SweepRow]:
             val, atau, am = float(endpoints[best]), taus[best], fixed_kicks
             if plan.retain_series:
                 series = (val,)
+        elif e1 == 0.0:
+            # as in max_fidelity: one series serves the maximum and the retained copy,
+            # and the unused tau lattice is still validated
+            _check_grid(taus, "tau_grid", positive=True)
+            continuous = continuous_fidelity_series(params, CONTINUOUS_TIMES, state,
+                                                    omega2_convention=plan.omega2_convention)
+            val, atau, am = _continuous_maximum(continuous, CONTINUOUS_TIMES)
+            if plan.retain_series:
+                series = tuple(continuous)
         else:
             val, atau, am = max_fidelity(params, state, taus,
                                          plan.m_max, e0=plan.e0, e1=e1,
                                          u0_convention=plan.u0_convention,
                                          omega2_convention=plan.omega2_convention)
             if plan.retain_series:
-                if e1 == 0.0:
-                    series = tuple(continuous_fidelity_series(
-                        params, CONTINUOUS_TIMES, state,
-                        omega2_convention=plan.omega2_convention))
-                else:
-                    schedule = KickSchedule(tau=atau, e0=plan.e0, e1=e1, n_kicks=plan.m_max)
-                    series = tuple(fidelity_series(
-                        params, schedule, state, plan.m_max,
-                        u0_convention=plan.u0_convention,
-                        omega2_convention=plan.omega2_convention))
+                schedule = KickSchedule(tau=atau, e0=plan.e0, e1=e1, n_kicks=plan.m_max)
+                series = tuple(fidelity_series(params, schedule, state, plan.m_max,
+                                               u0_convention=plan.u0_convention,
+                                               omega2_convention=plan.omega2_convention))
         rows.append(SweepRow(
             grid_index=idx, grid_value=float(value), state=state,
             max_fidelity=val, argmax_tau=atau, argmax_kicks=am,
@@ -389,7 +431,7 @@ def periodogram(series: Sequence[float]):
 
     Returns (frequencies, magnitudes, dominant): frequencies are k/L in
     cycles per sample, magnitudes the unnormalized |DFT|, and dominant the
-    nonzero frequency with the largest magnitude (ties to the lowest
+    frequency in (0, 0.5] with the largest magnitude (ties to the lowest
     frequency).  A flat series has no dominant frequency and reports None;
     the cutoff is a round-off-level threshold, L*eps*max(1, max|x|).
     Parseval's identity holds as sum(y^2) = sum(|Y|^2)/L.
@@ -404,6 +446,8 @@ def periodogram(series: Sequence[float]):
     magnitudes = np.abs(spectrum)
     frequencies = np.arange(x.size) / x.size
     threshold = x.size * np.finfo(float).eps * max(1.0, float(np.max(np.abs(x))))
-    k = 1 + int(np.argmax(magnitudes[1:]))
+    # a real series has |Y[k]| == |Y[L-k]|, so only bins 1..L//2 are searched;
+    # over the mirror half, round-off alone would pick between equal peaks
+    k = 1 + int(np.argmax(magnitudes[1:x.size // 2 + 1]))
     dominant = float(frequencies[k]) if magnitudes[k] > threshold else None
     return frequencies, magnitudes, dominant

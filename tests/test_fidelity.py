@@ -69,28 +69,28 @@ def test_single_qubit_values_stay_in_range_and_grow_with_real_amplitude():
     assert all(0.0 <= v <= 1.0 for v in phases)
 
 
-def test_single_qubit_formula_matches_bloch_sampling():
+def test_single_qubit_formula_matches_exact_bloch_average():
     p = params_for(4)
     basis = enumerate_basis(4, 1)
     u = unitary_exp(build_hamiltonian(p, basis), 1.7).matrix
     f = u[index_of(basis, (4,)), index_of(basis, (1,))]
     f_gauged = f * vacuum_phase(p, 1.7).conjugate()
     closed = single_qubit_fidelity(f_gauged)
-    sampled = bloch_average_single_qubit(p, time=1.7)
-    assert abs(closed - sampled) < 0.01
+    average = bloch_average_single_qubit(p, time=1.7)
+    assert abs(closed - average) < 1e-12
 
 
-def test_bloch_sampling_without_gauge_disagrees():
+def test_exact_bloch_average_without_gauge_disagrees():
     # dropping the vacuum phase from the closed form must be detectable
     p = params_for(4, b=0.9)
     basis = enumerate_basis(4, 1)
     u = unitary_exp(build_hamiltonian(p, basis), 2.0).matrix
     f = u[index_of(basis, (4,)), index_of(basis, (1,))]
-    sampled = bloch_average_single_qubit(p, time=2.0)
+    average = bloch_average_single_qubit(p, time=2.0)
     gauged = single_qubit_fidelity(f * vacuum_phase(p, 2.0).conjugate())
     raw = single_qubit_fidelity(f)
-    assert abs(gauged - sampled) < 0.01
-    assert abs(raw - sampled) > 0.02
+    assert abs(gauged - average) < 1e-12
+    assert abs(raw - average) > 0.02
 
 
 # -- Bell closed forms ----------------------------------------------------------
@@ -251,6 +251,6 @@ def test_conformance_report_shape_and_time_zero_rows():
     assert at_zero["omega2"]["literal"] == 0.5
     assert at_zero["omega2"]["direct_maximal"] == 0.5
     assert at_zero["omega2"]["delta_maximal"] == 0.0
-    # the family averages at t = 0 sit near the same values (sampling noise)
-    assert abs(at_zero["omega1"]["direct_family_avg"]) < 0.05
-    assert abs(at_zero["omega2"]["direct_family_avg"] - 0.5) < 0.05
+    # the exact family averages at t = 0 take the same values
+    assert at_zero["omega1"]["direct_family_avg"] == 0.0
+    assert at_zero["omega2"]["direct_family_avg"] == 0.5

@@ -1,8 +1,11 @@
 """Grid sweeps, the no-kick branch, tie-breaking, and the periodogram."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import kickedchain.sweep as sweep_module
 from kickedchain import (
     CONTINUOUS_TIMES,
     DEFAULT_TAU_GRID,
@@ -11,19 +14,33 @@ from kickedchain import (
     KickSchedule,
     SweepPlan,
     apply_impurity,
+    bell_fidelity_omega1,
+    bell_fidelity_omega2,
+    build_hamiltonian,
     continuous_fidelity_series,
+    eigendecompose,
+    enumerate_basis,
     fidelity_series,
     float_grid,
     impurity_from_strength,
+    index_of,
     max_fidelity,
     periodogram,
+    single_qubit_fidelity,
     sweep_axis,
     uniform_profile,
+    unitary_exp,
+    vacuum_phase,
 )
+from kickedchain.sweep import _phase_table
 
 
 def params_for(n, j1=1.0, j2=-1.0, e=0.1, b=0.0):
     return ChainParams(uniform_profile(n, j1, j2), dm_field=e, b_field=b)
+
+
+def sector_eigenvalues(n, k):
+    return eigendecompose(build_hamiltonian(params_for(n), enumerate_basis(n, k)))[0]
 
 
 # -- grids ----------------------------------------------------------------------
@@ -116,6 +133,70 @@ def test_continuous_series_matches_per_time_amplitudes():
         f = u[index_of(basis, (5,)), index_of(basis, (1,))]
         want = single_qubit_fidelity(f * vacuum_phase(p, t).conjugate())
         assert abs(got - want) < 1e-12
+
+
+# -- the kick-free phase table ----------------------------------------------------
+
+def phase_bound(w, t):
+    """Both tables round each phase w*t to within about half an ulp, so entries
+    may differ by a little over one ulp of |w| t, plus the exp and product round-off."""
+    return 2 * np.spacing(np.abs(np.multiply.outer(w, t))) + 8 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("t0, dt, n", [(1.0, 1.0, 1), (1.0, 1.0, 2), (1.0, 1.0, 7),
+                                       (1.0, 1.0, 5000), (0.5, 0.25, 20000)])
+def test_factorized_phase_table_matches_direct_exponentials(t0, dt, n):
+    w = sector_eigenvalues(10, 2)
+    t = t0 + dt * np.arange(n)
+    want = np.exp(-1j * np.outer(w, t))
+    got = _phase_table(w, t)
+    assert got.shape == want.shape == (45, n)
+    assert np.all(np.abs(got - want) <= phase_bound(w, t))
+
+
+def test_phase_table_takes_about_two_sqrt_n_exponentials_per_eigenvalue(monkeypatch):
+    w = sector_eigenvalues(10, 2)
+    entries = []
+    exp = np.exp
+    monkeypatch.setattr(np, "exp", lambda z: entries.append(np.size(z)) or exp(z))
+    _phase_table(w, np.asarray(CONTINUOUS_TIMES, dtype=float))
+    assert sum(entries) == 45 * (71 + 71)   # R = ceil(sqrt(5000)) = 71 = Q
+    entries.clear()
+    _phase_table(w, np.array([1.0, 2.0, 4.0]))
+    assert sum(entries) == 45 * 3
+
+
+def test_unevenly_spaced_grid_keeps_the_direct_exponentials():
+    w = sector_eigenvalues(10, 2)
+    t = np.array([0.5, 1.0, 2.0, 3.5, 4999.9])
+    assert np.array_equal(_phase_table(w, t), np.exp(-1j * np.outer(w, t)))
+    # a decimal-clean grid is even only up to round-off, so it is not factorized either
+    t = np.array(float_grid(0.1, 0.4, 0.1))
+    assert not np.array_equal(t, t[0] + (t[1] - t[0]) * np.arange(4))
+    assert np.array_equal(_phase_table(w, t), np.exp(-1j * np.outer(w, t)))
+
+
+def per_time_fidelity(p, state, t):
+    """One propagator exp(-iHt) per time, scored with the scalar closed forms."""
+    n = p.profile.n_sites
+    basis = enumerate_basis(n, 2 if state == "omega2" else 1)
+    u = unitary_exp(build_hamiltonian(p, basis), t).matrix
+    amp = lambda target, source: u[index_of(basis, target), index_of(basis, source)]
+    if state == "omega0":
+        return single_qubit_fidelity(amp((n,), (1,)) * vacuum_phase(p, t).conjugate())
+    if state == "omega1":
+        return bell_fidelity_omega1(amp((n - 1,), (1,)), amp((n,), (2,)),
+                                    amp((n - 1,), (2,)), amp((n,), (1,)))
+    cross = [amp((m, r), (1, 2)) for r in (n - 1, n) for m in range(1, n - 1)]
+    return bell_fidelity_omega2(cross, amp((n - 1, n), (1, 2)))
+
+
+@pytest.mark.parametrize("state", ["omega0", "omega1", "omega2"])
+def test_continuous_series_on_the_probe_grid_matches_per_time_propagators(state):
+    p = params_for(10)
+    series = continuous_fidelity_series(p, CONTINUOUS_TIMES, state)
+    for t in (1, 2, 2500, 4999, 5000):
+        assert abs(series[t - 1] - per_time_fidelity(p, state, float(t))) < 1e-11
 
 
 # -- exhaustive maxima ------------------------------------------------------------
@@ -249,6 +330,28 @@ def test_retained_series_contains_the_reported_maximum():
     assert sweep_axis(no_series).rows[0].series is None
 
 
+def test_retained_kick_free_series_is_computed_once_per_point_and_state(monkeypatch):
+    plan = SweepPlan(params=params_for(5), axis="j2_over_j1", grid=(-1.0, 0.5),
+                     states=("omega0", "omega2"), e1=0.0, retain_series=True)
+    calls = []
+    compute = sweep_module.continuous_fidelity_series
+    monkeypatch.setattr(sweep_module, "continuous_fidelity_series",
+                        lambda *args, **kw: calls.append(args[2]) or compute(*args, **kw))
+    kept = sweep_axis(plan)
+    assert calls == ["omega0", "omega2"] * 2
+    monkeypatch.undo()
+
+    plain = sweep_axis(replace(plan, retain_series=False))
+    assert [replace(row, series=None) for row in kept.rows] == list(plain.rows)
+    for row in kept.rows:
+        p = params_for(5, j2=row.grid_value)
+        assert (row.max_fidelity, row.argmax_tau, row.argmax_kicks) == \
+            max_fidelity(p, row.state, e1=0.0)
+        assert np.array_equal(row.series, continuous_fidelity_series(p, CONTINUOUS_TIMES, row.state))
+        # first occurrence of the maximum, at time argmax_kicks
+        assert row.series.index(row.max_fidelity) == row.argmax_kicks - 1
+
+
 def test_failing_grid_point_reports_its_position():
     template = impurity_from_strength("type2", 4, 1.0)
     plan = SweepPlan(params=params_for(7), axis="impurity_ratio", grid=(0.5,),
@@ -316,6 +419,27 @@ def test_periodogram_breaks_ties_toward_the_lowest_frequency():
     freqs, mags, dominant = periodogram([1.0, 0.0, 0.0, 0.0])
     assert np.array_equal(mags[1:], np.ones(3))
     assert dominant == 0.25
+
+
+def test_periodogram_dominant_frequency_of_a_real_series_is_at_most_one_half():
+    # bins k and L-k of a real series have equal magnitude; the lower one is reported
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        x = rng.normal(size=int(rng.integers(4, 130)))
+        freqs, mags, dominant = periodogram(x)
+        assert dominant <= 0.5
+        assert mags[round(dominant * x.size)] >= mags[1:].max() * (1 - 1e-12)
+
+
+def test_periodogram_dominant_bin_does_not_move_under_round_off():
+    # configs/fig4a.yaml: omega0 after each of 500 kicks at tau = 2
+    series = fidelity_series(params_for(10), KickSchedule(tau=2.0, e0=0.1, e1=1.0),
+                             "omega0", 500)
+    _, _, dominant = periodogram(series)
+    assert dominant is not None and dominant <= 0.5
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        assert periodogram(series + 1e-13 * rng.normal(size=series.size))[2] == dominant
 
 
 def test_periodogram_respects_parseval():
