@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import ExcitationBasis, enumerate_basis
+from .basis import ExcitationBasis
 
 __all__ = [
     "CouplingProfile",
@@ -263,9 +263,17 @@ def chirality_operator(basis: ExcitationBasis) -> np.ndarray:
 
 
 def vacuum_energy(params: ChainParams) -> float:
-    """Energy of the all-down state, read from the k=0 sector block."""
-    basis0 = enumerate_basis(params.profile.n_sites, 0)
-    return float(build_hamiltonian(params, basis0)[0, 0].real)
+    """Energy of the all-down state: B*(0 - N/2) - sum(J1)/4 - sum(J2)/4.
+
+    This is the diagonal of the k=0 block of ``build_hamiltonian``, summed
+    in the same order and added to a zero as the block entry is, so the two
+    agree bit for bit.  No hopping term reaches the vacuum.
+    """
+    profile = params.profile
+    energy = params.b_field * (0 - profile.n_sites / 2.0)
+    for j in profile.j1_bonds + profile.j2_bonds:
+        energy += -j * 0.25
+    return 0.0 + energy
 
 
 def vacuum_phase(params: ChainParams, t: float) -> complex:

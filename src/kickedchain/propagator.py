@@ -10,15 +10,33 @@ so one period is U = U1 U0 and the state after m kicks is U^m |psi(0)>,
 read out just after the kick.
 
 How the lattice search runs: every kicked result, from one amplitude
-series to a full tau x kick lattice, comes from one kick loop, driven by
-``kick_lattice``.  Per call it builds H0 and D and diagonalises each once
-and forms U1 U0(tau) for a stack of taus at once.  The loop then advances
-B kicks per iteration, B the power of two nearest sqrt(m_max + 1): it
-builds the target rows of step^r for r < B and step^B once, and each
-iteration reads B kicks' target amplitudes off one batched product of
-those rows with the current columns before advancing the columns by
-step^B.  So m_max kicks take O(sqrt(m_max)) batched products instead of
-m_max, with no eigendecomposition of the non-Hermitian step.  Amplitudes
+series to a full tau x kick lattice, comes from ``kick_lattice``.  Per call
+it builds H0 and D and diagonalises each once, then runs whichever of two
+kick loops issues fewer matrix products.
+
+* The blocked loop (``_stroboscopic_blocks``) forms U1 U0(tau) for a stack
+  of taus and advances B kicks per iteration, B the power of two nearest
+  sqrt(m_max + 1): it builds the target rows of step^r for r < B and
+  step^B once, and each iteration reads B kicks' target amplitudes off one
+  batched product of those rows with the current columns before advancing
+  the columns by step^B.  Per stack that is B - 1 + log2(B) products up
+  front and two per iteration but the first, so m_max kicks take
+  O(sqrt(m_max)) products, with no eigendecomposition of the non-Hermitian
+  step.
+* The eigenbasis loop (``_eigenbasis_blocks``, "hamiltonian_tau" only) is
+  the split-step scheme of the quantum kicked rotor: with H0 = V diag(w) V+
+  and y = V+ x, one kick is y <- K (e^{-i w tau} y), and K = V+ U1 V is
+  the same for every tau.  The whole tau grid advances as one matrix, so
+  a kick is one phase multiply and one product, plus one product to read
+  the targets: 2 m_max products in all.
+
+A lattice over many taus whose sector leaves one or a few taus per stack
+takes the eigenbasis loop: at N = 10 on the 100-tau grid with 500 kicks,
+omega2 (dim 45) needs 8 200 products blocked and 1 000 in the eigenbasis,
+and one lattice, in-process on one core of a 2-core machine, took 68-69 ms
+instead of 124-137 ms.  omega0 and omega1 (164 and 246 blocked), every
+single-tau series (82 at 500 kicks, 2 520 at 20 000 for omega2) and
+"literal_eq5" stay on the blocked loop.  Amplitudes
 are scored a chunk of kicks at a time.  Two fixed byte budgets bound the
 memory: one stack of taus with their steps and row stacks (B is halved
 until one tau fits), and one chunk of amplitudes.
@@ -136,6 +154,13 @@ def unitary_exp(h: np.ndarray, t: float,
     return UnitaryPropagator(u, sector=sector)
 
 
+def _hamiltonian_tau_factors(params: ChainParams, basis: ExcitationBasis, e0: float,
+                             e1: float):
+    """(w, v, u1) with H0 = v diag(w) v+ built with the field ``e0``, and U1 = exp(-i e1 D)."""
+    w, v = eigendecompose(build_hamiltonian(replace(params, dm_field=e0), basis))
+    return w, v, _exp_matrix(chirality_operator(basis), e1)
+
+
 def _floquet_builder(params: ChainParams, basis: ExcitationBasis, e0: float, e1: float,
                      u0_convention: str):
     """Return ``taus -> stack of U1 U0(tau)`` with every tau-independent factor built once.
@@ -151,10 +176,8 @@ def _floquet_builder(params: ChainParams, basis: ExcitationBasis, e0: float, e1:
         raise ValueError(
             f"unknown u0_convention {u0_convention!r}; expected one of {U0_CONVENTIONS}"
         )
-    d = chirality_operator(basis)
-    u1 = _exp_matrix(d, e1)
     if u0_convention == "hamiltonian_tau":
-        w, v = eigendecompose(build_hamiltonian(replace(params, dm_field=e0), basis))
+        w, v, u1 = _hamiltonian_tau_factors(params, basis, e0, e1)
         vh = v.conj().T
 
         def steps(taus: np.ndarray) -> np.ndarray:
@@ -162,6 +185,8 @@ def _floquet_builder(params: ChainParams, basis: ExcitationBasis, e0: float, e1:
             return np.matmul(u1, (v * phases[:, None, :]) @ vh)
     else:
         # tau weights only the field-free part; the e0 term enters bare.
+        d = chirality_operator(basis)
+        u1 = _exp_matrix(d, e1)
         h_static = build_hamiltonian(replace(params, dm_field=0.0), basis)
 
         def steps(taus: np.ndarray) -> np.ndarray:
@@ -238,6 +263,56 @@ def _stroboscopic_blocks(steps: np.ndarray, cols: np.ndarray, targets, m_max: in
             m0 = m + k
 
 
+def _eigenbasis_blocks(params: ChainParams, basis: ExcitationBasis, taus: np.ndarray,
+                       e0: float, e1: float, sources, targets, m_max: int):
+    """The lattice loop in the eigenbasis of H0, for the "hamiltonian_tau" convention.
+
+    With H0 = V diag(w) V+ and y = V+ x, one kick is y <- K (Phi(tau) y),
+    where Phi(tau) = e^{-i w tau} and K = V+ U1 V is the same for every
+    tau.  All taus advance together as the rows of one (n_tau * n_src, dim)
+    matrix, so a kick is one phase multiply and one product with K^T.  The
+    target amplitudes are read as rows @ V[targets]^T, one product per chunk
+    of kicks that fits _AMPLITUDE_BLOCK_BYTES.  Yields ``(m0, block)`` with
+    block[t, j] the rows ``targets`` of (U1 U0(taus[t]))^(m0 + j) applied to
+    the columns ``sources``, covering m = 0..m_max; column m = 0 is the
+    exact untouched input.  The block buffer is reused, as in
+    ``_stroboscopic_blocks``.
+    """
+    w, v, u1 = _hamiltonian_tau_factors(params, basis, e0, e1)
+    vh = v.conj().T
+    kick_t = (vh @ u1 @ v).T
+    n_tau, n_src, n_tgt = taus.size, len(sources), len(targets)
+    phases = np.repeat(np.exp(-1j * np.multiply.outer(taus, w)), n_src, axis=0)
+    read = v[targets].T
+    width = min(m_max + 1,
+                max(1, _AMPLITUDE_BLOCK_BYTES // (_COMPLEX_BYTES * n_tau * n_tgt * n_src)))
+    ys = np.empty((width, n_tau * n_src, basis.size), dtype=complex)
+    ys[0] = np.tile(vh[:, sources].T, (n_tau, 1))      # row (tau, s) holds V+ e_s
+    y = ys[0]
+    for m0 in range(0, m_max + 1, width):
+        k = min(width, m_max + 1 - m0)
+        for j in range(1 if m0 == 0 else 0, k):
+            y = np.matmul(y * phases, kick_t, out=ys[j])
+        amps = (ys[:k].reshape(-1, basis.size) @ read).reshape(k, n_tau, n_src, n_tgt)
+        block = amps.transpose(1, 0, 3, 2)
+        if m0 == 0:
+            block[:, 0] = np.eye(basis.size)[np.ix_(targets, sources)]
+        yield m0, block
+
+
+def _blocked_stacks(params: ChainParams, basis: ExcitationBasis, taus: np.ndarray, e0: float,
+                    e1: float, sources, targets, m_max: int, u0_convention: str,
+                    tau_chunk: int):
+    """``_stroboscopic_blocks`` over stacks of tau_chunk taus: yields ``(t0, m0, block)``."""
+    build = _floquet_builder(params, basis, e0, e1, u0_convention)
+    for t0 in range(0, taus.size, tau_chunk):
+        chunk = taus[t0:t0 + tau_chunk]
+        cols = np.zeros((chunk.size, basis.size, len(sources)), dtype=complex)
+        cols[:, sources, np.arange(len(sources))] = 1.0
+        for m0, block in _stroboscopic_blocks(build(chunk), cols, targets, m_max):
+            yield t0, m0, block
+
+
 def kick_lattice(params: ChainParams, basis: ExcitationBasis, taus, e0: float, e1: float,
                  sources, targets, m_max: int, score,
                  u0_convention: str = "hamiltonian_tau") -> np.ndarray:
@@ -250,9 +325,13 @@ def kick_lattice(params: ChainParams, basis: ExcitationBasis, taus, e0: float, e
     len(sources)) and the returned array is (len(taus), len(ms)).  Returns
     the (len(taus), m_max + 1) lattice, in the dtype ``score`` returns.
 
-    H0 and D are diagonalised once per call, however many taus there are;
-    taus are stepped in stacks whose steps and target-row stacks together
-    fit in _STEP_STACK_BYTES (at least one tau per stack).
+    H0 and D are diagonalised once per call, however many taus there are.
+    Of the two kick loops, the one that issues fewer matrix products runs.
+    The blocked loop steps stacks of taus whose steps and target-row stacks
+    together fit in _STEP_STACK_BYTES (at least one tau per stack); per
+    stack it makes B - 1 row products, log2(B) squarings and two products
+    per iteration but the first.  The eigenbasis loop, open to
+    "hamiltonian_tau" only, makes two per kick for every tau at once.
     """
     taus = np.asarray(taus, dtype=float)
     if taus.ndim != 1 or taus.size == 0:
@@ -261,20 +340,23 @@ def kick_lattice(params: ChainParams, basis: ExcitationBasis, taus, e0: float, e
         raise ValueError("kick intervals must be positive")
     if m_max < 0:
         raise ValueError(f"m_max must be non-negative, got {m_max}")
-    build = _floquet_builder(params, basis, e0, e1, u0_convention)
     targets = np.asarray(targets, dtype=int)
     b = _kicks_per_iteration(m_max, basis.size, targets.size)
     tau_chunk = max(1, _STEP_STACK_BYTES // _interval_bytes(basis.size, targets.size, b))
+    n_stacks = -(-taus.size // tau_chunk)
+    blocked_products = n_stacks * (b - 1 + b.bit_length() - 1 + 2 * -(-(m_max + 1) // b) - 1)
+    if u0_convention == "hamiltonian_tau" and 2 * m_max < blocked_products:
+        blocks = ((0, m0, block) for m0, block in
+                  _eigenbasis_blocks(params, basis, taus, e0, e1, sources, targets, m_max))
+    else:
+        blocks = _blocked_stacks(params, basis, taus, e0, e1, sources, targets, m_max,
+                                 u0_convention, tau_chunk)
     lattice = None
-    for t0 in range(0, taus.size, tau_chunk):
-        chunk = taus[t0:t0 + tau_chunk]
-        cols = np.zeros((chunk.size, basis.size, len(sources)), dtype=complex)
-        cols[:, sources, np.arange(len(sources))] = 1.0
-        for m0, amps in _stroboscopic_blocks(build(chunk), cols, targets, m_max):
-            values = score(amps, chunk, np.arange(m0, m0 + amps.shape[1]))
-            if lattice is None:
-                lattice = np.empty((taus.size, m_max + 1), dtype=values.dtype)
-            lattice[t0:t0 + chunk.size, m0:m0 + amps.shape[1]] = values
+    for t0, m0, amps in blocks:
+        values = score(amps, taus[t0:t0 + amps.shape[0]], np.arange(m0, m0 + amps.shape[1]))
+        if lattice is None:
+            lattice = np.empty((taus.size, m_max + 1), dtype=values.dtype)
+        lattice[t0:t0 + amps.shape[0], m0:m0 + amps.shape[1]] = values
     return lattice
 
 

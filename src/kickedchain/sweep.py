@@ -314,6 +314,16 @@ def _continuous_maximum(series: np.ndarray, times: Sequence[float]):
     return float(series[best]), 1.0, int(times[best])
 
 
+def _lattice_maximum(lattice: np.ndarray, taus: tuple[float, ...]):
+    """(max value, argmax tau, argmax kick count) of a lattice, by a row-major argmax.
+
+    The first maximum in row-major order has the smallest tau, then the
+    smallest kick count.
+    """
+    i, m = np.unravel_index(int(np.argmax(lattice)), lattice.shape)
+    return float(lattice[i, m]), taus[i], int(m)
+
+
 def max_fidelity(params: ChainParams, state: str,
                  tau_grid: Sequence[float] = DEFAULT_TAU_GRID, m_max: int = 500,
                  e0: float = 0.1, e1: float = 1.0,
@@ -337,9 +347,7 @@ def max_fidelity(params: ChainParams, state: str,
     lattice = fidelity_lattice(params, state, taus, m_max, e0=e0, e1=e1,
                                u0_convention=u0_convention,
                                omega2_convention=omega2_convention)
-    # row-major argmax: the first maximum has the smallest tau, then the smallest m
-    i, m = np.unravel_index(int(np.argmax(lattice)), lattice.shape)
-    return float(lattice[i, m]), taus[i], int(m)
+    return _lattice_maximum(lattice, taus)
 
 
 def _point_setup(plan: SweepPlan, value: float):
@@ -391,15 +399,14 @@ def _evaluate_point(plan: SweepPlan, idx: int) -> list[SweepRow]:
             if plan.retain_series:
                 series = tuple(continuous)
         else:
-            val, atau, am = max_fidelity(params, state, taus,
-                                         plan.m_max, e0=plan.e0, e1=e1,
-                                         u0_convention=plan.u0_convention,
-                                         omega2_convention=plan.omega2_convention)
+            # as in max_fidelity; a retained series is the lattice row of the maximum
+            taus = _check_grid(taus, "tau_grid", positive=True)
+            lattice = fidelity_lattice(params, state, taus, plan.m_max, e0=plan.e0, e1=e1,
+                                       u0_convention=plan.u0_convention,
+                                       omega2_convention=plan.omega2_convention)
+            val, atau, am = _lattice_maximum(lattice, taus)
             if plan.retain_series:
-                schedule = KickSchedule(tau=atau, e0=plan.e0, e1=e1, n_kicks=plan.m_max)
-                series = tuple(fidelity_series(params, schedule, state, plan.m_max,
-                                               u0_convention=plan.u0_convention,
-                                               omega2_convention=plan.omega2_convention))
+                series = tuple(lattice[taus.index(atau)])
         rows.append(SweepRow(
             grid_index=idx, grid_value=float(value), state=state,
             max_fidelity=val, argmax_tau=atau, argmax_kicks=am,

@@ -150,6 +150,94 @@ def test_ties_within_a_lattice_follow_row_major_order(monkeypatch):
     assert (value, atau, am) == (0.9, 2.0, 1)
 
 
+# -- the H0 eigenbasis loop ----------------------------------------------------------
+
+def eigenbasis_lattice(params, state, taus, m_max, omega2_convention="re_amplitude", e0=E0):
+    """The eigenbasis loop called directly, its blocks scored as fidelity_lattice scores them."""
+    k, sources, targets = probe(state)
+    basis = enumerate_basis(N, k)
+    taus = np.asarray(taus, dtype=float)
+    e_vac = vacuum_energy(params)
+    out = np.full((taus.size, m_max + 1), np.nan)
+    for m0, amps in propagator_module._eigenbasis_blocks(
+            params, basis, taus, e0, E1, [index_of(basis, s) for s in sources],
+            [index_of(basis, t) for t in targets], m_max):
+        ms = np.arange(m0, m0 + amps.shape[1])
+        out[:, ms] = sweep_module._score(state, amps, np.multiply.outer(e_vac * taus, ms),
+                                         omega2_convention)
+    return out
+
+
+@pytest.mark.parametrize("m_max", [0, 1, 2, 30])
+@pytest.mark.parametrize("omega2_convention", ["re_amplitude", "abs_amplitude"])
+@pytest.mark.parametrize("state", ["omega0", "omega1", "omega2"])
+def test_eigenbasis_loop_matches_naive_loop(state, omega2_convention, m_max):
+    params = params_for()
+    want = naive_lattice(params, state, TAUS, m_max, "hamiltonian_tau", omega2_convention)
+    got = eigenbasis_lattice(params, state, TAUS, m_max, omega2_convention)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12
+    i, m = np.unravel_index(int(np.argmax(got)), got.shape)
+    assert (TAUS[i], m) == naive_argmax(want, TAUS)
+
+
+@pytest.mark.parametrize("state", ["omega0", "omega1", "omega2"])
+def test_eigenbasis_loop_column_zero_is_the_untouched_input(state):
+    k, sources, targets = probe(state)
+    basis = enumerate_basis(N, k)
+    src = [index_of(basis, s) for s in sources]
+    tgt = [index_of(basis, t) for t in targets]
+    m0, amps = next(propagator_module._eigenbasis_blocks(params_for(), basis, np.array(TAUS),
+                                                         E0, E1, src, tgt, M_MAX))
+    assert m0 == 0
+    for t in range(len(TAUS)):
+        assert np.array_equal(amps[t, 0], np.eye(basis.size)[np.ix_(tgt, src)])
+
+
+def test_eigenbasis_loop_chunking_does_not_change_the_lattice(monkeypatch):
+    params = params_for()
+    whole = eigenbasis_lattice(params, "omega2", TAUS, M_MAX)
+    monkeypatch.setattr(propagator_module, "_AMPLITUDE_BLOCK_BYTES", 3 * len(TAUS) * 9 * 16 - 1)
+    chunked = eigenbasis_lattice(params, "omega2", TAUS, M_MAX)
+    assert np.array_equal(chunked, whole)
+
+
+def test_eigenbasis_loop_gives_identical_rows_when_h0_vanishes():
+    params = ChainParams(uniform_profile(N, 0.0, 0.0), dm_field=0.0)
+    lattice = eigenbasis_lattice(params, "omega0", (0.5, 1.0, 1.5), M_MAX, e0=0.0)
+    assert np.array_equal(lattice[0], lattice[1]) and np.array_equal(lattice[0], lattice[2])
+
+
+def test_the_loop_with_fewer_matrix_products_runs(monkeypatch):
+    """At N = 10 only the 100-tau omega2 lattice issues fewer products in the eigenbasis.
+
+    Blocked against eigenbasis, at 500 kicks: 8 200 against 1 000 products
+    for omega2, 164 and 246 against 1 000 for omega0 and omega1, 82 against
+    1 000 for one omega2 tau, and 2 520 against 40 000 for one omega2 tau
+    over 20 000 kicks.  literal_eq5 has no shared eigenbasis.
+    """
+    taken = []
+    for name in ("_eigenbasis_blocks", "_stroboscopic_blocks"):
+        loop = getattr(propagator_module, name)
+        monkeypatch.setattr(propagator_module, name,
+                            lambda *args, _loop=loop, _name=name: taken.append(_name)
+                            or _loop(*args))
+    params = ChainParams(uniform_profile(10, 1.0, -1.0), dm_field=0.1)
+
+    def loops(*args, **kwargs):
+        taken.clear()
+        fidelity_lattice(params, *args, **kwargs)
+        return set(taken)
+
+    assert loops("omega2", DEFAULT_TAU_GRID, 500) == {"_eigenbasis_blocks"}
+    assert loops("omega0", DEFAULT_TAU_GRID, 500) == {"_stroboscopic_blocks"}
+    assert loops("omega1", DEFAULT_TAU_GRID, 500) == {"_stroboscopic_blocks"}
+    assert loops("omega2", (2.0,), 500) == {"_stroboscopic_blocks"}
+    assert loops("omega2", (2.0,), 20000) == {"_stroboscopic_blocks"}
+    assert loops("omega2", DEFAULT_TAU_GRID, 500,
+                 u0_convention="literal_eq5") == {"_stroboscopic_blocks"}
+
+
 # -- B kicks per loop iteration -------------------------------------------------------
 
 # (m_max, B): the kicks per iteration at that m_max, where m_max + 1 kicks end
@@ -273,7 +361,7 @@ def test_hamiltonian_and_eigendecompositions_do_not_scale_with_the_tau_grid(monk
 def test_conformance_report_builds_and_diagonalises_each_sector_once_per_point(monkeypatch):
     # one (N, t) point: the k=1 and k=2 sector blocks are built and exponentiated
     # once and shared by the literal values, the direct oracle and the family
-    # average; the 1x1 k=0 block gives the vacuum phase of the omega2 branch
+    # average; the vacuum phase of the omega2 branch needs no k=0 block
     sectors = []
     original = model_module.build_hamiltonian
 
@@ -286,5 +374,5 @@ def test_conformance_report_builds_and_diagonalises_each_sector_once_per_point(m
             monkeypatch.setattr(module, "build_hamiltonian", recorded)
     eighs = count_calls(monkeypatch, "eigendecompose", propagator_module.eigendecompose)
     conformance_report((5,), (1.0,))
-    assert sorted(sectors) == [0, 1, 2]
+    assert sorted(sectors) == [1, 2]
     assert eighs[0] == 2

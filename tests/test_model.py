@@ -121,6 +121,19 @@ def test_vacuum_energy_uniform_closed_form():
     assert vacuum_energy(p) == pytest.approx(expected, abs=1e-14)
 
 
+@pytest.mark.parametrize("impurity", [None, ("type1", 5, 1.7), ("type2", 4, 1.3)])
+def test_vacuum_energy_equals_the_k0_block_bit_for_bit(impurity):
+    profile = uniform_profile(9, 1.3, -0.6)
+    if impurity is not None:
+        profile = apply_impurity(profile, impurity_from_strength(*impurity))
+    for b in (0.0, 0.25):
+        p = ChainParams(profile, dm_field=0.9, b_field=b)
+        block = build_hamiltonian(p, enumerate_basis(9, 0))
+        assert vacuum_energy(p) == block[0, 0].real
+    zero = ChainParams(uniform_profile(4, 0.0, 0.0))
+    assert math.copysign(1.0, vacuum_energy(zero)) == 1.0
+
+
 def test_vacuum_phase_is_exp_of_minus_i_e_t():
     p = params_for(2, 1.0, 0.0)
     assert vacuum_phase(p, math.pi) == cmath.exp(0.25j * math.pi)

@@ -325,9 +325,38 @@ def test_retained_series_contains_the_reported_maximum():
         assert row.series is not None
         assert max(row.series) == row.max_fidelity
 
+    # at N = 10 the omega2 lattice on the default tau grid runs in the H0 eigenbasis,
+    # while a series of its own at one tau would run on the blocked loop
+    omega2 = SweepPlan(params=params_for(10), axis="e1", grid=(1.0,),
+                       states=("omega2",), retain_series=True)
+    row = sweep_axis(omega2).rows[0]
+    assert len(row.series) == omega2.m_max + 1
+    assert max(row.series) == row.max_fidelity == row.series[row.argmax_kicks]
+    assert (row.max_fidelity, row.argmax_tau, row.argmax_kicks) == \
+        max_fidelity(params_for(10), "omega2")
+
     no_series = SweepPlan(params=params_for(5), axis="tau", grid=(1.0,),
                           states=("omega0",), m_max=5)
     assert sweep_axis(no_series).rows[0].series is None
+
+
+def test_retained_kicked_series_takes_one_lattice_per_point_and_state(monkeypatch):
+    plan = SweepPlan(params=params_for(5), axis="e1", grid=(0.5, 1.0),
+                     states=("omega0", "omega2"), tau_grid=(0.5, 1.0, 1.5), m_max=20,
+                     retain_series=True)
+    calls = []
+    compute = sweep_module.kick_lattice
+    monkeypatch.setattr(sweep_module, "kick_lattice",
+                        lambda *args, **kw: calls.append(args[1].n_excitations)
+                        or compute(*args, **kw))
+    kept = sweep_axis(plan)
+    assert calls == [1, 2] * 2
+    monkeypatch.undo()
+
+    plain = sweep_axis(replace(plan, retain_series=False))
+    assert [replace(row, series=None) for row in kept.rows] == list(plain.rows)
+    for row in kept.rows:
+        assert row.series[row.argmax_kicks] == max(row.series) == row.max_fidelity
 
 
 def test_retained_kick_free_series_is_computed_once_per_point_and_state(monkeypatch):
