@@ -30,11 +30,7 @@ from .model import (
 from .propagator import (
     U0_CONVENTIONS,
     KickSchedule,
-    StateVector,
-    UnitaryPropagator,
-    amplitude_series,
     eigendecompose,
-    evolve_kicked,
     kick_lattice,
     kick_step,
     kicked_columns,

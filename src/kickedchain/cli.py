@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 from itertools import chain
@@ -153,13 +154,19 @@ def _reject_unknown(block: dict, path: str):
         raise ConfigError(f"{path}.{key}" if path else str(key), "unknown key")
 
 
+def _as_float(value, where: str) -> float:
+    """A finite number from a config value; bools, non-numbers, NaN and +-inf are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(where, f"expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(where, f"expected a finite number, got {value!r}")
+    return float(value)
+
+
 def _pop_float(block: dict, key: str, path: str, default: float) -> float:
     if key not in block:
         return default
-    value = block.pop(key)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{key}", f"expected a number, got {value!r}")
-    return float(value)
+    return _as_float(block.pop(key), f"{path}.{key}")
 
 
 def _pop_int(block: dict, key: str, path: str, default: int | None) -> int | None:
@@ -208,11 +215,7 @@ def _pop_grid(block: dict, key: str, path: str, default):
         except ValueError as exc:
             raise ConfigError(where, str(exc)) from None
     if isinstance(value, list):
-        out = []
-        for i, v in enumerate(value):
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ConfigError(f"{where}[{i}]", f"expected a number, got {v!r}")
-            out.append(float(v))
+        out = [_as_float(v, f"{where}[{i}]") for i, v in enumerate(value)]
         if not out:
             raise ConfigError(where, "grid must be nonempty")
         return tuple(out)
@@ -329,7 +332,7 @@ def parse_config(text: str) -> ExperimentConfig:
     )
     _reject_unknown(drive_raw, "drive")
     try:
-        KickSchedule(tau=drive.tau, e0=drive.e0, e1=drive.e1, n_kicks=drive.n_kicks)
+        _schedule(drive)
     except ValueError as exc:
         raise ConfigError("drive", str(exc)) from None
 
@@ -349,8 +352,10 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("run.m_max", f"must be >= 1, got {run_block.m_max}")
     if run_block.workers < 1:
         raise ConfigError("run.workers", f"must be >= 1, got {run_block.workers}")
-    if run_block.mode == "sweep":
-        _require_sweep_axis_and_grid(run_block)
+    for i, state in enumerate(run_block.states):
+        if state != "omega0" and chain.n_sites < 4:
+            raise ConfigError(f"run.states[{i}]", f"Bell transfer ({state}) needs n_sites >= 4 "
+                                                  f"so the receiver pair is distinct")
 
     path = out_raw.pop("path", "results")
     if not isinstance(path, str):
@@ -362,8 +367,11 @@ def parse_config(text: str) -> ExperimentConfig:
     )
     _reject_unknown(out_raw, "output")
 
-    return ExperimentConfig(chain=chain, drive=drive, impurity=impurity,
-                            run=run_block, output=output)
+    config = ExperimentConfig(chain=chain, drive=drive, impurity=impurity,
+                              run=run_block, output=output)
+    if run_block.mode == "sweep":
+        _sweep_plan(config)
+    return config
 
 
 def serialize_config(config: ExperimentConfig) -> str:
@@ -422,14 +430,38 @@ def _template_params(config: ExperimentConfig, with_impurity: bool) -> ChainPara
     profile = uniform_profile(config.chain.n_sites, config.chain.j1, config.chain.j2)
     if with_impurity and config.impurity is not None:
         profile = apply_impurity(profile, config.impurity.to_spec())
-    # dm_field carries the static background so the kick-free paths see it too
     return ChainParams(profile, dm_field=config.drive.e0, b_field=config.chain.b_field)
+
+
+def _schedule(drive: DriveBlock) -> KickSchedule:
+    return KickSchedule(tau=drive.tau, e1=drive.e1, n_kicks=drive.n_kicks)
+
+
+def _sweep_plan(config: ExperimentConfig) -> SweepPlan:
+    """The sweep plan of a config; a plan the library rejects is a ConfigError on ``run``."""
+    run_block = config.run
+    _require_sweep_axis_and_grid(run_block)
+    try:
+        return SweepPlan(
+            params=_template_params(config, with_impurity=False),
+            axis=run_block.axis,
+            grid=run_block.grid,
+            states=run_block.states,
+            impurity=config.impurity.to_spec() if config.impurity is not None else None,
+            tau_grid=run_block.tau_grid,
+            m_max=run_block.m_max,
+            e1=config.drive.e1,
+            u0_convention=config.drive.u0_convention,
+            omega2_convention=config.drive.omega2_convention,
+        )
+    except ValueError as exc:
+        raise ConfigError("run", str(exc)) from None
 
 
 def _evolve_tables(config: ExperimentConfig):
     params = _template_params(config, with_impurity=True)
     drive = config.drive
-    schedule = KickSchedule(tau=drive.tau, e0=drive.e0, e1=drive.e1, n_kicks=drive.n_kicks)
+    schedule = _schedule(drive)
     states = config.run.states
     series = {
         s: fidelity_series(params, schedule, s, drive.n_kicks,
@@ -453,22 +485,7 @@ def _evolve_tables(config: ExperimentConfig):
 
 
 def _sweep_tables(config: ExperimentConfig, workers: int):
-    run_block = config.run
-    _require_sweep_axis_and_grid(run_block)
-    plan = SweepPlan(
-        params=_template_params(config, with_impurity=False),
-        axis=run_block.axis,
-        grid=run_block.grid,
-        states=run_block.states,
-        impurity=config.impurity.to_spec() if config.impurity is not None else None,
-        tau_grid=run_block.tau_grid,
-        m_max=run_block.m_max,
-        e0=config.drive.e0,
-        e1=config.drive.e1,
-        u0_convention=config.drive.u0_convention,
-        omega2_convention=config.drive.omega2_convention,
-    )
-    result = sweep_axis(plan, workers=workers)
+    result = sweep_axis(_sweep_plan(config), workers=workers)
     columns = ["grid_value", "state", "max_fidelity", "argmax_tau",
                "argmax_kicks", "out_of_range_flag"]
     rows = [
@@ -482,7 +499,7 @@ def _sweep_tables(config: ExperimentConfig, workers: int):
 def _periodogram_tables(config: ExperimentConfig):
     params = _template_params(config, with_impurity=True)
     drive = config.drive
-    schedule = KickSchedule(tau=drive.tau, e0=drive.e0, e1=drive.e1, n_kicks=drive.n_kicks)
+    schedule = _schedule(drive)
     columns = ["state", "frequency", "magnitude", "is_dominant"]
     rows = []
     for state in config.run.states:

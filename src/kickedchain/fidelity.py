@@ -213,14 +213,14 @@ def _propagation(params: ChainParams, time: float | None = None,
         raise ValueError("specify exactly one of time= or schedule=")
     if time is not None:
         def columns(basis: ExcitationBasis, sources: Sequence) -> np.ndarray:
-            u = unitary_exp(build_hamiltonian(params, basis), time).matrix
+            u = unitary_exp(build_hamiltonian(params, basis), time)
             return u[:, [index_of(basis, s) for s in sources]]
 
         return columns, float(time)
     m = schedule.n_kicks if n_kicks is None else n_kicks
 
     def columns(basis: ExcitationBasis, sources: Sequence) -> np.ndarray:
-        step = kick_step(params, schedule, basis, u0_convention=u0_convention).matrix
+        step = kick_step(params, schedule, basis, u0_convention=u0_convention)
         idx = [index_of(basis, s) for s in sources]
         return kicked_columns(step, np.eye(basis.size, dtype=complex)[:, idx], m)
 
@@ -394,8 +394,8 @@ def conformance_report(n_sites_values: Sequence[int] = (4, 5, 6),
         h1 = build_hamiltonian(params, basis1)
         h2 = build_hamiltonian(params, basis2)
         for t in times:
-            u1 = unitary_exp(h1, t).matrix
-            u2 = unitary_exp(h2, t).matrix
+            u1 = unitary_exp(h1, t)
+            u2 = unitary_exp(h2, t)
 
             def columns(basis, sources):
                 u = u1 if basis.n_excitations == 1 else u2

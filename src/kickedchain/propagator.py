@@ -4,12 +4,13 @@ Sector dimensions never exceed a few tens here, so every propagator is
 built from a full Hermitian eigendecomposition, U = V e^{-i lambda t} V+.
 That keeps unitarity at round-off level and gives the spectrum for free.
 
-Kicked driving alternates free evolution under the static Hamiltonian H0
-for an interval tau with an instantaneous chirality kick of amplitude e1,
+Kicked driving alternates free evolution under the static Hamiltonian H0,
+whose DM term carries the static field ``ChainParams.dm_field``, for an
+interval tau with an instantaneous chirality kick of amplitude e1,
 so one period is U = U1 U0 and the state after m kicks is U^m |psi(0)>,
 read out just after the kick.
 
-How the lattice search runs: every kicked result, from one amplitude
+How the lattice search runs: every kicked result, from one fidelity
 series to a full tau x kick lattice, comes from ``kick_lattice``.  Per call
 it builds H0 and D and diagonalises each once, then runs whichever of two
 kick loops issues fewer matrix products.
@@ -49,28 +50,24 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .basis import ExcitationBasis, index_of
+from .basis import ExcitationBasis
 from .model import ChainParams, build_hamiltonian, chirality_operator
 
 __all__ = [
     "KickSchedule",
-    "UnitaryPropagator",
-    "StateVector",
     "eigendecompose",
     "unitary_exp",
     "kick_step",
     "kick_lattice",
     "kicked_columns",
-    "evolve_kicked",
-    "amplitude_series",
     "U0_CONVENTIONS",
 ]
 
 # How the static stretch of one kick period is exponentiated:
 #   "hamiltonian_tau": U0 = exp(-i H0 tau) with tau multiplying all of H0,
-#       including the static field e0 (free evolution over the interval).
+#       including the static field dm_field (free evolution over the interval).
 #   "literal_eq5": tau multiplies only the exchange and magnetic terms while
-#       the e0 chirality term enters with unit weight, for comparison.
+#       the dm_field chirality term enters with unit weight, for comparison.
 U0_CONVENTIONS = ("hamiltonian_tau", "literal_eq5")
 
 # Memory budgets of the kick loop: a tau chunk holds as many Floquet steps,
@@ -83,10 +80,12 @@ _COMPLEX_BYTES = np.dtype(complex).itemsize
 
 @dataclass(frozen=True)
 class KickSchedule:
-    """Drive parameters: kick interval tau, static field e0, kick amplitude e1, kick budget."""
+    """Drive parameters: kick interval tau, kick amplitude e1, kick budget.
+
+    The static field the kicks ride on is ``ChainParams.dm_field``.
+    """
 
     tau: float
-    e0: float = 0.0
     e1: float = 0.0
     n_kicks: int = 1
 
@@ -95,33 +94,6 @@ class KickSchedule:
             raise ValueError(f"kick interval must be positive, got {self.tau}")
         if self.n_kicks < 0:
             raise ValueError(f"kick count must be non-negative, got {self.n_kicks}")
-
-
-@dataclass(frozen=True)
-class UnitaryPropagator:
-    """Dense unitary on a fixed sector."""
-
-    matrix: np.ndarray
-    sector: tuple[int, int] | None = None
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Normalized amplitude vector over an ExcitationBasis."""
-
-    amplitudes: np.ndarray
-    sector: tuple[int, int] | None = None
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > 1e-10:
-            raise ValueError(f"state vector norm {norm} is not 1 within 1e-10")
-        object.__setattr__(self, "amplitudes", amps)
 
 
 def eigendecompose(h: np.ndarray, hermiticity_tol: float = 1e-12):
@@ -139,35 +111,28 @@ def eigendecompose(h: np.ndarray, hermiticity_tol: float = 1e-12):
     return np.linalg.eigh(h)
 
 
-def _exp_matrix(h: np.ndarray, t: float) -> np.ndarray:
+def unitary_exp(h: np.ndarray, t: float) -> np.ndarray:
     """exp(-i h t) for Hermitian h; t = 0 short-circuits to the exact identity."""
+    h = np.asarray(h, dtype=complex)
     if t == 0.0:
         return np.eye(h.shape[0], dtype=complex)
     w, v = eigendecompose(h)
     return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
-def unitary_exp(h: np.ndarray, t: float,
-                sector: tuple[int, int] | None = None) -> UnitaryPropagator:
-    """Continuous-evolution propagator exp(-i h t)."""
-    u = _exp_matrix(np.asarray(h, dtype=complex), t)
-    return UnitaryPropagator(u, sector=sector)
+def _hamiltonian_tau_factors(params: ChainParams, basis: ExcitationBasis, e1: float):
+    """(w, v, u1) with H0 = v diag(w) v+ and U1 = exp(-i e1 D)."""
+    w, v = eigendecompose(build_hamiltonian(params, basis))
+    return w, v, unitary_exp(chirality_operator(basis), e1)
 
 
-def _hamiltonian_tau_factors(params: ChainParams, basis: ExcitationBasis, e0: float,
-                             e1: float):
-    """(w, v, u1) with H0 = v diag(w) v+ built with the field ``e0``, and U1 = exp(-i e1 D)."""
-    w, v = eigendecompose(build_hamiltonian(replace(params, dm_field=e0), basis))
-    return w, v, _exp_matrix(chirality_operator(basis), e1)
-
-
-def _floquet_builder(params: ChainParams, basis: ExcitationBasis, e0: float, e1: float,
+def _floquet_builder(params: ChainParams, basis: ExcitationBasis, e1: float,
                      u0_convention: str):
     """Return ``taus -> stack of U1 U0(tau)`` with every tau-independent factor built once.
 
-    The static Hamiltonian is built with the background field ``e0``
-    (overriding ``params.dm_field``); the kick is exp(-i e1 D) with D the
-    bare chirality operator in the same sector.  Under "hamiltonian_tau",
+    The static Hamiltonian H0 is ``params``' own, its DM term carrying the
+    field ``params.dm_field``; the kick is exp(-i e1 D) with D the bare
+    chirality operator in the same sector.  Under "hamiltonian_tau",
     H0 = V diag(w) V+ is diagonalised once and U0(tau) = V e^{-i w tau} V+
     for a whole stack of taus; "literal_eq5" mixes tau into the matrix it
     exponentiates, so it keeps one eigendecomposition per tau.
@@ -177,34 +142,34 @@ def _floquet_builder(params: ChainParams, basis: ExcitationBasis, e0: float, e1:
             f"unknown u0_convention {u0_convention!r}; expected one of {U0_CONVENTIONS}"
         )
     if u0_convention == "hamiltonian_tau":
-        w, v, u1 = _hamiltonian_tau_factors(params, basis, e0, e1)
+        w, v, u1 = _hamiltonian_tau_factors(params, basis, e1)
         vh = v.conj().T
 
         def steps(taus: np.ndarray) -> np.ndarray:
             phases = np.exp(-1j * np.multiply.outer(taus, w))
             return np.matmul(u1, (v * phases[:, None, :]) @ vh)
     else:
-        # tau weights only the field-free part; the e0 term enters bare.
+        # tau weights only the field-free part; the dm_field term enters bare.
         d = chirality_operator(basis)
-        u1 = _exp_matrix(d, e1)
+        u1 = unitary_exp(d, e1)
         h_static = build_hamiltonian(replace(params, dm_field=0.0), basis)
+        h_field = params.dm_field * d
 
         def steps(taus: np.ndarray) -> np.ndarray:
-            return np.stack([u1 @ _exp_matrix(tau * h_static + e0 * d, 1.0) for tau in taus])
+            return np.stack([u1 @ unitary_exp(tau * h_static + h_field, 1.0) for tau in taus])
     return steps
 
 
 def kick_step(params: ChainParams, schedule: KickSchedule, basis: ExcitationBasis,
-              u0_convention: str = "hamiltonian_tau") -> UnitaryPropagator:
+              u0_convention: str = "hamiltonian_tau") -> np.ndarray:
     """One Floquet period U1 U0: free evolution for tau, then a chirality kick.
 
-    The static Hamiltonian is built with the schedule's background field
-    ``e0`` (overriding ``params.dm_field``); the kick is exp(-i e1 D) with
-    D the bare chirality operator in the same sector.
+    The static Hamiltonian is ``params``' own, with the field
+    ``params.dm_field``; the kick is exp(-i e1 D) with D the bare
+    chirality operator in the same sector.
     """
-    build = _floquet_builder(params, basis, schedule.e0, schedule.e1, u0_convention)
-    step = build(np.array([schedule.tau]))[0]
-    return UnitaryPropagator(step, sector=(basis.n_sites, basis.n_excitations))
+    return _floquet_builder(params, basis, schedule.e1, u0_convention)(
+        np.array([schedule.tau]))[0]
 
 
 def _interval_bytes(dim: int, n_targets: int, b: int) -> int:
@@ -264,7 +229,7 @@ def _stroboscopic_blocks(steps: np.ndarray, cols: np.ndarray, targets, m_max: in
 
 
 def _eigenbasis_blocks(params: ChainParams, basis: ExcitationBasis, taus: np.ndarray,
-                       e0: float, e1: float, sources, targets, m_max: int):
+                       e1: float, sources, targets, m_max: int):
     """The lattice loop in the eigenbasis of H0, for the "hamiltonian_tau" convention.
 
     With H0 = V diag(w) V+ and y = V+ x, one kick is y <- K (Phi(tau) y),
@@ -278,7 +243,7 @@ def _eigenbasis_blocks(params: ChainParams, basis: ExcitationBasis, taus: np.nda
     exact untouched input.  The block buffer is reused, as in
     ``_stroboscopic_blocks``.
     """
-    w, v, u1 = _hamiltonian_tau_factors(params, basis, e0, e1)
+    w, v, u1 = _hamiltonian_tau_factors(params, basis, e1)
     vh = v.conj().T
     kick_t = (vh @ u1 @ v).T
     n_tau, n_src, n_tgt = taus.size, len(sources), len(targets)
@@ -300,11 +265,10 @@ def _eigenbasis_blocks(params: ChainParams, basis: ExcitationBasis, taus: np.nda
         yield m0, block
 
 
-def _blocked_stacks(params: ChainParams, basis: ExcitationBasis, taus: np.ndarray, e0: float,
-                    e1: float, sources, targets, m_max: int, u0_convention: str,
-                    tau_chunk: int):
+def _blocked_stacks(params: ChainParams, basis: ExcitationBasis, taus: np.ndarray, e1: float,
+                    sources, targets, m_max: int, u0_convention: str, tau_chunk: int):
     """``_stroboscopic_blocks`` over stacks of tau_chunk taus: yields ``(t0, m0, block)``."""
-    build = _floquet_builder(params, basis, e0, e1, u0_convention)
+    build = _floquet_builder(params, basis, e1, u0_convention)
     for t0 in range(0, taus.size, tau_chunk):
         chunk = taus[t0:t0 + tau_chunk]
         cols = np.zeros((chunk.size, basis.size, len(sources)), dtype=complex)
@@ -313,7 +277,7 @@ def _blocked_stacks(params: ChainParams, basis: ExcitationBasis, taus: np.ndarra
             yield t0, m0, block
 
 
-def kick_lattice(params: ChainParams, basis: ExcitationBasis, taus, e0: float, e1: float,
+def kick_lattice(params: ChainParams, basis: ExcitationBasis, taus, e1: float,
                  sources, targets, m_max: int, score,
                  u0_convention: str = "hamiltonian_tau") -> np.ndarray:
     """Score every (kick interval, kick count) cell of the stroboscopic lattice.
@@ -347,9 +311,9 @@ def kick_lattice(params: ChainParams, basis: ExcitationBasis, taus, e0: float, e
     blocked_products = n_stacks * (b - 1 + b.bit_length() - 1 + 2 * -(-(m_max + 1) // b) - 1)
     if u0_convention == "hamiltonian_tau" and 2 * m_max < blocked_products:
         blocks = ((0, m0, block) for m0, block in
-                  _eigenbasis_blocks(params, basis, taus, e0, e1, sources, targets, m_max))
+                  _eigenbasis_blocks(params, basis, taus, e1, sources, targets, m_max))
     else:
-        blocks = _blocked_stacks(params, basis, taus, e0, e1, sources, targets, m_max,
+        blocks = _blocked_stacks(params, basis, taus, e1, sources, targets, m_max,
                                  u0_convention, tau_chunk)
     lattice = None
     for t0, m0, amps in blocks:
@@ -365,30 +329,11 @@ def kicked_columns(step: np.ndarray, cols: np.ndarray, n_kicks: int) -> np.ndarr
     if n_kicks < 0:
         raise ValueError(f"kick count must be non-negative, got {n_kicks}")
     cols = np.asarray(cols, dtype=complex)
+    if cols.shape[0] != step.shape[0]:
+        raise ValueError(f"step dimension {step.shape[0]} differs from column length "
+                         f"{cols.shape[0]}")
     for _, block in _stroboscopic_blocks(step[None], cols[None], np.arange(cols.shape[0]),
                                          n_kicks):
         pass
     return block[0, -1].copy()
 
-
-def evolve_kicked(step: UnitaryPropagator, n_kicks: int, psi0: StateVector) -> StateVector:
-    """Apply the kick-period propagator n_kicks times."""
-    if step.sector is not None and psi0.sector is not None and step.sector != psi0.sector:
-        raise ValueError(f"sector mismatch: step {step.sector} vs state {psi0.sector}")
-    if step.matrix.shape[0] != psi0.amplitudes.shape[0]:
-        raise ValueError("propagator and state dimensions differ")
-    amps = kicked_columns(step.matrix, psi0.amplitudes[:, None], n_kicks)[:, 0]
-    return StateVector(amps, sector=psi0.sector)
-
-
-def amplitude_series(params: ChainParams, schedule: KickSchedule, basis: ExcitationBasis,
-                     source, target, m_max: int,
-                     u0_convention: str = "hamiltonian_tau") -> np.ndarray:
-    """Stroboscopic transition amplitudes <target|(U1 U0)^m|source>, m = 0..m_max."""
-    if m_max < 0:
-        raise ValueError(f"m_max must be non-negative, got {m_max}")
-    src = index_of(basis, source)
-    tgt = index_of(basis, target)
-    return kick_lattice(params, basis, (schedule.tau,), schedule.e0, schedule.e1,
-                        [src], [tgt], m_max, lambda amps, taus, ms: amps[..., 0, 0],
-                        u0_convention=u0_convention)[0]

@@ -103,7 +103,9 @@ class SweepPlan:
     """One swept axis over a chain template.
 
     ``params`` (plus the optional ``impurity``) describes the point every
-    grid value perturbs.  For axis ``j2_over_j1`` the template profile
+    grid value perturbs; its ``dm_field`` is the static field of every
+    point.  For axis ``tau`` the grid values are kick intervals and must be
+    positive.  For axis ``j2_over_j1`` the template profile
     must be uniform, since the grid value replaces the ratio of the two
     uniform couplings; for axis ``impurity_ratio`` the template impurity
     supplies kind and site while the grid value sets the strength; for
@@ -118,7 +120,6 @@ class SweepPlan:
     impurity: ImpuritySpec | None = None
     tau_grid: tuple[float, ...] = DEFAULT_TAU_GRID
     m_max: int = 500
-    e0: float = 0.1
     e1: float = 1.0
     u0_convention: str = "hamiltonian_tau"
     omega2_convention: str = "re_amplitude"
@@ -127,7 +128,8 @@ class SweepPlan:
     def __post_init__(self):
         if self.axis not in SWEEP_AXES:
             raise ValueError(f"unknown sweep axis {self.axis!r}; expected one of {SWEEP_AXES}")
-        object.__setattr__(self, "grid", _check_grid(self.grid, "grid"))
+        object.__setattr__(self, "grid", _check_grid(self.grid, "grid",
+                                                     positive=self.axis == "tau"))
         object.__setattr__(self, "tau_grid", _check_grid(self.tau_grid, "tau_grid", positive=True))
         states = tuple(self.states)
         if not states:
@@ -220,7 +222,7 @@ def _score(state: str, amps: np.ndarray, vacuum_angles: np.ndarray,
 
 
 def fidelity_lattice(params: ChainParams, state: str, tau_grid: Sequence[float], m_max: int,
-                     e0: float = 0.1, e1: float = 1.0,
+                     e1: float = 1.0,
                      u0_convention: str = "hamiltonian_tau",
                      omega2_convention: str = "re_amplitude") -> np.ndarray:
     """Fidelity after 0..m_max kicks at every kick interval: a (len(tau_grid), m_max + 1) array.
@@ -237,7 +239,7 @@ def fidelity_lattice(params: ChainParams, state: str, tau_grid: Sequence[float],
     def score(amps, taus, ms):
         return _score(state, amps, np.multiply.outer(e_vac * taus, ms), omega2_convention)
 
-    return kick_lattice(params, basis, tau_grid, e0, e1,
+    return kick_lattice(params, basis, tau_grid, e1,
                         [index_of(basis, s) for s in sources],
                         [index_of(basis, t) for t in targets],
                         m_max, score, u0_convention=u0_convention)
@@ -256,8 +258,8 @@ def fidelity_series(params: ChainParams, schedule: KickSchedule, state: str,
         m_max = schedule.n_kicks
     if m_max < 0:
         raise ValueError(f"m_max must be non-negative, got {m_max}")
-    return fidelity_lattice(params, state, (schedule.tau,), m_max, e0=schedule.e0,
-                            e1=schedule.e1, u0_convention=u0_convention,
+    return fidelity_lattice(params, state, (schedule.tau,), m_max, e1=schedule.e1,
+                            u0_convention=u0_convention,
                             omega2_convention=omega2_convention)[0]
 
 
@@ -308,26 +310,36 @@ def continuous_fidelity_series(params: ChainParams, times: Sequence[float], stat
     return _score(state, amps, vacuum_energy(params) * t_arr, omega2_convention)
 
 
-def _continuous_maximum(series: np.ndarray, times: Sequence[float]):
-    """(max value, 1.0, argmax time) of a kick-free series; ties go to the earliest time."""
-    best = int(np.argmax(series))
-    return float(series[best]), 1.0, int(times[best])
+def _maximum(params: ChainParams, state: str, tau_grid: Sequence[float], m_max: int,
+             e1: float, u0_convention: str, omega2_convention: str,
+             continuous_times: Sequence[float] = CONTINUOUS_TIMES, endpoint_only: bool = False):
+    """(max value, argmax tau, argmax kick count, series) of one exhaustive search.
 
-
-def _lattice_maximum(lattice: np.ndarray, taus: tuple[float, ...]):
-    """(max value, argmax tau, argmax kick count) of a lattice, by a row-major argmax.
-
-    The first maximum in row-major order has the smallest tau, then the
-    smallest kick count.
+    The kicked search scores the tau by kick-count lattice and takes the
+    first maximum in row-major order: the smallest tau, then the smallest
+    kick count; ``series`` is the lattice row of the maximum.  With
+    ``endpoint_only`` only the kick count m_max is scored, so the search
+    runs over tau alone.  With e1 = 0 there is no kick, and the search runs
+    over ``continuous_times`` instead (the tau grid is still validated);
+    it reports tau 1.0, the argmax time in the kick-count slot (ties to the
+    earliest), and the whole kick-free series.
     """
+    taus = _check_grid(tau_grid, "tau_grid", positive=True)
+    if e1 == 0.0:
+        series = continuous_fidelity_series(params, continuous_times, state,
+                                            omega2_convention=omega2_convention)
+        best = int(np.argmax(series))
+        return float(series[best]), 1.0, int(continuous_times[best]), series
+    first = m_max if endpoint_only else 0
+    lattice = fidelity_lattice(params, state, taus, m_max, e1=e1, u0_convention=u0_convention,
+                               omega2_convention=omega2_convention)[:, first:]
     i, m = np.unravel_index(int(np.argmax(lattice)), lattice.shape)
-    return float(lattice[i, m]), taus[i], int(m)
+    return float(lattice[i, m]), taus[i], first + int(m), lattice[i]
 
 
 def max_fidelity(params: ChainParams, state: str,
                  tau_grid: Sequence[float] = DEFAULT_TAU_GRID, m_max: int = 500,
-                 e0: float = 0.1, e1: float = 1.0,
-                 u0_convention: str = "hamiltonian_tau",
+                 e1: float = 1.0, u0_convention: str = "hamiltonian_tau",
                  omega2_convention: str = "re_amplitude",
                  continuous_times: Sequence[float] = CONTINUOUS_TIMES):
     """Exhaustive maximum of the fidelity over the kick-interval by kick-count lattice.
@@ -339,15 +351,8 @@ def max_fidelity(params: ChainParams, state: str,
     (integer times by default); the row then reports the equivalent
     stroboscopic interval 1.0 and the argmax time in the kick-count slot.
     """
-    taus = _check_grid(tau_grid, "tau_grid", positive=True)
-    if e1 == 0.0:
-        series = continuous_fidelity_series(params, continuous_times, state,
-                                            omega2_convention=omega2_convention)
-        return _continuous_maximum(series, continuous_times)
-    lattice = fidelity_lattice(params, state, taus, m_max, e0=e0, e1=e1,
-                               u0_convention=u0_convention,
-                               omega2_convention=omega2_convention)
-    return _lattice_maximum(lattice, taus)
+    return _maximum(params, state, tau_grid, m_max, e1, u0_convention, omega2_convention,
+                    continuous_times)[:3]
 
 
 def _point_setup(plan: SweepPlan, value: float):
@@ -379,38 +384,14 @@ def _evaluate_point(plan: SweepPlan, idx: int) -> list[SweepRow]:
     params, e1, taus, fixed_kicks = _point_setup(plan, value)
     rows = []
     for state in plan.states:
-        series = None
-        if fixed_kicks is not None and e1 != 0.0:
-            # fixed kick count: search tau only, scoring the series endpoint
-            endpoints = fidelity_lattice(params, state, taus, fixed_kicks, e0=plan.e0, e1=e1,
-                                         u0_convention=plan.u0_convention,
-                                         omega2_convention=plan.omega2_convention)[:, -1]
-            best = int(np.argmax(endpoints))
-            val, atau, am = float(endpoints[best]), taus[best], fixed_kicks
-            if plan.retain_series:
-                series = (val,)
-        elif e1 == 0.0:
-            # as in max_fidelity: one series serves the maximum and the retained copy,
-            # and the unused tau lattice is still validated
-            _check_grid(taus, "tau_grid", positive=True)
-            continuous = continuous_fidelity_series(params, CONTINUOUS_TIMES, state,
-                                                    omega2_convention=plan.omega2_convention)
-            val, atau, am = _continuous_maximum(continuous, CONTINUOUS_TIMES)
-            if plan.retain_series:
-                series = tuple(continuous)
-        else:
-            # as in max_fidelity; a retained series is the lattice row of the maximum
-            taus = _check_grid(taus, "tau_grid", positive=True)
-            lattice = fidelity_lattice(params, state, taus, plan.m_max, e0=plan.e0, e1=e1,
-                                       u0_convention=plan.u0_convention,
-                                       omega2_convention=plan.omega2_convention)
-            val, atau, am = _lattice_maximum(lattice, taus)
-            if plan.retain_series:
-                series = tuple(lattice[taus.index(atau)])
+        val, atau, am, series = _maximum(
+            params, state, taus, plan.m_max if fixed_kicks is None else fixed_kicks, e1,
+            plan.u0_convention, plan.omega2_convention, endpoint_only=fixed_kicks is not None)
         rows.append(SweepRow(
             grid_index=idx, grid_value=float(value), state=state,
             max_fidelity=val, argmax_tau=atau, argmax_kicks=am,
-            out_of_range=out_of_range(val), series=series,
+            out_of_range=out_of_range(val),
+            series=tuple(series) if plan.retain_series else None,
         ))
     return rows
 

@@ -1,0 +1,14 @@
+"""Stroboscopic transition amplitudes read off the package's kick lattice."""
+
+import numpy as np
+
+from kickedchain import index_of, kick_lattice
+
+
+def amplitude_series(params, schedule, basis, source, target, m_max: int,
+                     u0_convention: str = "hamiltonian_tau") -> np.ndarray:
+    """<target|(U1 U0)^m|source> for m = 0..m_max at the schedule's kick interval."""
+    return kick_lattice(params, basis, (schedule.tau,), schedule.e1,
+                        [index_of(basis, source)], [index_of(basis, target)], m_max,
+                        lambda amps, taus, ms: amps[..., 0, 0],
+                        u0_convention=u0_convention)[0]

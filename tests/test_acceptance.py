@@ -10,6 +10,7 @@ asserted, not just reported.
 
 import json
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,6 @@ from kickedchain import (
     CouplingProfile,
     KickSchedule,
     SweepPlan,
-    amplitude_series,
     apply_impurity,
     bell_fidelity_omega1,
     bell_fidelity_omega2,
@@ -48,6 +48,7 @@ from kickedchain import (
     vacuum_phase,
 )
 from kickedchain.cli import main
+from lattice import amplitude_series
 
 CONFIGS = Path(__file__).parent.parent / "configs"
 
@@ -77,12 +78,12 @@ def test_criterion_1_hermiticity_and_unitarity():
         basis = enumerate_basis(n, k)
         h = build_hamiltonian(params, basis)
         worst_h = max(worst_h, float(np.abs(h - h.conj().T).max()))
-        schedule = KickSchedule(tau=float(rng.uniform(0.1, 10.0)),
-                                e0=float(rng.normal()),
-                                e1=float(rng.normal()))
+        tau = float(rng.uniform(0.1, 10.0))
+        kicked = replace(params, dm_field=float(rng.normal()))
+        schedule = KickSchedule(tau=tau, e1=float(rng.normal()))
         convention = ("hamiltonian_tau", "literal_eq5")[i % 2]
-        for u in (kick_step(params, schedule, basis, u0_convention=convention).matrix,
-                  unitary_exp(h, float(rng.uniform(0.1, 10.0))).matrix):
+        for u in (kick_step(kicked, schedule, basis, u0_convention=convention),
+                  unitary_exp(h, float(rng.uniform(0.1, 10.0)))):
             defect = float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
             worst_u = max(worst_u, defect)
     elapsed = time.perf_counter() - started
@@ -109,17 +110,16 @@ def test_criterion_2_full_space_oracle_equivalence():
             for k in (0, 1, 2):
                 basis = enumerate_basis(n, k)
                 idx = [oracle.full_index(c, n) for c in basis.configs]
-                u = unitary_exp(build_hamiltonian(params, basis), t).matrix
+                u = unitary_exp(build_hamiltonian(params, basis), t)
                 if prop_full is None:
                     from scipy.linalg import expm
                     prop_full = expm(-1j * t * full_h)
                 worst = max(worst, float(np.abs(u - prop_full[np.ix_(idx, idx)]).max()))
             points += 1
         for j in range(3):                        # kicked points
-            sched = KickSchedule(tau=float(rng.uniform(0.3, 3.0)), e0=e0,
+            sched = KickSchedule(tau=float(rng.uniform(0.3, 3.0)),
                                  e1=float(rng.uniform(0.2, 2.0)))
             convention = ("hamiltonian_tau", "literal_eq5")[j % 2]
-            static = ChainParams(CouplingProfile(n, tuple(j1), tuple(j2)), b_field=b)
             ufull = oracle.kick_unitary(j1, j2, b, e0, sched.e1, sched.tau, n,
                                         convention)
             m = int(rng.integers(1, 6))
@@ -128,7 +128,7 @@ def test_criterion_2_full_space_oracle_equivalence():
                 basis = enumerate_basis(n, k)
                 idx = [oracle.full_index(c, n) for c in basis.configs]
                 u = np.linalg.matrix_power(
-                    kick_step(static, sched, basis, u0_convention=convention).matrix, m)
+                    kick_step(params, sched, basis, u0_convention=convention), m)
                 worst = max(worst, float(np.abs(u - ufull_m[np.ix_(idx, idx)]).max()))
             points += 1
     elapsed = time.perf_counter() - started
@@ -140,12 +140,12 @@ def test_criterion_2_full_space_oracle_equivalence():
 def test_criterion_3_kick_identity_at_zero_amplitude():
     params = canonical_params()
     tau, m_max = 2.0, 100
-    schedule = KickSchedule(tau=tau, e0=0.1, e1=0.0)
+    schedule = KickSchedule(tau=tau, e1=0.0)
     worst = 0.0
     for k, source, target in ((1, (1,), (10,)), (2, (1, 2), (9, 10))):
         basis = enumerate_basis(10, k)
         kicked = amplitude_series(params, schedule, basis, source, target, m_max)
-        h = build_hamiltonian(ChainParams(params.profile, dm_field=0.1), basis)
+        h = build_hamiltonian(params, basis)
         w, v = eigendecompose(h)
         src, tgt = index_of(basis, source), index_of(basis, target)
         weights = v[tgt, :] * v[src, :].conj()
@@ -171,17 +171,15 @@ def test_criterion_4_single_qubit_formula_vs_exact_bloch_average():
         n = params.profile.n_sites
         basis = enumerate_basis(n, 1)
         if t is not None:
-            u = unitary_exp(build_hamiltonian(params, basis), t).matrix
+            u = unitary_exp(build_hamiltonian(params, basis), t)
             f = u[index_of(basis, (n,)), index_of(basis, (1,))]
             gauge = vacuum_phase(params, t).conjugate()
             average = bloch_average_single_qubit(params, time=t)
         else:
-            schedule = KickSchedule(tau=tau, e0=0.1, e1=1.0, n_kicks=m)
-            static = ChainParams(params.profile, b_field=params.b_field)
-            series = amplitude_series(static, schedule, basis, (1,), (n,), m)
-            f = series[m]
+            schedule = KickSchedule(tau=tau, e1=1.0, n_kicks=m)
+            f = amplitude_series(params, schedule, basis, (1,), (n,), m)[m]
             gauge = vacuum_phase(params, m * tau).conjugate()
-            average = bloch_average_single_qubit(static, schedule=schedule)
+            average = bloch_average_single_qubit(params, schedule=schedule)
         closed = single_qubit_fidelity(complex(f) * gauge)
         worst = max(worst, abs(closed - average))
     elapsed = time.perf_counter() - started
@@ -195,10 +193,10 @@ def test_criterion_5_threshold_crossing_and_periodicity():
     threshold = classical_threshold()
     crossings = {}
     for tau in (2.0, 2.1, 2.2, 2.3):
-        schedule = KickSchedule(tau=tau, e0=0.1, e1=1.0)
+        schedule = KickSchedule(tau=tau, e1=1.0)
         series = fidelity_series(params, schedule, "omega0", m_max=500)
         crossings[tau] = int(np.sum(series > threshold))
-    series0 = fidelity_series(params, KickSchedule(tau=2.0, e0=0.1, e1=1.0),
+    series0 = fidelity_series(params, KickSchedule(tau=2.0, e1=1.0),
                               "omega0", m_max=500)
     _, mags, dominant = periodogram(series0)
     peak_ratio = float(mags[1:].max() / np.median(mags[1:]))
@@ -211,7 +209,7 @@ def test_criterion_5_threshold_crossing_and_periodicity():
 def test_criterion_6_tau_sweep_peak():
     started = time.perf_counter()
     value, atau, am = max_fidelity(canonical_params(), "omega0",
-                                   DEFAULT_TAU_GRID, 500, e0=0.1, e1=1.0)
+                                   DEFAULT_TAU_GRID, 500, e1=1.0)
     elapsed = time.perf_counter() - started
     report(6, "kick-interval sweep peak at the canonical couplings",
            value >= 0.88 and elapsed < 600.0,

@@ -71,7 +71,7 @@ def test_impurity_strength_normalizes_to_explicit_ratios():
 
 
 def test_grid_mapping_expands_like_float_grid():
-    cfg = parsed("run: {mode: sweep, axis: tau, grid: {start: 0.0, stop: 1.0, step: 0.25}}\n")
+    cfg = parsed("run: {mode: sweep, axis: e1, grid: {start: 0.0, stop: 1.0, step: 0.25}}\n")
     assert cfg.run.grid == float_grid(0.0, 1.0, 0.25)
     listed = parsed("run: {mode: sweep, axis: tau, grid: [0.3, 0.7]}\n")
     assert listed.run.grid == (0.3, 0.7)
@@ -122,6 +122,13 @@ def test_unknown_keys_are_rejected_with_their_path(text, key_path):
     ("run: {mode: sweep, axis: tau, grid: {start: 1.0, stop: 2.0}}\n", "run.grid"),
     ("run: {mode: sweep, axis: tau, grid: [1.0, true]}\n", "run.grid[1]"),
     ("run: {mode: sweep, axis: tau, grid: []}\n", "run.grid"),
+    ("drive: {tau: .nan}\n", "drive.tau"),
+    ("drive: {e1: -.inf}\n", "drive.e1"),
+    ("run: {mode: sweep, axis: e1, grid: [0, .nan]}\n", "run.grid[1]"),
+    ("run: {mode: sweep, axis: tau, grid: {start: 0, stop: .inf, step: 1}}\n", "run.grid.stop"),
+    ("chain: {n_sites: 3}\nrun: {states: [omega0, omega1]}\n", "run.states[1]"),
+    ("run: {mode: sweep, axis: kick_count, grid: [0.5]}\n", "run: kick_count grid values"),
+    ("run: {mode: sweep, axis: tau, grid: [-1]}\n", "run: grid values must be positive"),
     ("output: {format: parquet}\n", "output.format"),
     ("output: {path: null}\n", "output.path"),
     ("output: {path: 3}\n", "output.path"),

@@ -72,7 +72,7 @@ def test_single_qubit_values_stay_in_range_and_grow_with_real_amplitude():
 def test_single_qubit_formula_matches_exact_bloch_average():
     p = params_for(4)
     basis = enumerate_basis(4, 1)
-    u = unitary_exp(build_hamiltonian(p, basis), 1.7).matrix
+    u = unitary_exp(build_hamiltonian(p, basis), 1.7)
     f = u[index_of(basis, (4,)), index_of(basis, (1,))]
     f_gauged = f * vacuum_phase(p, 1.7).conjugate()
     closed = single_qubit_fidelity(f_gauged)
@@ -84,7 +84,7 @@ def test_exact_bloch_average_without_gauge_disagrees():
     # dropping the vacuum phase from the closed form must be detectable
     p = params_for(4, b=0.9)
     basis = enumerate_basis(4, 1)
-    u = unitary_exp(build_hamiltonian(p, basis), 2.0).matrix
+    u = unitary_exp(build_hamiltonian(p, basis), 2.0)
     f = u[index_of(basis, (4,)), index_of(basis, (1,))]
     average = bloch_average_single_qubit(p, time=2.0)
     gauged = single_qubit_fidelity(f * vacuum_phase(p, 2.0).conjugate())
@@ -190,8 +190,8 @@ def test_direct_fidelity_matches_full_space_continuous(family, n):
 def test_direct_fidelity_matches_full_space_kicked(family):
     n, m = 5, 6
     bell = BellInput(family, (0.8, 0.6j))   # lopsided pair, exactly normalized
-    p = ChainParams(uniform_profile(n, 1.0, -1.0))
-    sched = KickSchedule(tau=1.4, e0=0.1, e1=0.8, n_kicks=m)
+    p = ChainParams(uniform_profile(n, 1.0, -1.0), dm_field=0.1)
+    sched = KickSchedule(tau=1.4, e1=0.8, n_kicks=m)
     got = bell_fidelity_direct(p, bell, schedule=sched)
     ufull = oracle.kick_unitary([1.0] * (n - 1), [-1.0] * (n - 2), 0.0,
                                 0.1, 0.8, 1.4, n)
@@ -203,10 +203,10 @@ def test_direct_fidelity_matches_full_space_kicked(family):
 
 
 def test_explicit_n_kicks_overrides_schedule_budget():
-    p = ChainParams(uniform_profile(5, 1.0, -1.0))
+    p = ChainParams(uniform_profile(5, 1.0, -1.0), dm_field=0.1)
     bell = BellInput.maximal("omega1")
-    a = bell_fidelity_direct(p, bell, schedule=KickSchedule(tau=1.4, e0=0.1, e1=0.8, n_kicks=2))
-    b = bell_fidelity_direct(p, bell, schedule=KickSchedule(tau=1.4, e0=0.1, e1=0.8, n_kicks=9),
+    a = bell_fidelity_direct(p, bell, schedule=KickSchedule(tau=1.4, e1=0.8, n_kicks=2))
+    b = bell_fidelity_direct(p, bell, schedule=KickSchedule(tau=1.4, e1=0.8, n_kicks=9),
                              n_kicks=2)
     assert a == b
 
@@ -216,7 +216,7 @@ def test_omega1_closed_form_equals_family_average():
     n, t = 5, 1.3
     p = params_for(n)
     basis = enumerate_basis(n, 1)
-    u = unitary_exp(build_hamiltonian(p, basis), t).matrix
+    u = unitary_exp(build_hamiltonian(p, basis), t)
     s1, s2 = index_of(basis, (1,)), index_of(basis, (2,))
     near, far = index_of(basis, (n - 1,)), index_of(basis, (n,))
     literal = bell_fidelity_omega1(u[near, s1], u[far, s2], u[near, s2], u[far, s1])
@@ -228,7 +228,7 @@ def test_two_site_round_trip_is_perfect_after_gauge():
     # eigenphase splitting of the two-site chain makes t = pi a full swap
     p = ChainParams(uniform_profile(2, 1.0, 0.0))
     basis = enumerate_basis(2, 1)
-    u = unitary_exp(build_hamiltonian(p, basis), np.pi).matrix
+    u = unitary_exp(build_hamiltonian(p, basis), np.pi)
     f = u[index_of(basis, (2,)), index_of(basis, (1,))]
     f_gauged = f * vacuum_phase(p, np.pi).conjugate()
     assert single_qubit_fidelity(f_gauged) == pytest.approx(1.0, abs=1e-12)

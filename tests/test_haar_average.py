@@ -7,7 +7,6 @@ import oracle
 from kickedchain import (
     ChainParams,
     KickSchedule,
-    amplitude_series,
     bell_fidelity_direct_averaged,
     bell_fidelity_omega2,
     bloch_average_single_qubit,
@@ -21,6 +20,7 @@ from kickedchain import (
     unitary_exp,
     vacuum_phase,
 )
+from lattice import amplitude_series
 
 
 def params_for(n, e=0.1, b=0.0):
@@ -37,7 +37,7 @@ KICKED_POINTS = [(4, 0.0, 2.0, 3), (6, 0.9, 1.3, 7), (8, 0.0, 2.0, 5), (10, 0.4,
 def test_omega0_closed_form_is_the_exact_bloch_average_continuous(n, b, t):
     params = params_for(n, b=b)
     basis = enumerate_basis(n, 1)
-    u = unitary_exp(build_hamiltonian(params, basis), t).matrix
+    u = unitary_exp(build_hamiltonian(params, basis), t)
     f = u[index_of(basis, (n,)), index_of(basis, (1,))]
     closed = single_qubit_fidelity(f * vacuum_phase(params, t).conjugate())
     assert abs(closed - bloch_average_single_qubit(params, time=t)) <= 1e-12
@@ -45,11 +45,11 @@ def test_omega0_closed_form_is_the_exact_bloch_average_continuous(n, b, t):
 
 @pytest.mark.parametrize("n,b,tau,m", KICKED_POINTS)
 def test_omega0_closed_form_is_the_exact_bloch_average_kicked(n, b, tau, m):
-    static = ChainParams(uniform_profile(n, 1.0, -1.0), b_field=b)
-    schedule = KickSchedule(tau=tau, e0=0.1, e1=1.0, n_kicks=m)
-    f = amplitude_series(static, schedule, enumerate_basis(n, 1), (1,), (n,), m)[m]
-    closed = single_qubit_fidelity(complex(f) * vacuum_phase(static, m * tau).conjugate())
-    assert abs(closed - bloch_average_single_qubit(static, schedule=schedule)) <= 1e-12
+    params = params_for(n, b=b)
+    schedule = KickSchedule(tau=tau, e1=1.0, n_kicks=m)
+    f = amplitude_series(params, schedule, enumerate_basis(n, 1), (1,), (n,), m)[m]
+    closed = single_qubit_fidelity(complex(f) * vacuum_phase(params, m * tau).conjugate())
+    assert abs(closed - bloch_average_single_qubit(params, schedule=schedule)) <= 1e-12
 
 
 def test_conformance_family_averages_are_exact():
@@ -74,7 +74,7 @@ def test_omega2_is_scored_from_the_bare_amplitude_not_the_vacuum_gauge():
     n, t = 6, 4.0
     params = params_for(n)
     basis = enumerate_basis(n, 2)
-    u = unitary_exp(build_hamiltonian(params, basis), t).matrix
+    u = unitary_exp(build_hamiltonian(params, basis), t)
     pair = index_of(basis, (1, 2))
     cross = [u[index_of(basis, (m, r)), pair] for r in (n - 1, n) for m in range(1, n - 1)]
     g = u[index_of(basis, (n - 1, n)), pair]
@@ -105,8 +105,8 @@ def test_bell_average_rejects_the_single_qubit_family():
 def test_exact_averages_match_full_space_sampling(family, n, kicked):
     j1, j2, b = [1.0] * (n - 1), [-1.0] * (n - 2), 0.3
     if kicked:
-        schedule = KickSchedule(tau=1.4, e0=0.1, e1=0.8, n_kicks=6)
-        params = ChainParams(uniform_profile(n, 1.0, -1.0), b_field=b)
+        schedule = KickSchedule(tau=1.4, e1=0.8, n_kicks=6)
+        params = params_for(n, b=b)
         evolution = {"schedule": schedule}
         step = oracle.kick_unitary(j1, j2, b, 0.1, 0.8, 1.4, n)
         unitary = np.linalg.matrix_power(step, schedule.n_kicks)

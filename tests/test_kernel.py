@@ -18,14 +18,12 @@ from kickedchain import (
     DEFAULT_TAU_GRID,
     ChainParams,
     KickSchedule,
-    StateVector,
     bell_fidelity_omega1,
     bell_fidelity_omega1_array,
     bell_fidelity_omega2,
     bell_fidelity_omega2_array,
     conformance_report,
     enumerate_basis,
-    evolve_kicked,
     fidelity_lattice,
     fidelity_series,
     index_of,
@@ -41,7 +39,7 @@ from kickedchain import (
 N = 6
 TAUS = (0.4, 1.3, 2.0, 2.7, 3.9)
 M_MAX = 30
-E0, E1 = 0.1, 0.8
+E1 = 0.8
 
 
 def params_for(j1=1.0, j2=-0.7, e=0.1):
@@ -66,8 +64,8 @@ def naive_lattice(params, state, taus, m_max, u0_convention, omega2_convention):
     e_vac = vacuum_energy(params)
     out = np.empty((len(taus), m_max + 1))
     for i, tau in enumerate(taus):
-        step = kick_step(params, KickSchedule(tau=tau, e0=E0, e1=E1), basis,
-                         u0_convention=u0_convention).matrix
+        step = kick_step(params, KickSchedule(tau=tau, e1=E1), basis,
+                         u0_convention=u0_convention)
         cols = np.eye(basis.size, dtype=complex)[:, src]
         for m in range(m_max + 1):
             if m:
@@ -98,11 +96,11 @@ def naive_argmax(lattice, taus):
 def test_kernel_lattice_matches_naive_loop(state, u0_convention, omega2_convention):
     params = params_for()
     want = naive_lattice(params, state, TAUS, M_MAX, u0_convention, omega2_convention)
-    got = fidelity_lattice(params, state, TAUS, M_MAX, e0=E0, e1=E1,
+    got = fidelity_lattice(params, state, TAUS, M_MAX, e1=E1,
                            u0_convention=u0_convention, omega2_convention=omega2_convention)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-12
-    value, atau, am = max_fidelity(params, state, TAUS, M_MAX, e0=E0, e1=E1,
+    value, atau, am = max_fidelity(params, state, TAUS, M_MAX, e1=E1,
                                    u0_convention=u0_convention,
                                    omega2_convention=omega2_convention)
     assert (atau, am) == naive_argmax(want, TAUS)
@@ -116,14 +114,14 @@ def test_kernel_chunking_does_not_change_the_lattice(monkeypatch):
     factored, so the budgets here still fit one tau at the default B.
     """
     params = params_for()
-    whole = fidelity_lattice(params, "omega2", TAUS, M_MAX, e0=E0, e1=E1)
+    whole = fidelity_lattice(params, "omega2", TAUS, M_MAX, e1=E1)
     dim = enumerate_basis(N, 2).size
     b = propagator_module._kicks_per_iteration(M_MAX, dim, 9)
     step_bytes = 2 * 16 * dim * (dim + b * 9)                  # two taus per stack
     monkeypatch.setattr(propagator_module, "_STEP_STACK_BYTES", step_bytes)
     monkeypatch.setattr(propagator_module, "_AMPLITUDE_BLOCK_BYTES", 2 * 7 * 9 * 16)
     assert propagator_module._kicks_per_iteration(M_MAX, dim, 9) == b > 1
-    chunked = fidelity_lattice(params, "omega2", TAUS, M_MAX, e0=E0, e1=E1)
+    chunked = fidelity_lattice(params, "omega2", TAUS, M_MAX, e1=E1)
     assert np.array_equal(chunked, whole)
 
 
@@ -133,9 +131,9 @@ def test_ties_go_to_the_smallest_tau_then_the_smallest_kick_count():
     # attained once per tau.
     params = ChainParams(uniform_profile(N, 0.0, 0.0), dm_field=0.0)
     taus = (0.5, 1.0, 1.5)
-    lattice = fidelity_lattice(params, "omega0", taus, M_MAX, e0=0.0, e1=E1)
+    lattice = fidelity_lattice(params, "omega0", taus, M_MAX, e1=E1)
     assert np.array_equal(lattice[0], lattice[1]) and np.array_equal(lattice[0], lattice[2])
-    value, atau, am = max_fidelity(params, "omega0", taus, M_MAX, e0=0.0, e1=E1)
+    value, atau, am = max_fidelity(params, "omega0", taus, M_MAX, e1=E1)
     assert value == lattice.max()
     assert (atau, am) == (0.5, int(np.argmax(lattice[0])))
     assert (atau, am) == naive_argmax(lattice, taus)
@@ -152,7 +150,7 @@ def test_ties_within_a_lattice_follow_row_major_order(monkeypatch):
 
 # -- the H0 eigenbasis loop ----------------------------------------------------------
 
-def eigenbasis_lattice(params, state, taus, m_max, omega2_convention="re_amplitude", e0=E0):
+def eigenbasis_lattice(params, state, taus, m_max, omega2_convention="re_amplitude"):
     """The eigenbasis loop called directly, its blocks scored as fidelity_lattice scores them."""
     k, sources, targets = probe(state)
     basis = enumerate_basis(N, k)
@@ -160,7 +158,7 @@ def eigenbasis_lattice(params, state, taus, m_max, omega2_convention="re_amplitu
     e_vac = vacuum_energy(params)
     out = np.full((taus.size, m_max + 1), np.nan)
     for m0, amps in propagator_module._eigenbasis_blocks(
-            params, basis, taus, e0, E1, [index_of(basis, s) for s in sources],
+            params, basis, taus, E1, [index_of(basis, s) for s in sources],
             [index_of(basis, t) for t in targets], m_max):
         ms = np.arange(m0, m0 + amps.shape[1])
         out[:, ms] = sweep_module._score(state, amps, np.multiply.outer(e_vac * taus, ms),
@@ -188,7 +186,7 @@ def test_eigenbasis_loop_column_zero_is_the_untouched_input(state):
     src = [index_of(basis, s) for s in sources]
     tgt = [index_of(basis, t) for t in targets]
     m0, amps = next(propagator_module._eigenbasis_blocks(params_for(), basis, np.array(TAUS),
-                                                         E0, E1, src, tgt, M_MAX))
+                                                         E1, src, tgt, M_MAX))
     assert m0 == 0
     for t in range(len(TAUS)):
         assert np.array_equal(amps[t, 0], np.eye(basis.size)[np.ix_(tgt, src)])
@@ -204,7 +202,7 @@ def test_eigenbasis_loop_chunking_does_not_change_the_lattice(monkeypatch):
 
 def test_eigenbasis_loop_gives_identical_rows_when_h0_vanishes():
     params = ChainParams(uniform_profile(N, 0.0, 0.0), dm_field=0.0)
-    lattice = eigenbasis_lattice(params, "omega0", (0.5, 1.0, 1.5), M_MAX, e0=0.0)
+    lattice = eigenbasis_lattice(params, "omega0", (0.5, 1.0, 1.5), M_MAX)
     assert np.array_equal(lattice[0], lattice[1]) and np.array_equal(lattice[0], lattice[2])
 
 
@@ -254,7 +252,7 @@ def test_blocked_loop_matches_naive_loop_around_block_edges(m_max, b, state):
     assert propagator_module._kicks_per_iteration(m_max, dim, len(targets)) == b
     params = params_for()
     want = naive_lattice(params, state, TAUS, m_max, "hamiltonian_tau", "re_amplitude")
-    got = fidelity_lattice(params, state, TAUS, m_max, e0=E0, e1=E1)
+    got = fidelity_lattice(params, state, TAUS, m_max, e1=E1)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-12
 
@@ -264,23 +262,22 @@ def test_blocked_loop_matches_naive_loop_around_block_edges(m_max, b, state):
 def test_blocked_loop_matches_naive_loop_over_5000_kicks(state, u0_convention):
     params = params_for()
     want = naive_lattice(params, state, (2.1,), 5000, u0_convention, "re_amplitude")[0]
-    got = fidelity_series(params, KickSchedule(tau=2.1, e0=E0, e1=E1), state, 5000,
+    got = fidelity_series(params, KickSchedule(tau=2.1, e1=E1), state, 5000,
                           u0_convention=u0_convention)
     assert np.abs(got - want).max() <= 1e-12
 
 
 @pytest.mark.parametrize("n_kicks", [0, 1, 7, 8, 9, 63, 64, 65, 5000])
 def test_kicked_columns_and_evolve_kicked_match_repeated_products(n_kicks):
+    # a kicked state vector evolves as a single column
     basis = enumerate_basis(N, 2)
-    step = kick_step(params_for(), KickSchedule(tau=1.3, e0=E0, e1=E1), basis)
+    step = kick_step(params_for(), KickSchedule(tau=1.3, e1=E1), basis)
     cols = np.eye(basis.size, dtype=complex)[:, [0, 4, 9]]
     want = cols
     for _ in range(n_kicks):
-        want = step.matrix @ want
-    assert np.abs(kicked_columns(step.matrix, cols, n_kicks) - want).max() <= 1e-12
-    psi = StateVector(cols[:, 1], sector=(N, 2))
-    out = evolve_kicked(step, n_kicks, psi)
-    assert np.abs(out.amplitudes - want[:, 1]).max() <= 1e-12
+        want = step @ want
+    assert np.abs(kicked_columns(step, cols, n_kicks) - want).max() <= 1e-12
+    assert np.abs(kicked_columns(step, cols[:, 1:2], n_kicks) - want[:, 1:2]).max() <= 1e-12
 
 
 # -- array scorers ----------------------------------------------------------------

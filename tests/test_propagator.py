@@ -10,17 +10,16 @@ from kickedchain import (
     ChainParams,
     CouplingProfile,
     KickSchedule,
-    StateVector,
-    amplitude_series,
     build_hamiltonian,
     chirality_operator,
     enumerate_basis,
     eigendecompose,
-    evolve_kicked,
     kick_step,
+    kicked_columns,
     unitary_exp,
     uniform_profile,
 )
+from lattice import amplitude_series
 
 H1_TWO_SITE = np.array([[0.25, -0.5], [-0.5, 0.25]])
 
@@ -54,7 +53,7 @@ def test_eigendecompose_rejects_bad_input():
 
 def test_zero_time_propagator_is_exact_identity():
     u = unitary_exp(H1_TWO_SITE, 0.0)
-    assert np.array_equal(u.matrix, np.eye(2))
+    assert np.array_equal(u, np.eye(2))
 
 
 def test_continuous_propagator_is_unitary():
@@ -67,14 +66,14 @@ def test_continuous_propagator_is_unitary():
             dm_field=float(rng.normal()), b_field=float(rng.normal()))
         k = int(rng.integers(1, 3))
         h = build_hamiltonian(p, enumerate_basis(n, k))
-        u = unitary_exp(h, float(rng.uniform(0.1, 10.0))).matrix
+        u = unitary_exp(h, float(rng.uniform(0.1, 10.0)))
         assert np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() < 1e-12
 
 
 def test_two_site_transfer_amplitude_at_pi():
     # eigenphases split by 1, so t = pi swaps the sites up to a phase
     u = unitary_exp(H1_TWO_SITE, np.pi)
-    amp = u.matrix[1, 0]
+    amp = u[1, 0]
     assert abs(amp - cmath.exp(0.25j * np.pi)) < 1e-12
     assert abs(abs(amp) - 1.0) < 1e-12
 
@@ -97,7 +96,7 @@ def test_continuous_evolution_matches_full_space():
             full0 = np.zeros(2 ** n, dtype=complex)
             full0[idx[0]] = 1.0
             expected = oracle.evolve(full_h, full0, t)[idx]
-            assert np.abs(u.matrix @ psi0 - expected).max() < 1e-12
+            assert np.abs(u @ psi0 - expected).max() < 1e-12
 
 
 def test_energy_is_conserved_under_continuous_evolution():
@@ -109,7 +108,7 @@ def test_energy_is_conserved_under_continuous_evolution():
     psi /= np.linalg.norm(psi)
     e0 = (psi.conj() @ h @ psi).real
     for t in (0.5, 3.1, 17.0):
-        phi = unitary_exp(h, t).matrix @ psi
+        phi = unitary_exp(h, t) @ psi
         assert abs((phi.conj() @ h @ phi).real - e0) < 1e-9
 
 
@@ -124,11 +123,11 @@ def test_schedule_validation():
         KickSchedule(tau=1.0, n_kicks=-1)
 
 
-def test_kick_step_tags_sector():
-    p = ChainParams(uniform_profile(5, 1.0, -1.0))
-    u = kick_step(p, KickSchedule(tau=1.0, e0=0.1, e1=1.0), enumerate_basis(5, 2))
-    assert u.sector == (5, 2)
-    assert u.dim == 10
+def test_kick_step_returns_the_sector_matrix():
+    p = ChainParams(uniform_profile(5, 1.0, -1.0), dm_field=0.1)
+    u = kick_step(p, KickSchedule(tau=1.0, e1=1.0), enumerate_basis(5, 2))
+    assert isinstance(u, np.ndarray)
+    assert u.shape == (10, 10)
 
 
 def test_kick_step_rejects_unknown_convention():
@@ -139,35 +138,33 @@ def test_kick_step_rejects_unknown_convention():
 
 
 def test_zero_amplitude_kick_reduces_to_free_evolution():
-    p = ChainParams(uniform_profile(5, 1.0, -1.0))
+    p = ChainParams(uniform_profile(5, 1.0, -1.0), dm_field=0.1)
     basis = enumerate_basis(5, 1)
-    sched = KickSchedule(tau=1.7, e0=0.1, e1=0.0)
-    u = kick_step(p, sched, basis)
-    h0 = build_hamiltonian(ChainParams(p.profile, dm_field=0.1), basis)
-    assert np.abs(u.matrix - unitary_exp(h0, 1.7).matrix).max() < 1e-13
+    u = kick_step(p, KickSchedule(tau=1.7, e1=0.0), basis)
+    assert np.abs(u - unitary_exp(build_hamiltonian(p, basis), 1.7)).max() < 1e-13
 
 
 def test_short_interval_kick_approaches_bare_kick():
     p = ChainParams(uniform_profile(5, 1.0, -1.0))
     basis = enumerate_basis(5, 1)
-    u = kick_step(p, KickSchedule(tau=1e-8, e0=0.0, e1=0.9), basis)
+    u = kick_step(p, KickSchedule(tau=1e-8, e1=0.9), basis)
     d = chirality_operator(basis)
-    assert np.abs(u.matrix - unitary_exp(d, 0.9).matrix).max() < 1e-6
+    assert np.abs(u - unitary_exp(d, 0.9)).max() < 1e-6
 
 
 def test_conventions_agree_at_unit_interval_and_differ_elsewhere():
-    p = ChainParams(uniform_profile(6, 1.0, -1.0))
+    p = ChainParams(uniform_profile(6, 1.0, -1.0), dm_field=0.1)
     basis = enumerate_basis(6, 1)
-    a = kick_step(p, KickSchedule(tau=1.0, e0=0.1, e1=1.0), basis,
+    a = kick_step(p, KickSchedule(tau=1.0, e1=1.0), basis,
                   u0_convention="hamiltonian_tau")
-    b = kick_step(p, KickSchedule(tau=1.0, e0=0.1, e1=1.0), basis,
+    b = kick_step(p, KickSchedule(tau=1.0, e1=1.0), basis,
                   u0_convention="literal_eq5")
-    assert np.abs(a.matrix - b.matrix).max() < 1e-12
-    a2 = kick_step(p, KickSchedule(tau=2.0, e0=0.1, e1=1.0), basis,
+    assert np.abs(a - b).max() < 1e-12
+    a2 = kick_step(p, KickSchedule(tau=2.0, e1=1.0), basis,
                    u0_convention="hamiltonian_tau")
-    b2 = kick_step(p, KickSchedule(tau=2.0, e0=0.1, e1=1.0), basis,
+    b2 = kick_step(p, KickSchedule(tau=2.0, e1=1.0), basis,
                    u0_convention="literal_eq5")
-    assert np.abs(a2.matrix - b2.matrix).max() > 1e-3
+    assert np.abs(a2 - b2).max() > 1e-3
 
 
 @pytest.mark.parametrize("convention", ["hamiltonian_tau", "literal_eq5"])
@@ -176,64 +173,57 @@ def test_kick_step_matches_full_space(convention):
     rng = np.random.default_rng(29)
     j1 = rng.normal(size=n - 1).round(3).tolist()
     j2 = rng.normal(size=n - 2).round(3).tolist()
-    p = ChainParams(CouplingProfile(n, tuple(j1), tuple(j2)), b_field=0.2)
-    sched = KickSchedule(tau=1.3, e0=0.1, e1=0.8)
+    p = ChainParams(CouplingProfile(n, tuple(j1), tuple(j2)), dm_field=0.1, b_field=0.2)
+    sched = KickSchedule(tau=1.3, e1=0.8)
     full = oracle.kick_unitary(j1, j2, 0.2, 0.1, 0.8, 1.3, n, convention)
     for k in (1, 2):
         basis = enumerate_basis(n, k)
         idx = [oracle.full_index(c, n) for c in basis.configs]
         u = kick_step(p, sched, basis, u0_convention=convention)
-        assert np.abs(u.matrix - full[np.ix_(idx, idx)]).max() < 1e-12
+        assert np.abs(u - full[np.ix_(idx, idx)]).max() < 1e-12
 
 
 # -- repeated kicks ------------------------------------------------------------
 
 def make_step_and_state(n=5, k=1, tau=2.0):
-    p = ChainParams(uniform_profile(n, 1.0, -1.0))
+    p = ChainParams(uniform_profile(n, 1.0, -1.0), dm_field=0.1)
     basis = enumerate_basis(n, k)
-    step = kick_step(p, KickSchedule(tau=tau, e0=0.1, e1=1.0), basis)
-    amps = np.zeros(basis.size, dtype=complex)
-    amps[0] = 1.0
-    return step, StateVector(amps, sector=(n, k))
+    step = kick_step(p, KickSchedule(tau=tau, e1=1.0), basis)
+    psi0 = np.zeros((basis.size, 1), dtype=complex)
+    psi0[0] = 1.0
+    return step, psi0
 
 
 def test_zero_kicks_returns_initial_state():
     step, psi0 = make_step_and_state()
-    out = evolve_kicked(step, 0, psi0)
-    assert np.array_equal(out.amplitudes, psi0.amplitudes)
+    assert np.array_equal(kicked_columns(step, psi0, 0), psi0)
 
 
 def test_kick_counts_compose():
     step, psi0 = make_step_and_state()
-    once = evolve_kicked(step, 7, psi0)
-    twice = evolve_kicked(step, 4, evolve_kicked(step, 3, psi0))
-    assert np.abs(once.amplitudes - twice.amplitudes).max() < 1e-12
+    once = kicked_columns(step, psi0, 7)
+    twice = kicked_columns(step, kicked_columns(step, psi0, 3), 4)
+    assert np.abs(once - twice).max() < 1e-12
 
 
 def test_norm_is_preserved_over_many_kicks():
     step, psi0 = make_step_and_state()
-    out = evolve_kicked(step, 500, psi0)
-    assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-10
+    assert abs(np.linalg.norm(kicked_columns(step, psi0, 500)) - 1.0) < 1e-10
 
 
 def test_sector_mismatch_is_rejected():
     step, _ = make_step_and_state(n=5, k=1)
-    amps = np.zeros(10, dtype=complex)
-    amps[0] = 1.0
+    psi = np.zeros((10, 1), dtype=complex)
+    psi[0] = 1.0
     with pytest.raises(ValueError):
-        evolve_kicked(step, 1, StateVector(amps, sector=(5, 2)))
-
-
-def test_state_vector_requires_unit_norm():
-    with pytest.raises(ValueError):
-        StateVector(np.array([1.0, 1.0]))
+        kicked_columns(step, psi, 1)
 
 
 # -- stroboscopic amplitude series ---------------------------------------------
 
 def test_series_starts_with_kronecker_delta():
-    p = ChainParams(uniform_profile(6, 1.0, -1.0))
-    sched = KickSchedule(tau=2.0, e0=0.1, e1=1.0)
+    p = ChainParams(uniform_profile(6, 1.0, -1.0), dm_field=0.1)
+    sched = KickSchedule(tau=2.0, e1=1.0)
     basis = enumerate_basis(6, 1)
     same = amplitude_series(p, sched, basis, (1,), (1,), 3)
     other = amplitude_series(p, sched, basis, (1,), (6,), 3)
@@ -242,22 +232,21 @@ def test_series_starts_with_kronecker_delta():
 
 
 def test_series_matches_repeated_kick_readout():
-    p = ChainParams(uniform_profile(5, 1.0, -1.0))
-    sched = KickSchedule(tau=1.5, e0=0.1, e1=0.7)
+    p = ChainParams(uniform_profile(5, 1.0, -1.0), dm_field=0.1)
+    sched = KickSchedule(tau=1.5, e1=0.7)
     basis = enumerate_basis(5, 2)
     series = amplitude_series(p, sched, basis, (1, 2), (4, 5), 20)
-    step, psi0 = None, np.zeros(basis.size, dtype=complex)
+    psi0 = np.zeros((basis.size, 1), dtype=complex)
     psi0[basis.index_map[(1, 2)]] = 1.0
-    step = kick_step(p, sched, basis)
-    out = evolve_kicked(step, 20, StateVector(psi0, sector=(5, 2)))
-    assert abs(series[20] - out.amplitudes[basis.index_map[(4, 5)]]) < 1e-12
+    out = kicked_columns(kick_step(p, sched, basis), psi0, 20)
+    assert abs(series[20] - out[basis.index_map[(4, 5)], 0]) < 1e-12
 
 
 @pytest.mark.parametrize("convention", ["hamiltonian_tau", "literal_eq5"])
 def test_series_matches_full_space_kicks(convention):
     n, m_max = 4, 12
-    p = ChainParams(uniform_profile(n, 1.0, -1.0))
-    sched = KickSchedule(tau=2.2, e0=0.1, e1=1.0)
+    p = ChainParams(uniform_profile(n, 1.0, -1.0), dm_field=0.1)
+    sched = KickSchedule(tau=2.2, e1=1.0)
     basis = enumerate_basis(n, 1)
     series = amplitude_series(p, sched, basis, (1,), (n,), m_max,
                               u0_convention=convention)

@@ -20,6 +20,7 @@ from kickedchain import (
     continuous_fidelity_series,
     eigendecompose,
     enumerate_basis,
+    fidelity_lattice,
     fidelity_series,
     float_grid,
     impurity_from_strength,
@@ -80,7 +81,7 @@ def test_continuous_times_cover_one_to_5000():
 
 def test_series_initial_values_are_exact():
     p = params_for(6)
-    sched = KickSchedule(tau=2.0, e0=0.1, e1=1.0, n_kicks=5)
+    sched = KickSchedule(tau=2.0, e1=1.0, n_kicks=5)
     assert fidelity_series(p, sched, "omega0")[0] == 0.5
     assert fidelity_series(p, sched, "omega1")[0] == 0.0
     assert fidelity_series(p, sched, "omega2")[0] == 0.5
@@ -88,14 +89,14 @@ def test_series_initial_values_are_exact():
 
 def test_series_length_and_budget_default():
     p = params_for(5)
-    sched = KickSchedule(tau=1.0, e0=0.1, e1=1.0, n_kicks=7)
+    sched = KickSchedule(tau=1.0, e1=1.0, n_kicks=7)
     assert fidelity_series(p, sched, "omega0").shape == (8,)
     assert fidelity_series(p, sched, "omega0", m_max=3).shape == (4,)
 
 
 def test_series_values_stay_physical_for_omega0_and_omega1():
     p = params_for(6)
-    sched = KickSchedule(tau=2.0, e0=0.1, e1=1.0)
+    sched = KickSchedule(tau=2.0, e1=1.0)
     for state in ("omega0", "omega1"):
         series = fidelity_series(p, sched, state, m_max=200)
         assert series.min() >= 0.0 and series.max() <= 1.0 + 1e-12
@@ -105,17 +106,27 @@ def test_series_values_stay_physical_for_omega0_and_omega1():
 def test_zero_amplitude_kicks_reproduce_continuous_evolution(state):
     # with e1 = 0 the stroboscopic series is continuous evolution sampled at m*tau
     n, tau, m_max = 6, 0.7, 100
-    sched = KickSchedule(tau=tau, e0=0.1, e1=0.0)
+    sched = KickSchedule(tau=tau, e1=0.0)
     kicked = fidelity_series(params_for(n), sched, state, m_max=m_max)
     times = [tau * m for m in range(m_max + 1)]
     continuous = continuous_fidelity_series(params_for(n, e=0.1), times, state)
     assert np.abs(kicked - continuous).max() < 1e-9
 
 
+def test_the_chain_dm_field_is_the_only_static_field():
+    # zero-amplitude kicks at tau = 1 sample continuous evolution at integer
+    # times under the chain's own DM field, which nothing else overrides
+    params = params_for(6, e=0.37)
+    k = 60
+    kicked = fidelity_lattice(params, "omega0", (1.0,), k, e1=0.0)[0]
+    continuous = continuous_fidelity_series(params, range(0, k + 1), "omega0")
+    assert np.abs(kicked - continuous).max() <= 1e-12
+
+
 def test_bell_states_need_four_sites():
     p = params_for(3)
     with pytest.raises(ValueError):
-        fidelity_series(p, KickSchedule(tau=1.0, e0=0.1, e1=1.0), "omega1", m_max=2)
+        fidelity_series(p, KickSchedule(tau=1.0, e1=1.0), "omega1", m_max=2)
     with pytest.raises(ValueError):
         continuous_fidelity_series(p, [1.0], "omega2")
 
@@ -129,7 +140,7 @@ def test_continuous_series_matches_per_time_amplitudes():
     basis = enumerate_basis(5, 1)
     h = build_hamiltonian(p, basis)
     for t, got in zip(times, series):
-        u = unitary_exp(h, t).matrix
+        u = unitary_exp(h, t)
         f = u[index_of(basis, (5,)), index_of(basis, (1,))]
         want = single_qubit_fidelity(f * vacuum_phase(p, t).conjugate())
         assert abs(got - want) < 1e-12
@@ -180,7 +191,7 @@ def per_time_fidelity(p, state, t):
     """One propagator exp(-iHt) per time, scored with the scalar closed forms."""
     n = p.profile.n_sites
     basis = enumerate_basis(n, 2 if state == "omega2" else 1)
-    u = unitary_exp(build_hamiltonian(p, basis), t).matrix
+    u = unitary_exp(build_hamiltonian(p, basis), t)
     amp = lambda target, source: u[index_of(basis, target), index_of(basis, source)]
     if state == "omega0":
         return single_qubit_fidelity(amp((n,), (1,)) * vacuum_phase(p, t).conjugate())
@@ -206,7 +217,7 @@ def test_max_fidelity_scans_the_lattice():
     taus = (0.5, 1.0, 2.0)
     val, atau, am = max_fidelity(p, "omega0", taus, m_max=40)
     assert atau in taus and 0 <= am <= 40
-    series = fidelity_series(p, KickSchedule(tau=atau, e0=0.1, e1=1.0), "omega0", 40)
+    series = fidelity_series(p, KickSchedule(tau=atau, e1=1.0), "omega0", 40)
     assert val == series.max()
     assert series[am] == val
 
@@ -233,8 +244,7 @@ def test_tau_ties_go_to_the_smallest_interval():
     # with no static Hamiltonian every interval gives the same kick series;
     # 40 kicks of 0.3 sweep the swap angle past 3*pi/2 where transfer peaks
     p = ChainParams(uniform_profile(2, 0.0, 0.0))
-    val, atau, am = max_fidelity(p, "omega0", (0.5, 1.0, 2.0), m_max=40,
-                                 e0=0.0, e1=0.3)
+    val, atau, am = max_fidelity(p, "omega0", (0.5, 1.0, 2.0), m_max=40, e1=0.3)
     assert atau == 0.5
     assert val > 0.9
     assert 25 <= am <= 40
@@ -297,7 +307,7 @@ def test_kick_count_axis_scores_the_series_endpoint():
     assert rows[0].argmax_tau == 1.0              # flat in tau, ties to first
     assert rows[0].argmax_kicks == 0
     endpoints = [
-        fidelity_series(p, KickSchedule(tau=tau, e0=0.1, e1=1.0), "omega0", 3)[-1]
+        fidelity_series(p, KickSchedule(tau=tau, e1=1.0), "omega0", 3)[-1]
         for tau in (1.0, 2.0)
     ]
     assert rows[1].max_fidelity == max(endpoints)
@@ -418,6 +428,9 @@ def test_plan_validation_errors():
         SweepPlan(**{**good, "axis": "impurity_ratio"})      # no impurity template
     with pytest.raises(ValueError):
         SweepPlan(**{**good, "axis": "kick_count", "grid": (1.5,)})
+    with pytest.raises(ValueError):
+        SweepPlan(**{**good, "grid": (-1.0, 1.0)})             # tau axis: intervals > 0
+    SweepPlan(**{**good, "axis": "e1", "grid": (-1.0, 1.0)})
     ragged = ChainParams(CouplingProfile(5, (1.0, 2.0, 1.0, 1.0),
                                          (-1.0, -1.0, -1.0)))
     with pytest.raises(ValueError):
@@ -462,7 +475,7 @@ def test_periodogram_dominant_frequency_of_a_real_series_is_at_most_one_half():
 
 def test_periodogram_dominant_bin_does_not_move_under_round_off():
     # configs/fig4a.yaml: omega0 after each of 500 kicks at tau = 2
-    series = fidelity_series(params_for(10), KickSchedule(tau=2.0, e0=0.1, e1=1.0),
+    series = fidelity_series(params_for(10), KickSchedule(tau=2.0, e1=1.0),
                              "omega0", 500)
     _, _, dominant = periodogram(series)
     assert dominant is not None and dominant <= 0.5
