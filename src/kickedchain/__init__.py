@@ -33,7 +33,6 @@ from .propagator import (
     eigendecompose,
     kick_lattice,
     kick_step,
-    kicked_columns,
     unitary_exp,
 )
 from .fidelity import (

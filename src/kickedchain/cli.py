@@ -2,9 +2,17 @@
 
 Experiments are described by a YAML document with five blocks (``chain``,
 ``drive``, ``impurity``, ``run``, ``output``), all optional except that
-sweep mode needs an axis and a grid.  Missing keys fall back to the
-canonical ten-site point: N=10, J1=1, J2=-1, E0=0.1, E1=1, tau=2.
-Unknown keys anywhere are rejected with the offending key path.
+sweep mode needs an axis and a grid.  The block dataclasses are the
+schema: each field is a key, its default is what a missing key takes (the
+canonical ten-site point: N=10, J1=1, J2=-1, E0=0.1, E1=1, tau=2), and a
+present value is read by the field's type or, for a choice, checked
+against the choice set in the field's metadata.  The impurity block is a
+``model.ImpuritySpec``, given by a strength or by all three ratios.
+Unknown keys anywhere are rejected with the offending key path.  Command
+line flags are keys too: the subcommand's ``run.mode``, ``--out``
+(``output.path``) and ``--workers`` (``run.workers``) are written into the
+document before it is read, so each is checked like its key and the
+mode-dependent checks see the final mode.
 
 Every run writes two files with the same records, a CSV table (the
 plot-ready artifact) and a JSON mirror; reruns of the same config are
@@ -18,7 +26,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, field, fields
 from itertools import chain
 from pathlib import Path
 
@@ -51,7 +59,6 @@ __all__ = [
     "ExperimentConfig",
     "ChainBlock",
     "DriveBlock",
-    "ImpurityBlock",
     "RunBlock",
     "OutputBlock",
     "parse_config",
@@ -76,6 +83,11 @@ class ConfigError(ValueError):
 # Config blocks
 # ---------------------------------------------------------------------------
 
+def _choice(default: str | None, choices: tuple[str, ...]):
+    """A field whose value, when given, must be one of ``choices``."""
+    return field(default=default, metadata={"choices": choices})
+
+
 @dataclass(frozen=True)
 class ChainBlock:
     n_sites: int = 10
@@ -90,30 +102,15 @@ class DriveBlock:
     e1: float = 1.0
     tau: float = 2.0
     n_kicks: int = 500
-    u0_convention: str = "hamiltonian_tau"
-    omega2_convention: str = "re_amplitude"
-
-
-@dataclass(frozen=True)
-class ImpurityBlock:
-    """Normalized impurity description: explicit ratios, site resolved."""
-
-    kind: str
-    site: int
-    ratio_nn: float
-    ratio_nnn_strong: float
-    ratio_nnn_weak: float
-
-    def to_spec(self) -> ImpuritySpec:
-        return ImpuritySpec(self.kind, self.site, self.ratio_nn,
-                            self.ratio_nnn_strong, self.ratio_nnn_weak)
+    u0_convention: str = _choice("hamiltonian_tau", U0_CONVENTIONS)
+    omega2_convention: str = _choice("re_amplitude", OMEGA2_CONVENTIONS)
 
 
 @dataclass(frozen=True)
 class RunBlock:
-    mode: str = "evolve"
+    mode: str = _choice("evolve", MODES)
     states: tuple[str, ...] = ("omega0",)
-    axis: str | None = None
+    axis: str | None = _choice(None, SWEEP_AXES)
     grid: tuple[float, ...] | None = None
     tau_grid: tuple[float, ...] = DEFAULT_TAU_GRID
     m_max: int = 500
@@ -123,7 +120,7 @@ class RunBlock:
 @dataclass(frozen=True)
 class OutputBlock:
     path: str = "results"
-    format: str = "csv"
+    format: str = _choice("csv", OUTPUT_FORMATS)
     physical_time_column: bool = True
 
 
@@ -131,7 +128,7 @@ class OutputBlock:
 class ExperimentConfig:
     chain: ChainBlock = ChainBlock()
     drive: DriveBlock = DriveBlock()
-    impurity: ImpurityBlock | None = None
+    impurity: ImpuritySpec | None = None
     run: RunBlock = RunBlock()
     output: OutputBlock = OutputBlock()
 
@@ -154,6 +151,12 @@ def _reject_unknown(block: dict, path: str):
         raise ConfigError(f"{path}.{key}" if path else str(key), "unknown key")
 
 
+def _as_int(value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(where, f"expected an integer, got {value!r}")
+    return value
+
+
 def _as_float(value, where: str) -> float:
     """A finite number from a config value; bools, non-numbers, NaN and +-inf are rejected."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -163,55 +166,35 @@ def _as_float(value, where: str) -> float:
     return float(value)
 
 
-def _pop_float(block: dict, key: str, path: str, default: float) -> float:
-    if key not in block:
-        return default
-    return _as_float(block.pop(key), f"{path}.{key}")
-
-
-def _pop_int(block: dict, key: str, path: str, default: int | None) -> int | None:
-    if key not in block:
-        return default
-    value = block.pop(key)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}.{key}", f"expected an integer, got {value!r}")
-    return value
-
-
-def _pop_bool(block: dict, key: str, path: str, default: bool) -> bool:
-    if key not in block:
-        return default
-    value = block.pop(key)
+def _as_bool(value, where: str) -> bool:
     if not isinstance(value, bool):
-        raise ConfigError(f"{path}.{key}", f"expected a boolean, got {value!r}")
+        raise ConfigError(where, f"expected a boolean, got {value!r}")
     return value
 
 
-def _pop_choice(block: dict, key: str, path: str, choices, default: str | None) -> str | None:
-    if key not in block:
-        return default
-    value = block.pop(key)
+def _as_str(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(where, f"expected a string, got {value!r}")
+    return value
+
+
+def _as_choice(value, choices: tuple[str, ...], where: str) -> str:
     if value not in choices:
-        raise ConfigError(f"{path}.{key}", f"expected one of {choices}, got {value!r}")
+        raise ConfigError(where, f"expected one of {choices}, got {value!r}")
     return value
 
 
-def _pop_grid(block: dict, key: str, path: str, default):
+def _read_grid(value, where: str) -> tuple[float, ...]:
     """A grid is either an explicit list of numbers or {start, stop, step}."""
-    if key not in block:
-        return default
-    value = block.pop(key)
-    where = f"{path}.{key}"
     if isinstance(value, dict):
         spec = dict(value)
-        start = _pop_float(spec, "start", where, None)
-        stop = _pop_float(spec, "stop", where, None)
-        step = _pop_float(spec, "step", where, None)
+        bounds = [_as_float(spec.pop(k), f"{where}.{k}") for k in ("start", "stop", "step")
+                  if k in spec]
         _reject_unknown(spec, where)
-        if None in (start, stop, step):
+        if len(bounds) < 3:
             raise ConfigError(where, "grid mapping needs start, stop and step")
         try:
-            return float_grid(start, stop, step)
+            return float_grid(*bounds)
         except ValueError as exc:
             raise ConfigError(where, str(exc)) from None
     if isinstance(value, list):
@@ -222,70 +205,69 @@ def _pop_grid(block: dict, key: str, path: str, default):
     raise ConfigError(where, "expected a list of numbers or a start/stop/step mapping")
 
 
-def _pop_states(block: dict, key: str, path: str, default) -> tuple[str, ...]:
-    if key not in block:
-        return default
-    value = block.pop(key)
-    where = f"{path}.{key}"
+def _read_states(value, where: str) -> tuple[str, ...]:
     if not isinstance(value, list) or not value:
         raise ConfigError(where, "expected a nonempty list of state names")
     states = []
     for i, s in enumerate(value):
-        if s not in KNOWN_STATES:
-            raise ConfigError(f"{where}[{i}]", f"expected one of {KNOWN_STATES}, got {s!r}")
+        _as_choice(s, KNOWN_STATES, f"{where}[{i}]")
         if s in states:
             raise ConfigError(f"{where}[{i}]", f"duplicate state {s!r}")
         states.append(s)
     return tuple(states)
 
 
-def _parse_impurity(block: dict, chain: ChainBlock) -> ImpurityBlock | None:
-    if not block:
+# How a present value is read, by its field's annotation with any "| None" dropped.
+_READERS = {"int": _as_int, "float": _as_float, "bool": _as_bool, "str": _as_str,
+            "tuple[float, ...]": _read_grid, "tuple[str, ...]": _read_states}
+
+
+def _read_fields(cls, raw: dict, path: str) -> dict:
+    """The keys of ``raw`` that are fields of ``cls``, each read by its type or choice set.
+
+    Any other key is rejected.  A missing field is left out of the result,
+    so ``cls(**result)`` gives it its default.
+    """
+    values = {}
+    for f in fields(cls):
+        if f.name in raw:
+            where = f"{path}.{f.name}"
+            if "choices" in f.metadata:
+                values[f.name] = _as_choice(raw.pop(f.name), f.metadata["choices"], where)
+            else:
+                values[f.name] = _READERS[f.type.removesuffix(" | None")](raw.pop(f.name), where)
+    _reject_unknown(raw, path)
+    return values
+
+
+def _parse_impurity(raw: dict, chain: ChainBlock) -> ImpuritySpec | None:
+    """An impurity kind and site (mid-chain by default) with a strength or all three ratios."""
+    if not raw:
         return None
     path = "impurity"
-    kind = _pop_choice(block, "kind", path, IMPURITY_KINDS, None)
-    if kind is None:
+    strength = _as_float(raw.pop("strength"), f"{path}.strength") if "strength" in raw else None
+    ratios = _read_fields(ImpuritySpec, raw, path)     # kind and site are popped off
+    if "kind" not in ratios:
         raise ConfigError(f"{path}.kind", "required when an impurity block is present")
-    site = _pop_int(block, "site", path, None)
-    if site is None:
-        site = default_impurity_site(chain.n_sites)
-    strength = _pop_float(block, "strength", path, None) if "strength" in block else None
-    ratio_nn = _pop_float(block, "ratio_nn", path, None) if "ratio_nn" in block else None
-    strong = _pop_float(block, "ratio_nnn_strong", path, None) if "ratio_nnn_strong" in block else None
-    weak = _pop_float(block, "ratio_nnn_weak", path, None) if "ratio_nnn_weak" in block else None
-    _reject_unknown(block, path)
-
-    explicit = [r is not None for r in (ratio_nn, strong, weak)]
-    if strength is not None:
-        if any(explicit):
-            raise ConfigError(f"{path}.strength", "give either strength or explicit ratios, not both")
-        try:
-            spec = impurity_from_strength(kind, site, strength)
-        except ValueError as exc:
-            raise ConfigError(path, str(exc)) from None
-    else:
-        if not all(explicit):
-            raise ConfigError(path, "need either strength or all of ratio_nn, "
-                                    "ratio_nnn_strong, ratio_nnn_weak")
-        try:
-            spec = ImpuritySpec(kind, site, ratio_nn, strong, weak)
-        except ValueError as exc:
-            raise ConfigError(path, str(exc)) from None
+    kind = _as_choice(ratios.pop("kind"), IMPURITY_KINDS, f"{path}.kind")
+    site = ratios.pop("site", default_impurity_site(chain.n_sites))
+    if strength is not None and ratios:
+        raise ConfigError(f"{path}.strength", "give either strength or explicit ratios, not both")
+    if strength is None and len(ratios) < 3:
+        raise ConfigError(path, "need either strength or all of ratio_nn, "
+                                "ratio_nnn_strong, ratio_nnn_weak")
+    try:
+        spec = (impurity_from_strength(kind, site, strength) if strength is not None
+                else ImpuritySpec(kind, site, **ratios))
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from None
 
     # re-validate against the chain geometry so bad sites fail at parse time
     try:
         apply_impurity(uniform_profile(chain.n_sites, chain.j1, chain.j2), spec)
     except ValueError as exc:
         raise ConfigError(f"{path}.site", str(exc)) from None
-    return ImpurityBlock(spec.kind, spec.site, spec.ratio_nn,
-                         spec.ratio_nnn_strong, spec.ratio_nnn_weak)
-
-
-def _require_sweep_axis_and_grid(run_block: RunBlock):
-    if run_block.axis is None:
-        raise ConfigError("run.axis", "required for sweep mode")
-    if run_block.grid is None:
-        raise ConfigError("run.grid", "required for sweep mode")
+    return spec
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -295,6 +277,11 @@ def parse_config(text: str) -> ExperimentConfig:
     numeric constraint is re-checked here so invalid configs fail before
     any computation starts.
     """
+    return _read_config(text, {})
+
+
+def _read_config(text: str, flags: dict) -> ExperimentConfig:
+    """``parse_config`` with ``flags`` ({"block.key": value}) written into the document first."""
     try:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -302,52 +289,26 @@ def parse_config(text: str) -> ExperimentConfig:
         where = f"line {mark.line + 1}" if mark is not None else "document"
         raise ConfigError("", f"YAML parse error at {where}: {exc}") from None
     top = _expect_mapping(doc, "document")
-
-    chain_raw = _expect_mapping(top.pop("chain", None), "chain")
-    drive_raw = _expect_mapping(top.pop("drive", None), "drive")
-    imp_raw = _expect_mapping(top.pop("impurity", None), "impurity")
-    run_raw = _expect_mapping(top.pop("run", None), "run")
-    out_raw = _expect_mapping(top.pop("output", None), "output")
+    raw = {f.name: _expect_mapping(top.pop(f.name, None), f.name)
+           for f in fields(ExperimentConfig)}
     _reject_unknown(top, "")
+    for key_path, value in flags.items():
+        block, key = key_path.split(".")
+        raw[block][key] = value
 
-    chain = ChainBlock(
-        n_sites=_pop_int(chain_raw, "n_sites", "chain", 10),
-        j1=_pop_float(chain_raw, "j1", "chain", 1.0),
-        j2=_pop_float(chain_raw, "j2", "chain", -1.0),
-        b_field=_pop_float(chain_raw, "b_field", "chain", 0.0),
-    )
-    _reject_unknown(chain_raw, "chain")
+    chain = ChainBlock(**_read_fields(ChainBlock, raw["chain"], "chain"))
     if chain.n_sites < 2:
         raise ConfigError("chain.n_sites", f"need at least 2 sites, got {chain.n_sites}")
 
-    drive = DriveBlock(
-        e0=_pop_float(drive_raw, "e0", "drive", 0.1),
-        e1=_pop_float(drive_raw, "e1", "drive", 1.0),
-        tau=_pop_float(drive_raw, "tau", "drive", 2.0),
-        n_kicks=_pop_int(drive_raw, "n_kicks", "drive", 500),
-        u0_convention=_pop_choice(drive_raw, "u0_convention", "drive",
-                                  U0_CONVENTIONS, "hamiltonian_tau"),
-        omega2_convention=_pop_choice(drive_raw, "omega2_convention", "drive",
-                                      OMEGA2_CONVENTIONS, "re_amplitude"),
-    )
-    _reject_unknown(drive_raw, "drive")
+    drive = DriveBlock(**_read_fields(DriveBlock, raw["drive"], "drive"))
     try:
         _schedule(drive)
     except ValueError as exc:
         raise ConfigError("drive", str(exc)) from None
 
-    impurity = _parse_impurity(imp_raw, chain)
+    impurity = _parse_impurity(raw["impurity"], chain)
 
-    run_block = RunBlock(
-        mode=_pop_choice(run_raw, "mode", "run", MODES, "evolve"),
-        states=_pop_states(run_raw, "states", "run", ("omega0",)),
-        axis=_pop_choice(run_raw, "axis", "run", SWEEP_AXES, None),
-        grid=_pop_grid(run_raw, "grid", "run", None),
-        tau_grid=_pop_grid(run_raw, "tau_grid", "run", DEFAULT_TAU_GRID),
-        m_max=_pop_int(run_raw, "m_max", "run", 500),
-        workers=_pop_int(run_raw, "workers", "run", 1),
-    )
-    _reject_unknown(run_raw, "run")
+    run_block = RunBlock(**_read_fields(RunBlock, raw["run"], "run"))
     if run_block.m_max < 1:
         raise ConfigError("run.m_max", f"must be >= 1, got {run_block.m_max}")
     if run_block.workers < 1:
@@ -357,68 +318,27 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"run.states[{i}]", f"Bell transfer ({state}) needs n_sites >= 4 "
                                                   f"so the receiver pair is distinct")
 
-    path = out_raw.pop("path", "results")
-    if not isinstance(path, str):
-        raise ConfigError("output.path", f"expected a string, got {path!r}")
-    output = OutputBlock(
-        path=path,
-        format=_pop_choice(out_raw, "format", "output", OUTPUT_FORMATS, "csv"),
-        physical_time_column=_pop_bool(out_raw, "physical_time_column", "output", True),
-    )
-    _reject_unknown(out_raw, "output")
+    output = OutputBlock(**_read_fields(OutputBlock, raw["output"], "output"))
 
     config = ExperimentConfig(chain=chain, drive=drive, impurity=impurity,
                               run=run_block, output=output)
     if run_block.mode == "sweep":
         _sweep_plan(config)
+    if run_block.mode == "periodogram" and drive.n_kicks < 3:
+        raise ConfigError("drive.n_kicks", f"a periodogram needs at least 3 kicks (4 samples), "
+                                           f"got {drive.n_kicks}")
     return config
 
 
 def serialize_config(config: ExperimentConfig) -> str:
-    """Normalized YAML for a config; parse_config(serialize_config(c)) == c."""
-    doc: dict = {
-        "chain": {
-            "n_sites": config.chain.n_sites,
-            "j1": config.chain.j1,
-            "j2": config.chain.j2,
-            "b_field": config.chain.b_field,
-        },
-        "drive": {
-            "e0": config.drive.e0,
-            "e1": config.drive.e1,
-            "tau": config.drive.tau,
-            "n_kicks": config.drive.n_kicks,
-            "u0_convention": config.drive.u0_convention,
-            "omega2_convention": config.drive.omega2_convention,
-        },
-    }
-    if config.impurity is not None:
-        doc["impurity"] = {
-            "kind": config.impurity.kind,
-            "site": config.impurity.site,
-            "ratio_nn": config.impurity.ratio_nn,
-            "ratio_nnn_strong": config.impurity.ratio_nnn_strong,
-            "ratio_nnn_weak": config.impurity.ratio_nnn_weak,
-        }
-    run_doc = {
-        "mode": config.run.mode,
-        "states": list(config.run.states),
-    }
-    if config.run.axis is not None:
-        run_doc["axis"] = config.run.axis
-    if config.run.grid is not None:
-        run_doc["grid"] = list(config.run.grid)
-    run_doc.update({
-        "tau_grid": list(config.run.tau_grid),
-        "m_max": config.run.m_max,
-        "workers": config.run.workers,
-    })
-    doc["run"] = run_doc
-    doc["output"] = {
-        "path": config.output.path,
-        "format": config.output.format,
-        "physical_time_column": config.output.physical_time_column,
-    }
+    """Normalized YAML for a config; parse_config(serialize_config(c)) == c.
+
+    Blocks and keys follow the dataclass field order, tuples are written as
+    lists, and ``None`` fields and an absent impurity are left out.
+    """
+    doc = {name: {key: list(value) if isinstance(value, tuple) else value
+                  for key, value in block.items() if value is not None}
+           for name, block in asdict(config).items() if block is not None}
     return yaml.safe_dump(doc, sort_keys=False)
 
 
@@ -429,7 +349,7 @@ def serialize_config(config: ExperimentConfig) -> str:
 def _template_params(config: ExperimentConfig, with_impurity: bool) -> ChainParams:
     profile = uniform_profile(config.chain.n_sites, config.chain.j1, config.chain.j2)
     if with_impurity and config.impurity is not None:
-        profile = apply_impurity(profile, config.impurity.to_spec())
+        profile = apply_impurity(profile, config.impurity)
     return ChainParams(profile, dm_field=config.drive.e0, b_field=config.chain.b_field)
 
 
@@ -440,14 +360,17 @@ def _schedule(drive: DriveBlock) -> KickSchedule:
 def _sweep_plan(config: ExperimentConfig) -> SweepPlan:
     """The sweep plan of a config; a plan the library rejects is a ConfigError on ``run``."""
     run_block = config.run
-    _require_sweep_axis_and_grid(run_block)
+    if run_block.axis is None:
+        raise ConfigError("run.axis", "required for sweep mode")
+    if run_block.grid is None:
+        raise ConfigError("run.grid", "required for sweep mode")
     try:
         return SweepPlan(
             params=_template_params(config, with_impurity=False),
             axis=run_block.axis,
             grid=run_block.grid,
             states=run_block.states,
-            impurity=config.impurity.to_spec() if config.impurity is not None else None,
+            impurity=config.impurity,
             tau_grid=run_block.tau_grid,
             m_max=run_block.m_max,
             e1=config.drive.e1,
@@ -458,17 +381,20 @@ def _sweep_plan(config: ExperimentConfig) -> SweepPlan:
         raise ConfigError("run", str(exc)) from None
 
 
-def _evolve_tables(config: ExperimentConfig):
+def _kicked_series(config: ExperimentConfig) -> dict[str, np.ndarray]:
+    """Each configured state's fidelity after kicks 0..n_kicks at the drive's one tau."""
     params = _template_params(config, with_impurity=True)
     drive = config.drive
-    schedule = _schedule(drive)
+    return {s: fidelity_series(params, _schedule(drive), s, drive.n_kicks,
+                               u0_convention=drive.u0_convention,
+                               omega2_convention=drive.omega2_convention)
+            for s in config.run.states}
+
+
+def _evolve_tables(config: ExperimentConfig):
+    series = _kicked_series(config)
+    drive = config.drive
     states = config.run.states
-    series = {
-        s: fidelity_series(params, schedule, s, drive.n_kicks,
-                           u0_convention=drive.u0_convention,
-                           omega2_convention=drive.omega2_convention)
-        for s in states
-    }
     with_ps = config.output.physical_time_column
     names = ["kick_index", "time"]
     if with_ps:
@@ -497,15 +423,9 @@ def _sweep_tables(config: ExperimentConfig, workers: int):
 
 
 def _periodogram_tables(config: ExperimentConfig):
-    params = _template_params(config, with_impurity=True)
-    drive = config.drive
-    schedule = _schedule(drive)
     columns = ["state", "frequency", "magnitude", "is_dominant"]
     rows = []
-    for state in config.run.states:
-        series = fidelity_series(params, schedule, state, drive.n_kicks,
-                                 u0_convention=drive.u0_convention,
-                                 omega2_convention=drive.omega2_convention)
+    for state, series in _kicked_series(config).items():
         frequencies, magnitudes, dominant = periodogram(series)
         for f, mag in zip(frequencies, magnitudes):
             is_dom = dominant is not None and float(f) == dominant
@@ -619,13 +539,17 @@ def _build_parser() -> argparse.ArgumentParser:
         "periodogram": "discrete Fourier spectrum of the fidelity series",
         "validate": "parse a config and print its normalized form",
     }
+    # a flag's dest is the key path it sets; the subcommand sets run.mode
     for name, text in help_text.items():
         sp = sub.add_parser(name, help=text)
         sp.add_argument("--config", type=Path, default=None,
                         help="YAML experiment file (defaults apply when omitted)")
-        sp.add_argument("--out", default=None, help="override output.path")
-        sp.add_argument("--workers", type=int, default=None,
+        sp.add_argument("--out", dest="output.path", metavar="OUT",
+                        help="override output.path")
+        sp.add_argument("--workers", dest="run.workers", metavar="WORKERS", type=int,
                         help="override run.workers (does not change scheduling or results)")
+        if name in MODES:
+            sp.set_defaults(**{"run.mode": name})
     return parser
 
 
@@ -633,15 +557,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         text = args.config.read_text(encoding="utf-8") if args.config else ""
-        config = parse_config(text)
-        if args.command in MODES and config.run.mode != args.command:
-            config = replace(config, run=replace(config.run, mode=args.command))
-        if args.out is not None:
-            config = replace(config, output=replace(config.output, path=args.out))
-        if args.workers is not None:
-            if args.workers < 1:
-                raise ConfigError("run.workers", f"must be >= 1, got {args.workers}")
-            config = replace(config, run=replace(config.run, workers=args.workers))
+        flags = {k: v for k, v in vars(args).items() if "." in k and v is not None}
+        config = _read_config(text, flags)
         if args.command == "validate":
             sys.stdout.write(serialize_config(config))
             return 0

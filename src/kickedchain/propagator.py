@@ -59,7 +59,6 @@ __all__ = [
     "unitary_exp",
     "kick_step",
     "kick_lattice",
-    "kicked_columns",
     "U0_CONVENTIONS",
 ]
 
@@ -322,18 +321,4 @@ def kick_lattice(params: ChainParams, basis: ExcitationBasis, taus, e1: float,
             lattice = np.empty((taus.size, m_max + 1), dtype=values.dtype)
         lattice[t0:t0 + amps.shape[0], m0:m0 + amps.shape[1]] = values
     return lattice
-
-
-def kicked_columns(step: np.ndarray, cols: np.ndarray, n_kicks: int) -> np.ndarray:
-    """step^n_kicks @ cols for a (dim, dim) step and (dim, n) columns, through the kick loop."""
-    if n_kicks < 0:
-        raise ValueError(f"kick count must be non-negative, got {n_kicks}")
-    cols = np.asarray(cols, dtype=complex)
-    if cols.shape[0] != step.shape[0]:
-        raise ValueError(f"step dimension {step.shape[0]} differs from column length "
-                         f"{cols.shape[0]}")
-    for _, block in _stroboscopic_blocks(step[None], cols[None], np.arange(cols.shape[0]),
-                                         n_kicks):
-        pass
-    return block[0, -1].copy()
 

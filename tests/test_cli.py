@@ -13,8 +13,12 @@ import pytest
 import kickedchain
 from kickedchain import DEFAULT_TAU_GRID, float_grid
 from kickedchain.cli import (
+    ChainBlock,
     ConfigError,
+    DriveBlock,
     ExperimentConfig,
+    OutputBlock,
+    RunBlock,
     main,
     parse_config,
     run,
@@ -24,6 +28,8 @@ from kickedchain.cli import (
 
 DATA = Path(__file__).parent / "data"
 CONFIGS = Path(__file__).parent.parent / "configs"
+README = Path(__file__).parent.parent / "README.md"
+RECIPES = sorted(CONFIGS.glob("*.yaml"))
 
 
 def parsed(text: str) -> ExperimentConfig:
@@ -54,10 +60,31 @@ def test_empty_document_yields_canonical_defaults():
      "drive: {e1: 0.0, tau: 1.5}\n"
      "run: {mode: sweep, axis: e1, grid: [0.0, 0.5, 1.0], states: [omega0, omega2]}\n"
      "output: {path: out/run1, format: json}\n"),
+    *(pytest.param(path.read_text(encoding="utf-8"), id=path.stem) for path in RECIPES),
 ])
 def test_serialize_parse_round_trip(text):
     cfg = parsed(text)
     assert parse_config(serialize_config(cfg)) == cfg
+
+
+def test_serialized_defaults_are_pinned():
+    # key order and float formatting of the normalized form
+    want = (DATA / "default_config.yaml").read_text(encoding="utf-8")
+    assert serialize_config(parse_config("")) == want
+
+
+def test_readme_config_reference_shows_the_defaults():
+    # the block sets run.axis, run.grid, output.path and an impurity on purpose
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("### Config reference"):]
+    start = section.index("```yaml\n") + len("```yaml\n")
+    block = section[start:section.index("```\n", start)]
+    cfg = parse_config(block)
+    assert cfg.chain == ChainBlock()
+    assert cfg.drive == DriveBlock()
+    assert replace(cfg.run, axis=None, grid=None) == RunBlock()
+    assert replace(cfg.output, path=OutputBlock().path) == OutputBlock()
+    assert (cfg.run.axis, cfg.impurity.kind) == ("tau", "type1")
 
 
 def test_impurity_strength_normalizes_to_explicit_ratios():
@@ -129,6 +156,7 @@ def test_unknown_keys_are_rejected_with_their_path(text, key_path):
     ("chain: {n_sites: 3}\nrun: {states: [omega0, omega1]}\n", "run.states[1]"),
     ("run: {mode: sweep, axis: kick_count, grid: [0.5]}\n", "run: kick_count grid values"),
     ("run: {mode: sweep, axis: tau, grid: [-1]}\n", "run: grid values must be positive"),
+    ("drive: {n_kicks: 2}\nrun: {mode: periodogram}\n", "drive.n_kicks"),
     ("output: {format: parquet}\n", "output.format"),
     ("output: {path: null}\n", "output.path"),
     ("output: {path: 3}\n", "output.path"),
@@ -337,6 +365,28 @@ def test_main_subcommand_overrides_config_mode(tmp_path):
     assert code == 0
     header = (tmp_path / "s.csv").read_text(encoding="utf-8").splitlines()[0]
     assert header.startswith("grid_value,")
+
+
+def test_main_subcommand_mode_is_set_before_validation(tmp_path):
+    # a sweep config without an axis is a valid evolve config
+    cfg_file = tmp_path / "cfg.yaml"
+    cfg_file.write_text("chain: {n_sites: 5}\nrun: {mode: sweep}\n", encoding="utf-8")
+    code = main(["evolve", "--config", str(cfg_file), "--out", str(tmp_path / "e")])
+    assert code == 0
+    header = (tmp_path / "e.csv").read_text(encoding="utf-8").splitlines()[0]
+    assert header.startswith("kick_index,")
+
+
+def test_main_periodogram_checks_the_kick_count_of_an_evolve_config(tmp_path, capsys):
+    cfg_file = tmp_path / "cfg.yaml"
+    cfg_file.write_text("chain: {n_sites: 5}\ndrive: {n_kicks: 2}\n", encoding="utf-8")
+    assert main(["evolve", "--config", str(cfg_file), "--out", str(tmp_path / "e")]) == 0
+    code = main(["periodogram", "--config", str(cfg_file), "--out", str(tmp_path / "p")])
+    assert code == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ConfigError"
+    assert record["key_path"] == "drive.n_kicks"
+    assert not (tmp_path / "p.csv").exists()
 
 
 def test_main_sweep_without_axis_fails_cleanly(tmp_path, capsys):

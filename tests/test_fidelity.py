@@ -168,6 +168,9 @@ def test_direct_fidelity_argument_errors():
                              schedule=KickSchedule(tau=1.0))  # both
     with pytest.raises(ValueError):
         bell_fidelity_direct(params_for(3), bell, time=1.0)   # pairs overlap
+    with pytest.raises(ValueError, match="non-negative"):
+        bell_fidelity_direct(p, bell, schedule=KickSchedule(tau=1.0),
+                             n_kicks=-1)                      # not an inverse step
 
 
 @pytest.mark.parametrize("family", ["omega1", "omega2"])

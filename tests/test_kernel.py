@@ -28,13 +28,13 @@ from kickedchain import (
     fidelity_series,
     index_of,
     kick_step,
-    kicked_columns,
     max_fidelity,
     single_qubit_fidelity,
     single_qubit_fidelity_array,
     uniform_profile,
     vacuum_energy,
 )
+from lattice import amplitude_columns
 
 N = 6
 TAUS = (0.4, 1.3, 2.0, 2.7, 3.9)
@@ -269,15 +269,19 @@ def test_blocked_loop_matches_naive_loop_over_5000_kicks(state, u0_convention):
 
 @pytest.mark.parametrize("n_kicks", [0, 1, 7, 8, 9, 63, 64, 65, 5000])
 def test_kicked_columns_and_evolve_kicked_match_repeated_products(n_kicks):
-    # a kicked state vector evolves as a single column
+    # whole kicked columns off kick_lattice, with every target, against repeated products;
+    # the kick counts straddle the blocked loop's iteration boundaries
     basis = enumerate_basis(N, 2)
-    step = kick_step(params_for(), KickSchedule(tau=1.3, e1=E1), basis)
-    cols = np.eye(basis.size, dtype=complex)[:, [0, 4, 9]]
-    want = cols
-    for _ in range(n_kicks):
+    schedule = KickSchedule(tau=1.3, e1=E1)
+    step = kick_step(params_for(), schedule, basis)
+    sources = [0, 4, 9]
+    got = amplitude_columns(params_for(), schedule, basis, sources, n_kicks)
+    one = amplitude_columns(params_for(), schedule, basis, sources[1:2], n_kicks)
+    want = np.eye(basis.size, dtype=complex)[:, sources]
+    for m in range(n_kicks + 1):
+        assert np.abs(got[m] - want).max() <= 1e-12
+        assert np.abs(one[m] - want[:, 1:2]).max() <= 1e-12
         want = step @ want
-    assert np.abs(kicked_columns(step, cols, n_kicks) - want).max() <= 1e-12
-    assert np.abs(kicked_columns(step, cols[:, 1:2], n_kicks) - want[:, 1:2]).max() <= 1e-12
 
 
 # -- array scorers ----------------------------------------------------------------

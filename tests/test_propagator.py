@@ -15,11 +15,11 @@ from kickedchain import (
     enumerate_basis,
     eigendecompose,
     kick_step,
-    kicked_columns,
+    kick_lattice,
     unitary_exp,
     uniform_profile,
 )
-from lattice import amplitude_series
+from lattice import amplitude_columns, amplitude_series
 
 H1_TWO_SITE = np.array([[0.25, -0.5], [-0.5, 0.25]])
 
@@ -185,38 +185,33 @@ def test_kick_step_matches_full_space(convention):
 
 # -- repeated kicks ------------------------------------------------------------
 
-def make_step_and_state(n=5, k=1, tau=2.0):
+def kicked_sector(n=5, k=1, tau=2.0):
     p = ChainParams(uniform_profile(n, 1.0, -1.0), dm_field=0.1)
-    basis = enumerate_basis(n, k)
-    step = kick_step(p, KickSchedule(tau=tau, e1=1.0), basis)
-    psi0 = np.zeros((basis.size, 1), dtype=complex)
-    psi0[0] = 1.0
-    return step, psi0
+    return p, KickSchedule(tau=tau, e1=1.0), enumerate_basis(n, k)
 
 
 def test_zero_kicks_returns_initial_state():
-    step, psi0 = make_step_and_state()
-    assert np.array_equal(kicked_columns(step, psi0, 0), psi0)
+    cols = amplitude_columns(*kicked_sector(), [0], 0)
+    assert np.array_equal(cols[0, :, 0], np.eye(cols.shape[1])[0])
 
 
 def test_kick_counts_compose():
-    step, psi0 = make_step_and_state()
-    once = kicked_columns(step, psi0, 7)
-    twice = kicked_columns(step, kicked_columns(step, psi0, 3), 4)
-    assert np.abs(once - twice).max() < 1e-12
+    # with every source the amplitudes after m kicks are the whole matrix step^m
+    p, sched, basis = kicked_sector()
+    powers = amplitude_columns(p, sched, basis, range(basis.size), 7)
+    assert np.abs(powers[7] - powers[4] @ powers[3]).max() < 1e-12
 
 
 def test_norm_is_preserved_over_many_kicks():
-    step, psi0 = make_step_and_state()
-    assert abs(np.linalg.norm(kicked_columns(step, psi0, 500)) - 1.0) < 1e-10
+    cols = amplitude_columns(*kicked_sector(), [0], 500)
+    assert np.abs(np.linalg.norm(cols[:, :, 0], axis=1) - 1.0).max() < 1e-10
 
 
 def test_sector_mismatch_is_rejected():
-    step, _ = make_step_and_state(n=5, k=1)
-    psi = np.zeros((10, 1), dtype=complex)
-    psi[0] = 1.0
-    with pytest.raises(ValueError):
-        kicked_columns(step, psi, 1)
+    p, sched, _ = kicked_sector(n=5, k=1)
+    with pytest.raises(ValueError, match="basis is for 6 sites"):
+        kick_lattice(p, enumerate_basis(6, 1), (sched.tau,), sched.e1, [0], [0], 1,
+                     lambda amps, taus, ms: np.abs(amps[..., 0, 0]))
 
 
 # -- stroboscopic amplitude series ---------------------------------------------
@@ -236,10 +231,8 @@ def test_series_matches_repeated_kick_readout():
     sched = KickSchedule(tau=1.5, e1=0.7)
     basis = enumerate_basis(5, 2)
     series = amplitude_series(p, sched, basis, (1, 2), (4, 5), 20)
-    psi0 = np.zeros((basis.size, 1), dtype=complex)
-    psi0[basis.index_map[(1, 2)]] = 1.0
-    out = kicked_columns(kick_step(p, sched, basis), psi0, 20)
-    assert abs(series[20] - out[basis.index_map[(4, 5)], 0]) < 1e-12
+    out = np.linalg.matrix_power(kick_step(p, sched, basis), 20)
+    assert abs(series[20] - out[basis.index_map[(4, 5)], basis.index_map[(1, 2)]]) < 1e-12
 
 
 @pytest.mark.parametrize("convention", ["hamiltonian_tau", "literal_eq5"])
