@@ -401,42 +401,62 @@ def _evolve_tables(config: ExperimentConfig):
         names.append("physical_time_ps")   # tau = 1 corresponds to 0.5 ps
     names += [f"fidelity_{s}" for s in states]
     names.append("classical_threshold")
-    times = np.arange(drive.n_kicks + 1) * drive.tau
-    columns = [range(drive.n_kicks + 1), times.tolist()]
+    kicks = np.arange(drive.n_kicks + 1)
+    times = kicks * drive.tau
+    columns = [kicks, times]
     if with_ps:
-        columns.append((0.5 * times).tolist())
-    columns += [series[s].tolist() for s in states]
-    columns.append([classical_threshold()] * (drive.n_kicks + 1))
-    return names, list(zip(*columns))
+        columns.append(0.5 * times)
+    columns += [series[s] for s in states]
+    columns.append(np.full(kicks.size, classical_threshold()))
+    return names, columns
 
 
 def _sweep_tables(config: ExperimentConfig, workers: int):
-    result = sweep_axis(_sweep_plan(config), workers=workers)
-    columns = ["grid_value", "state", "max_fidelity", "argmax_tau",
-               "argmax_kicks", "out_of_range_flag"]
-    rows = [
-        [row.grid_value, row.state, row.max_fidelity, row.argmax_tau,
-         row.argmax_kicks, row.out_of_range]
-        for row in result.rows
-    ]
-    return columns, rows
+    rows = sweep_axis(_sweep_plan(config), workers=workers).rows
+    keys = ("grid_value", "state", "max_fidelity", "argmax_tau", "argmax_kicks", "out_of_range")
+    names = [*keys[:-1], "out_of_range_flag"]
+    return names, [[getattr(row, key) for row in rows] for key in keys]
 
 
 def _periodogram_tables(config: ExperimentConfig):
-    columns = ["state", "frequency", "magnitude", "is_dominant"]
-    rows = []
+    names = ["state", "frequency", "magnitude", "is_dominant"]
+    states, frequencies, magnitudes, dominant = [], [], [], []
     for state, series in _kicked_series(config).items():
-        frequencies, magnitudes, dominant = periodogram(series)
-        for f, mag in zip(frequencies, magnitudes):
-            is_dom = dominant is not None and float(f) == dominant
-            rows.append([state, float(f), float(mag), is_dom])
-    return columns, rows
+        f, mag, peak = periodogram(series)
+        states += [state] * f.size
+        frequencies.append(f)
+        magnitudes.append(mag)
+        dominant.append(f == peak if peak is not None else np.zeros(f.size, dtype=bool))
+    return names, [states, np.concatenate(frequencies), np.concatenate(magnitudes),
+                   np.concatenate(dominant)]
 
 
+# Rows per block: each block is one %-format pass per file, so the writer
+# holds one block's cells and text at a time, however long the table is.
+_BLOCK_ROWS = 2048
 # Cell types a table column may hold; bool comes before int, its base class.
 _CELL_TYPES = (bool, int, float, str)
+_DTYPE_CELL_TYPES = {"b": bool, "i": int, "u": int, "f": float}
 _CSV_SPECS = {bool: "%d", int: "%d", float: "%.17g", str: "%s"}
+# JSON cells: ints and finite floats go straight into %d and %r (float repr is
+# what json.dumps writes); the other types pass through a token function first.
+_JSON_SPECS = {bool: "%s", int: "%d", float: "%r", str: "%s"}
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_bools(cells):
+    return ["true" if v else "false" for v in cells]
+
+
+def _json_strings(cells):
+    return list(map(json.dumps, cells))
+
+
+def _json_nonfinite_floats(cells):
+    return [_JSON_NONFINITE.get(t, t) for t in map(repr, cells)]
+
+
+_JSON_TOKENS = {bool: _json_bools, str: _json_strings}
 
 
 def _column_type(name: str, cells) -> type:
@@ -448,33 +468,38 @@ def _column_type(name: str, cells) -> type:
     return kinds.pop() if kinds else str
 
 
-def _json_tokens(kind: type, cells):
-    """Cells as the tokens json.dumps writes; ints stay numbers for the %d spec."""
-    if kind is float:
-        return [_JSON_NONFINITE.get(t, t) for t in map(float.__repr__, cells)]
-    if kind is bool:
-        return ["true" if v else "false" for v in cells]
-    if kind is str:
-        return [json.dumps(v) for v in cells]
-    return cells
+def _typed_column(name: str, cells):
+    """(cells, CSV spec, JSON spec, JSON token function or None) for one column.
+
+    A numpy bool, int or float column is typed by its dtype, any other
+    column by all of its cells; a float column becomes a float64 array, so
+    constancy and finiteness are array checks.
+    """
+    if isinstance(cells, np.ndarray) and cells.dtype.kind not in _DTYPE_CELL_TYPES:
+        cells = cells.tolist()             # e.g. a str array: typed cell by cell
+    if isinstance(cells, np.ndarray):
+        kind = _DTYPE_CELL_TYPES[cells.dtype.kind]
+    else:
+        kind = _column_type(name, cells)
+        if kind is float:
+            cells = np.array(cells, dtype=float)
+    if kind is float and not np.isfinite(cells).all():
+        return cells, _CSV_SPECS[float], "%s", _json_nonfinite_floats
+    return cells, _CSV_SPECS[kind], _JSON_SPECS[kind], _JSON_TOKENS.get(kind)
 
 
-def _render_csv(names: list[str], types: list[type], rows: list) -> str:
-    header = ",".join(names).replace("%", "%%") + "\n"
-    row = ",".join(_CSV_SPECS[k] for k in types) + "\n"
-    return (header + row * len(rows)) % tuple(chain.from_iterable(rows))
+def _is_constant(cells) -> bool:
+    """Whether a nonempty column holds one value, bit for bit (0.0 and -0.0 differ)."""
+    if not len(cells):
+        return False
+    if isinstance(cells, np.ndarray):
+        bits = cells.view(f"u{cells.itemsize}")
+        return bool((bits == bits[0]).all())
+    return cells.count(cells[0]) == len(cells)   # bool, int or str: == is identity of value
 
 
-def _render_json(names: list[str], types: list[type], by_column: list, n_rows: int) -> str:
-    """The text of json.dumps(records, indent=2), one record per row, and a newline."""
-    if not n_rows:
-        return "[]\n"
-    fields = ",".join(f'\n    {json.dumps(n).replace("%", "%%")}: {"%d" if k is int else "%s"}'
-                      for n, k in zip(names, types))
-    record = "  {" + fields + "\n  }"
-    tokens = [_json_tokens(k, cells) for k, cells in zip(types, by_column)]
-    template = "[\n" + ",\n".join([record] * n_rows) + "\n]\n"
-    return template % tuple(chain.from_iterable(zip(*tokens)))
+def _python_cells(cells, start: int, stop: int):
+    return cells[start:stop].tolist() if isinstance(cells, np.ndarray) else cells[start:stop]
 
 
 def _output_paths(config: ExperimentConfig) -> tuple[Path, Path]:
@@ -490,22 +515,54 @@ def _output_paths(config: ExperimentConfig) -> tuple[Path, Path]:
     return csv_path, json_path
 
 
-def write_tables(config: ExperimentConfig, columns: list[str], rows: list) -> list[Path]:
+def write_tables(config: ExperimentConfig, names: list[str], columns: list) -> list[Path]:
     """Emit the CSV table and its JSON mirror; returns paths, primary first.
 
-    Every column holds one cell type: bool, int, float or str.  Each file
-    is one %-format pass over a row template typed by column, and its bytes
-    equal a cell-by-cell rendering: CSV cells as 1/0, %d, %.17g and %s,
-    and the JSON as json.dumps(records, indent=2) of one record per row.
+    ``columns`` holds one column per name, all of one length: a numpy bool,
+    int or float array, or a sequence of one cell type (bool, int, float or
+    str).  Each column is typed once, before either file is opened, so a
+    column of mixed types raises TypeError and writes nothing.  A column
+    whose cells are bit-identical is formatted once into the row templates.
+    Both files are then written in blocks of _BLOCK_ROWS rows, one %-format
+    pass per block and file.  The bytes equal a cell-by-cell rendering: CSV
+    cells as 1/0, %d, %.17g and %s, and the JSON as json.dumps(records,
+    indent=2) of one record per row.
     """
+    lengths = {len(cells) for cells in columns}
+    if len(columns) != len(names) or len(lengths) > 1:
+        raise ValueError(f"need one column per name, all of one length; got {len(names)} "
+                         f"names and columns of lengths {[len(c) for c in columns]}")
+    n_rows = lengths.pop() if lengths else 0
+    csv_row, json_fields, varying = [], [], []
+    for name, cells in zip(names, columns):
+        cells, csv_spec, json_spec, to_json = _typed_column(name, cells)
+        if _is_constant(cells):
+            value = _python_cells(cells, 0, 1)
+            csv_spec = (csv_spec % tuple(value)).replace("%", "%%")
+            json_spec = (json_spec % tuple(to_json(value) if to_json else value)).replace("%", "%%")
+        else:
+            varying.append((cells, to_json))
+        csv_row.append(csv_spec)
+        json_fields.append(f'\n    {json.dumps(name).replace("%", "%%")}: {json_spec}')
+    csv_row = ",".join(csv_row) + "\n"
+    json_record = "  {" + ",".join(json_fields) + "\n  }"
+
     primary, mirror = _output_paths(config)
     csv_path = primary if primary.suffix == ".csv" else mirror
     json_path = primary if primary.suffix == ".json" else mirror
-    by_column = list(zip(*rows)) or [()] * len(columns)
-    types = [_column_type(name, cells) for name, cells in zip(columns, by_column)]
     csv_path.parent.mkdir(parents=True, exist_ok=True)
-    csv_path.write_text(_render_csv(columns, types, rows), encoding="utf-8")
-    json_path.write_text(_render_json(columns, types, by_column, len(rows)), encoding="utf-8")
+    with (open(csv_path, "w", encoding="utf-8") as csv_file,
+          open(json_path, "w", encoding="utf-8") as json_file):
+        csv_file.write(",".join(names) + "\n")
+        json_file.write("[")
+        for start in range(0, n_rows, _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, n_rows)
+            block = [_python_cells(cells, start, stop) for cells, _ in varying]
+            csv_file.write(csv_row * (stop - start) % tuple(chain.from_iterable(zip(*block))))
+            tokens = [to_json(b) if to_json else b for b, (_, to_json) in zip(block, varying)]
+            records = ("," if start else "") + "\n" + ",\n".join([json_record] * (stop - start))
+            json_file.write(records % tuple(chain.from_iterable(zip(*tokens))))
+        json_file.write("\n]\n" if n_rows else "]\n")
     return [primary, mirror]
 
 
@@ -513,14 +570,14 @@ def run(config: ExperimentConfig, workers: int | None = None) -> list[Path]:
     """Execute one experiment; returns the written files, primary format first."""
     mode = config.run.mode
     if mode == "evolve":
-        columns, rows = _evolve_tables(config)
+        names, columns = _evolve_tables(config)
     elif mode == "sweep":
-        columns, rows = _sweep_tables(config, workers or config.run.workers)
+        names, columns = _sweep_tables(config, workers or config.run.workers)
     elif mode == "periodogram":
-        columns, rows = _periodogram_tables(config)
+        names, columns = _periodogram_tables(config)
     else:
         raise ConfigError("run.mode", f"expected one of {MODES}, got {mode!r}")
-    return write_tables(config, columns, rows)
+    return write_tables(config, names, columns)
 
 
 # ---------------------------------------------------------------------------

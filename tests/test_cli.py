@@ -1,9 +1,11 @@
 """Config parsing, table writing, and the command-line entry point."""
 
+import csv
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,8 +13,9 @@ import numpy as np
 import pytest
 
 import kickedchain
-from kickedchain import DEFAULT_TAU_GRID, float_grid
+from kickedchain import DEFAULT_TAU_GRID, float_grid, periodogram
 from kickedchain.cli import (
+    _BLOCK_ROWS,
     ChainBlock,
     ConfigError,
     DriveBlock,
@@ -283,20 +286,114 @@ TYPED_ROWS = [
 ]
 
 
+def columns_of(names, rows):
+    """The columns of a row-major table, as lists."""
+    return [[row[i] for row in rows] for i in range(len(names))]
+
+
+def rows_of(columns):
+    """The rows of a column-major table, numpy columns as Python values."""
+    return list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns)))
+
+
+def assert_written_as_reference(tmp_path, names, columns):
+    """Write a column-major table and compare it with the cell-by-cell rendering."""
+    cfg = parse_config(f"output: {{path: {tmp_path / 't'}}}")
+    csv_path, json_path = write_tables(cfg, names, columns)
+    want_csv, want_json = reference_rendering(names, rows_of(columns))
+    assert csv_path.read_text(encoding="utf-8") == want_csv
+    assert json_path.read_text(encoding="utf-8") == want_json
+    return want_csv, want_json
+
+
 @pytest.mark.parametrize("rows", [TYPED_ROWS, TYPED_ROWS[:1], []],
                          ids=["typed", "one_row", "zero_rows"])
 def test_write_tables_equals_the_cell_by_cell_rendering(tmp_path, rows):
     cfg = parse_config(f"output: {{path: {tmp_path / 't'}}}")
-    csv_path, json_path = write_tables(cfg, TYPED_COLUMNS, rows)
+    csv_path, json_path = write_tables(cfg, TYPED_COLUMNS, columns_of(TYPED_COLUMNS, rows))
     want_csv, want_json = reference_rendering(TYPED_COLUMNS, rows)
     assert csv_path.read_text(encoding="utf-8") == want_csv
     assert json_path.read_text(encoding="utf-8") == want_json
 
 
+@pytest.mark.parametrize("n_rows", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                                    2 * _BLOCK_ROWS + 1])
+def test_write_tables_streams_blocks_that_equal_the_cell_by_cell_rendering(tmp_path, n_rows):
+    index = np.arange(n_rows)
+    late = [i / 7 for i in range(n_rows)]      # non-finite only in the last block
+    if n_rows > _BLOCK_ROWS:
+        late[-2:] = [float("nan"), float("-inf")]
+    columns = [
+        index,                                          # numpy int64
+        np.sin(index) * 1e5,                            # numpy float64
+        index % 3 == 0,                                 # numpy bool
+        [f"s{i % 5}" for i in range(n_rows)],          # str list
+        late,                                           # float list
+        [i * i for i in range(n_rows)],                 # int list
+        [i % 2 == 1 for i in range(n_rows)],            # bool list
+        np.array([f"{i % 3}%" for i in range(n_rows)]),  # numpy str
+        np.full(n_rows, 2.0 / 3.0),                     # constant numpy float64
+    ]
+    names = ["index", "wave", "third", "label", "late", "square", "odd", "percent", "constant"]
+    assert_written_as_reference(tmp_path, names, columns)
+
+
+def test_write_tables_constant_columns_compare_bits(tmp_path):
+    n_rows = _BLOCK_ROWS + 3
+    signed_zero = [0.0] * n_rows
+    signed_zero[_BLOCK_ROWS + 1] = -0.0                # == 0.0, but written "-0.0"
+    columns = [
+        signed_zero,
+        np.array(signed_zero),
+        [float("nan")] * n_rows,
+        np.full(n_rows, np.nan),
+        ["100% %s,%d"] * n_rows,
+        np.full(n_rows, -7),
+        np.full(n_rows, True),
+    ]
+    names = ["zero_list", "zero_array", "nan_list", "nan_array", "percent", "int", "flag"]
+    csv_text, json_text = assert_written_as_reference(tmp_path, names, columns)
+    lines = csv_text.splitlines()
+    assert lines[1] == "0,0,nan,nan,100% %s,%d,-7,1"
+    assert lines[_BLOCK_ROWS + 2] == "-0,-0,nan,nan,100% %s,%d,-7,1"
+    assert '"nan_array": NaN' in json_text
+
+
 def test_write_tables_rejects_a_column_of_mixed_types(tmp_path):
     cfg = parse_config(f"output: {{path: {tmp_path / 't'}}}")
     with pytest.raises(TypeError, match="'value'"):
-        write_tables(cfg, ["value"], [[1.0], [2]])
+        write_tables(cfg, ["value"], [[1.0, 2]])
+    assert not list(tmp_path.iterdir())
+    # a stray type in a later block is found before either file is opened
+    stray = [0.5] * (_BLOCK_ROWS + 5) + [True]
+    with pytest.raises(TypeError, match="'late'"):
+        write_tables(cfg, ["index", "late"], [np.arange(len(stray)), stray])
+    assert not list(tmp_path.iterdir())
+
+
+def test_write_tables_rejects_columns_of_unequal_length(tmp_path):
+    cfg = parse_config(f"output: {{path: {tmp_path / 't'}}}")
+    with pytest.raises(ValueError, match="one length"):
+        write_tables(cfg, ["a", "b"], [np.arange(3), [1, 2]])
+    with pytest.raises(ValueError, match="one column per name"):
+        write_tables(cfg, ["a", "b"], [np.arange(3)])
+    assert not list(tmp_path.iterdir())
+
+
+def test_write_tables_memory_does_not_grow_with_the_table(tmp_path):
+    cfg = parse_config(f"output: {{path: {tmp_path / 't'}}}")
+
+    def peak(n_rows):
+        column = np.arange(n_rows) % 100       # small ints: no cell objects to allocate
+        tracemalloc.start()
+        try:
+            write_tables(cfg, ["i"], [column])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = peak(_BLOCK_ROWS), peak(8 * _BLOCK_ROWS)
+    assert long <= 1.5 * short, (short, long)
 
 
 SWEEP_TEXT = (
@@ -344,6 +441,26 @@ def test_periodogram_mode_emits_spectrum_rows(tmp_path):
     assert len(lines) == 1 + 64                 # one row per frequency bin
     dominant_rows = [l for l in lines[1:] if l.endswith(",1")]
     assert len(dominant_rows) == 1
+
+
+def test_periodogram_table_marks_the_dominant_bin_of_each_state(tmp_path):
+    text = "chain: {n_sites: 5}\ndrive: {tau: 2.0, n_kicks: 63}\nrun: {states: [omega0, omega1]}\n"
+    cfg = parse_config(text)
+    evolve = replace(cfg, output=replace(cfg.output, path=str(tmp_path / "series")))
+    spectrum = replace(evolve, run=replace(cfg.run, mode="periodogram"),
+                       output=replace(cfg.output, path=str(tmp_path / "spec")))
+    with open(run(evolve)[0], encoding="utf-8") as f:
+        series = list(csv.DictReader(f))
+    rows = []
+    for state in ("omega0", "omega1"):
+        fs, mags, dominant = periodogram([float(r[f"fidelity_{state}"]) for r in series])
+        rows += [[state, float(f), float(m), float(f) == dominant] for f, m in zip(fs, mags)]
+    csv_path, json_path = run(spectrum)
+    want_csv, want_json = reference_rendering(["state", "frequency", "magnitude", "is_dominant"],
+                                              rows)
+    assert csv_path.read_text(encoding="utf-8") == want_csv
+    assert json_path.read_text(encoding="utf-8") == want_json
+    assert sum(row[3] for row in rows) == 2
 
 
 # -- entry point -----------------------------------------------------------------------
