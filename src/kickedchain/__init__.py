@@ -42,15 +42,12 @@ from .fidelity import (
     bell_fidelity_direct,
     bell_fidelity_direct_averaged,
     bell_fidelity_omega1,
-    bell_fidelity_omega1_array,
     bell_fidelity_omega2,
-    bell_fidelity_omega2_array,
     bloch_average_single_qubit,
     classical_threshold,
     conformance_report,
     out_of_range,
     single_qubit_fidelity,
-    single_qubit_fidelity_array,
 )
 from .sweep import (
     CONTINUOUS_TIMES,

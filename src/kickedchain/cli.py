@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .fidelity import KNOWN_STATES, OMEGA2_CONVENTIONS, classical_threshold
+from .fidelity import KNOWN_STATES, OMEGA2_CONVENTIONS, classical_threshold, family_sector
 from .model import (
     ChainParams,
     IMPURITY_KINDS,
@@ -314,11 +314,14 @@ def _read_config(text: str, flags: dict) -> ExperimentConfig:
     if run_block.workers < 1:
         raise ConfigError("run.workers", f"must be >= 1, got {run_block.workers}")
     for i, state in enumerate(run_block.states):
-        if state != "omega0" and chain.n_sites < 4:
-            raise ConfigError(f"run.states[{i}]", f"Bell transfer ({state}) needs n_sites >= 4 "
-                                                  f"so the receiver pair is distinct")
+        try:
+            family_sector(state, chain.n_sites)
+        except ValueError as exc:
+            raise ConfigError(f"run.states[{i}]", str(exc)) from None
 
     output = OutputBlock(**_read_fields(OutputBlock, raw["output"], "output"))
+    if Path(output.path).name in ("", ".."):
+        raise ConfigError("output.path", f"needs a file name, got {output.path!r}")
 
     config = ExperimentConfig(chain=chain, drive=drive, impurity=impurity,
                               run=run_block, output=output)
@@ -503,16 +506,10 @@ def _python_cells(cells, start: int, stop: int):
 
 
 def _output_paths(config: ExperimentConfig) -> tuple[Path, Path]:
+    """(CSV path, JSON path): ``output.path`` with any .csv or .json suffix replaced."""
     raw = Path(config.output.path)
-    if raw.suffix in (".csv", ".json"):
-        base = raw.with_suffix("")
-    else:
-        base = raw
-    csv_path = base.parent / (base.name + ".csv")
-    json_path = base.parent / (base.name + ".json")
-    if config.output.format == "json":
-        return json_path, csv_path
-    return csv_path, json_path
+    base = raw.with_suffix("") if raw.suffix in (".csv", ".json") else raw
+    return base.parent / (base.name + ".csv"), base.parent / (base.name + ".json")
 
 
 def write_tables(config: ExperimentConfig, names: list[str], columns: list) -> list[Path]:
@@ -547,9 +544,7 @@ def write_tables(config: ExperimentConfig, names: list[str], columns: list) -> l
     csv_row = ",".join(csv_row) + "\n"
     json_record = "  {" + ",".join(json_fields) + "\n  }"
 
-    primary, mirror = _output_paths(config)
-    csv_path = primary if primary.suffix == ".csv" else mirror
-    json_path = primary if primary.suffix == ".json" else mirror
+    csv_path, json_path = _output_paths(config)
     csv_path.parent.mkdir(parents=True, exist_ok=True)
     with (open(csv_path, "w", encoding="utf-8") as csv_file,
           open(json_path, "w", encoding="utf-8") as json_file):
@@ -563,7 +558,7 @@ def write_tables(config: ExperimentConfig, names: list[str], columns: list) -> l
             records = ("," if start else "") + "\n" + ",\n".join([json_record] * (stop - start))
             json_file.write(records % tuple(chain.from_iterable(zip(*tokens))))
         json_file.write("\n]\n" if n_rows else "]\n")
-    return [primary, mirror]
+    return [json_path, csv_path] if config.output.format == "json" else [csv_path, json_path]
 
 
 def run(config: ExperimentConfig, workers: int | None = None) -> list[Path]:

@@ -14,6 +14,21 @@ Three input families are scored:
   that reach the receiver pair.  The printed formula can exceed 1, so the
   value is reported unclamped together with an out-of-range flag.
 
+Each family reads one block of sector amplitudes <target|U|source> into
+its closed form.  The family table below is stated once, in
+``family_sector`` (sector, sources, targets) and ``family_score`` (which
+amplitude feeds which argument), and the sweeps, ``conformance_report``
+and the config check all read it from there:
+
+    family  sector  sources    targets                                  closed form
+    omega0  k=1     (1)        (N)                                      single_qubit_fidelity
+    omega1  k=1     (1), (2)   (N-1), (N)                               bell_fidelity_omega1
+    omega2  k=2     (1,2)      (m,N-1), then (m,N) for m <= N-2;        bell_fidelity_omega2
+                               last (N-1,N)
+
+The closed forms are elementwise: amplitude arrays give arrays, scalars
+a ``np.float64``.
+
 ``bell_fidelity_direct`` is an independent check on the closed forms: it
 embeds the Bell state over the all-down background, evolves every
 excitation sector (the vacuum by its pure phase), partial-traces down to
@@ -30,18 +45,21 @@ is the moment sum
 
     sum_env (|A|^2 + |D|^2 + Re(A conj(D)))/3 + (|B|^2 + |C|^2)/6.
 
-``conformance_report`` tabulates the closed forms against both readings.
+The oracle states the receiver geometry on its own (``_branch_tables``,
+``_FAMILY_SLOTS``), since it is the reference the family table is checked
+against.  ``conformance_report`` tabulates the closed forms against both
+readings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .basis import ExcitationBasis, enumerate_basis, index_of
-from .model import ChainParams, build_hamiltonian, uniform_profile, vacuum_phase
+from .model import ChainParams, build_hamiltonian, uniform_profile, vacuum_energy, vacuum_phase
 from .propagator import KickSchedule, kick_step, unitary_exp
 
 __all__ = [
@@ -50,14 +68,13 @@ __all__ = [
     "BellInput",
     "classical_threshold",
     "single_qubit_fidelity",
-    "single_qubit_fidelity_array",
     "bell_fidelity_omega1",
-    "bell_fidelity_omega1_array",
     "bell_fidelity_omega2",
-    "bell_fidelity_omega2_array",
     "bell_fidelity_direct",
     "bell_fidelity_direct_averaged",
     "bloch_average_single_qubit",
+    "family_sector",
+    "family_score",
     "conformance_report",
     "out_of_range",
 ]
@@ -67,8 +84,8 @@ OMEGA2_CONVENTIONS = ("re_amplitude", "abs_amplitude")
 BELL_FAMILIES = ("omega1", "omega2")
 
 
-def _abs2(z) -> float:
-    z = complex(z)
+def _abs2(z):
+    """|z|^2 of a number or, elementwise, of an array."""
     return z.real * z.real + z.imag * z.imag
 
 
@@ -114,14 +131,17 @@ class BellInput:
         return cls(family, (0.5 + 0.5j, 0.5 + 0.5j))
 
 
-def _abs2_array(z: np.ndarray) -> np.ndarray:
-    return z.real * z.real + z.imag * z.imag
+def single_qubit_fidelity(f):
+    """Input-averaged single-qubit transfer fidelity, elementwise over amplitudes f.
 
-
-def single_qubit_fidelity_array(f) -> np.ndarray:
-    """Elementwise ``single_qubit_fidelity`` over an array of amplitudes."""
+    Implements F = |f| cos(gamma)/3 + |f|^2/6 + 1/2 with gamma = arg(f),
+    written as Re(f)/3 + |f|^2/6 + 1/2 so that the trivial values come out
+    exact, and clipped to [0, 1].  The amplitude must come from a unitary
+    propagator, so moduli beyond 1 + 1e-9 are rejected as evidence of a
+    broken propagator.  A scalar amplitude gives a ``np.float64``.
+    """
     f = np.asarray(f, dtype=complex)
-    abs2 = _abs2_array(f)
+    abs2 = _abs2(f)
     worst = float(np.max(abs2, initial=0.0))
     if worst > (1.0 + 1e-9) ** 2:
         raise ValueError(f"amplitude modulus {worst ** 0.5} exceeds 1; propagator broken?")
@@ -129,72 +149,98 @@ def single_qubit_fidelity_array(f) -> np.ndarray:
     return np.clip(value, 0.0, 1.0)
 
 
-def single_qubit_fidelity(f: complex) -> float:
-    """Input-averaged single-qubit transfer fidelity from the amplitude f.
-
-    Implements F = |f| cos(gamma)/3 + |f|^2/6 + 1/2 with gamma = arg(f),
-    written as Re(f)/3 + |f|^2/6 + 1/2 so that the trivial values come out
-    exact, and clipped to [0, 1].  The amplitude must come from a unitary
-    propagator, so moduli beyond 1 + 1e-9 are rejected as evidence of a
-    broken propagator.
-    """
-    return float(single_qubit_fidelity_array(complex(f)))
-
-
-def bell_fidelity_omega1_array(f_matched_near, f_matched_far,
-                               f_cross_near, f_cross_far) -> np.ndarray:
-    """Elementwise ``bell_fidelity_omega1`` over arrays of amplitudes."""
-    near, far, cross_near, cross_far = (
-        np.asarray(f, dtype=complex)
-        for f in (f_matched_near, f_matched_far, f_cross_near, f_cross_far)
-    )
-    s = (_abs2_array(near) + _abs2_array(far)
-         + (_abs2_array(cross_near) + _abs2_array(cross_far)) / 2.0)
-    cross = (far * near.conj()).real
-    return (s + cross) / 3.0
-
-
-def bell_fidelity_omega1(f_matched_near: complex, f_matched_far: complex,
-                         f_cross_near: complex, f_cross_far: complex) -> float:
-    """Closed-form fidelity for the one-excitation Bell family.
+def bell_fidelity_omega1(f_matched_near, f_matched_far, f_cross_near, f_cross_far):
+    """Closed-form fidelity for the one-excitation Bell family, elementwise.
 
     The four arguments are one-excitation sector amplitudes at a common
     time: sender 1 -> receiver N-1 and sender 2 -> receiver N (the
     order-preserving, "matched" pair), then sender 2 -> receiver N-1 and
-    sender 1 -> receiver N (the swapped, "cross" pair).
+    sender 1 -> receiver N (the swapped, "cross" pair).  Scalar amplitudes
+    give a ``np.float64``.
     """
-    return float(bell_fidelity_omega1_array(f_matched_near, f_matched_far,
-                                            f_cross_near, f_cross_far))
+    near, far, cross_near, cross_far = (
+        np.asarray(f, dtype=complex)
+        for f in (f_matched_near, f_matched_far, f_cross_near, f_cross_far)
+    )
+    s = _abs2(near) + _abs2(far) + (_abs2(cross_near) + _abs2(cross_far)) / 2.0
+    cross = (far * near.conj()).real
+    return (s + cross) / 3.0
 
 
-def bell_fidelity_omega2_array(cross_amplitudes, final_amplitude,
-                               convention: str = "re_amplitude") -> np.ndarray:
-    """``bell_fidelity_omega2`` over arrays: cross amplitudes run along the last axis."""
-    if convention not in OMEGA2_CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}; expected one of {OMEGA2_CONVENTIONS}")
-    cross = np.asarray(cross_amplitudes, dtype=complex)
-    g = np.asarray(final_amplitude, dtype=complex)
-    cross_sum = np.sum(cross.real ** 2 + cross.imag ** 2, axis=-1)
-    last = g.real if convention == "re_amplitude" else np.abs(g)
-    return (3.0 - cross_sum + 2.0 * (_abs2_array(g) + last)) / 6.0
-
-
-def bell_fidelity_omega2(cross_amplitudes: Iterable, final_amplitude: complex,
-                         convention: str = "re_amplitude") -> float:
-    """Closed-form fidelity for the vacuum + two-excitation Bell family.
+def bell_fidelity_omega2(cross_amplitudes, final_amplitude, convention: str = "re_amplitude"):
+    """Closed-form fidelity for the vacuum + two-excitation Bell family, elementwise.
 
     ``cross_amplitudes`` are the two-excitation amplitudes from the sender
     pair (1,2) to every configuration holding exactly one receiver site,
-    {n, N-1} and {n, N} for n <= N-2 (any nesting; flattened internally).
-    ``final_amplitude`` is the amplitude onto the receiver pair {N-1, N}.
+    {n, N-1} and {n, N} for n <= N-2; they run along the last axis, and
+    the leading axes broadcast against ``final_amplitude``, the amplitude
+    onto the receiver pair {N-1, N}.
 
     The final term's printed form is ambiguous between the real part and
     the modulus of the amplitude; ``convention`` selects "re_amplitude"
     (default) or "abs_amplitude".  The value is returned unclamped and can
     exceed 1; pair it with ``out_of_range``.
     """
-    flat = np.asarray(cross_amplitudes, dtype=complex).ravel()
-    return float(bell_fidelity_omega2_array(flat, complex(final_amplitude), convention))
+    if convention not in OMEGA2_CONVENTIONS:
+        raise ValueError(f"unknown convention {convention!r}; expected one of {OMEGA2_CONVENTIONS}")
+    cross = np.asarray(cross_amplitudes, dtype=complex)
+    g = np.asarray(final_amplitude, dtype=complex)
+    cross_sum = np.sum(cross.real ** 2 + cross.imag ** 2, axis=-1)
+    last = g.real if convention == "re_amplitude" else np.abs(g)
+    return (3.0 - cross_sum + 2.0 * (_abs2(g) + last)) / 6.0
+
+
+# ---------------------------------------------------------------------------
+# The family table: how each input family is read and scored
+# ---------------------------------------------------------------------------
+
+def family_sector(state: str, n_sites: int):
+    """(basis, source indices, target indices) of one family's amplitude block.
+
+    One row of the family table in the module docstring: the excitation
+    sector the family lives in and the sector indices of its sender and
+    receiver configurations, in the order ``family_score`` reads them.  The
+    Bell families need N >= 4, so that the receiver pair is distinct.
+    """
+    if state not in KNOWN_STATES:
+        raise ValueError(f"unknown state {state!r}; expected one of {KNOWN_STATES}")
+    n = n_sites
+    if state == "omega0":
+        k, sources, targets = 1, [(1,)], [(n,)]
+    elif n < 4:
+        raise ValueError(f"Bell transfer ({state}) needs n_sites >= 4 "
+                         f"so the receiver pair is distinct")
+    elif state == "omega1":
+        k, sources, targets = 1, [(1,), (2,)], [(n - 1,), (n,)]
+    else:
+        k, sources = 2, [(1, 2)]
+        targets = [(m, r) for r in (n - 1, n) for m in range(1, n - 1)] + [(n - 1, n)]
+    basis = enumerate_basis(n, k)
+    return basis, [index_of(basis, s) for s in sources], [index_of(basis, t) for t in targets]
+
+
+def family_score(state: str, amps, vacuum_angles, omega2_convention: str):
+    """Fidelities from (..., targets, sources) amplitude blocks, one per leading index.
+
+    ``amps`` is laid out by ``family_sector``, and ``vacuum_angles`` (E_vac t
+    per instant) broadcasts against the leading shape.  The single-qubit
+    amplitude is taken in the vacuum gauge (multiplied by e^{+i E_vac t})
+    because its fidelity formula interferes the excitation against the
+    vacuum branch.  The Bell formulas consume the raw sector amplitudes as
+    printed, and omega1 is insensitive to the shared phase.  omega2 is not:
+    its |00> half is the vacuum, which the partial-trace oracle evolves by
+    e^{-i E_vac t}, so in the oracle's gauge the final term would read
+    Re(g e^{+i E_vac t}) where this passes the bare g.  The bare reading is
+    kept, so outputs do not change; at N=6, t=4 (J1=1, J2=-1, E0=0.1) it is
+    above the gauged one by 0.0188.  The abs_amplitude reading does not
+    depend on the gauge.
+    """
+    if state == "omega0":
+        return single_qubit_fidelity(amps[..., 0, 0] * np.exp(1j * vacuum_angles))
+    if state == "omega1":
+        return bell_fidelity_omega1(amps[..., 0, 0], amps[..., 1, 1],
+                                    amps[..., 0, 1], amps[..., 1, 0])
+    return bell_fidelity_omega2(amps[..., :-1, 0], amps[..., -1, 0], omega2_convention)
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +376,8 @@ def _family_average(tables: np.ndarray, family: str) -> float:
     t0, t1 = tables
     slot0, slot1 = _FAMILY_SLOTS[family]
     a, b, c, d = t0[:, slot0], t1[:, slot0], t0[:, slot1], t1[:, slot1]
-    per_env = ((_abs2_array(a) + _abs2_array(d) + (a * d.conj()).real) / 3.0
-               + (_abs2_array(b) + _abs2_array(c)) / 6.0)
+    per_env = ((_abs2(a) + _abs2(d) + (a * d.conj()).real) / 3.0
+               + (_abs2(b) + _abs2(c)) / 6.0)
     return float(np.sum(per_env))
 
 
@@ -385,56 +431,37 @@ def conformance_report(n_sites_values: Sequence[int] = (4, 5, 6),
 
     Row keys: n_sites, time, state, literal, literal_alt (the
     abs-amplitude reading; None for omega1), direct_maximal,
-    direct_family_avg, delta_maximal, delta_family.  Per (N, t) the k=1 and
-    k=2 propagators are formed once and feed all three readings.
+    direct_family_avg, delta_maximal, delta_family.  The literal values read
+    ``family_sector`` and ``family_score``, so they check the layout and
+    vacuum gauge the sweeps run.  Per (N, t) the k=1 and k=2 propagators are
+    formed once and feed all three readings.
     """
     rows = []
     for n in n_sites_values:
         params = ChainParams(uniform_profile(n, j1, j2), dm_field=e0, b_field=b_field)
-        _check_bell_geometry(params)
-        basis1 = enumerate_basis(n, 1)
-        basis2 = enumerate_basis(n, 2)
-        h1 = build_hamiltonian(params, basis1)
-        h2 = build_hamiltonian(params, basis2)
+        sectors = {state: family_sector(state, n) for state in BELL_FAMILIES}
+        hamiltonians = {basis.n_excitations: build_hamiltonian(params, basis)
+                        for basis, _, _ in sectors.values()}
+        e_vac = vacuum_energy(params)
         for t in times:
-            u1 = unitary_exp(h1, t)
-            u2 = unitary_exp(h2, t)
+            u = {k: unitary_exp(h, t) for k, h in hamiltonians.items()}
 
             def columns(basis, sources):
-                u = u1 if basis.n_excitations == 1 else u2
-                return u[:, [index_of(basis, s) for s in sources]]
+                return u[basis.n_excitations][:, [index_of(basis, s) for s in sources]]
 
-            near = index_of(basis1, (n - 1,))
-            far = index_of(basis1, (n,))
-            s1 = index_of(basis1, (1,))
-            s2 = index_of(basis1, (2,))
-            literal1 = bell_fidelity_omega1(u1[near, s1], u1[far, s2],
-                                            u1[near, s2], u1[far, s1])
-            tables1 = _branch_tables(params, "omega1", columns, float(t))
-            direct1 = _bell_overlap(tables1, BellInput.maximal("omega1"))
-            avg1 = _family_average(tables1, "omega1")
-            rows.append({
-                "n_sites": n, "time": t, "state": "omega1",
-                "literal": literal1, "literal_alt": None,
-                "direct_maximal": direct1, "direct_family_avg": avg1,
-                "delta_maximal": literal1 - direct1,
-                "delta_family": literal1 - avg1,
-            })
-
-            pair = index_of(basis2, (1, 2))
-            cross = [u2[index_of(basis2, (m, n - 1)), pair] for m in range(1, n - 1)]
-            cross += [u2[index_of(basis2, (m, n)), pair] for m in range(1, n - 1)]
-            g_last = u2[index_of(basis2, (n - 1, n)), pair]
-            literal2 = bell_fidelity_omega2(cross, g_last, "re_amplitude")
-            literal2_abs = bell_fidelity_omega2(cross, g_last, "abs_amplitude")
-            tables2 = _branch_tables(params, "omega2", columns, float(t))
-            direct2 = _bell_overlap(tables2, BellInput.maximal("omega2"))
-            avg2 = _family_average(tables2, "omega2")
-            rows.append({
-                "n_sites": n, "time": t, "state": "omega2",
-                "literal": literal2, "literal_alt": literal2_abs,
-                "direct_maximal": direct2, "direct_family_avg": avg2,
-                "delta_maximal": literal2 - direct2,
-                "delta_family": literal2 - avg2,
-            })
+            for state, (basis, sources, targets) in sectors.items():
+                amps = u[basis.n_excitations][np.ix_(targets, sources)]
+                literal = float(family_score(state, amps, e_vac * t, "re_amplitude"))
+                literal_alt = (float(family_score(state, amps, e_vac * t, "abs_amplitude"))
+                               if state == "omega2" else None)
+                tables = _branch_tables(params, state, columns, float(t))
+                direct = _bell_overlap(tables, BellInput.maximal(state))
+                average = _family_average(tables, state)
+                rows.append({
+                    "n_sites": n, "time": t, "state": state,
+                    "literal": literal, "literal_alt": literal_alt,
+                    "direct_maximal": direct, "direct_family_avg": average,
+                    "delta_maximal": literal - direct,
+                    "delta_family": literal - average,
+                })
     return rows

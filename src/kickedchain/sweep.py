@@ -17,7 +17,7 @@ e^{-i w_a t}.  On an evenly spaced grid (the integer probe times are one)
 the table is factorized into a coarse and a fine table of about sqrt(n)
 columns each (``_phase_table``), so it costs about 2*sqrt(n) complex
 exponentials per eigenvalue instead of n.  The series is computed once per
-(point, state), also when it is retained.
+(point, state).
 """
 
 from __future__ import annotations
@@ -28,15 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .basis import enumerate_basis, index_of
-from .fidelity import (
-    KNOWN_STATES,
-    OMEGA2_CONVENTIONS,
-    bell_fidelity_omega1_array,
-    bell_fidelity_omega2_array,
-    out_of_range,
-    single_qubit_fidelity_array,
-)
+from .fidelity import KNOWN_STATES, OMEGA2_CONVENTIONS, family_score, family_sector, out_of_range
 from .model import (
     ChainParams,
     ImpuritySpec,
@@ -123,7 +115,6 @@ class SweepPlan:
     e1: float = 1.0
     u0_convention: str = "hamiltonian_tau"
     omega2_convention: str = "re_amplitude"
-    retain_series: bool = False
 
     def __post_init__(self):
         if self.axis not in SWEEP_AXES:
@@ -169,7 +160,6 @@ class SweepRow:
     argmax_tau: float
     argmax_kicks: int
     out_of_range: bool
-    series: tuple[float, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -182,45 +172,6 @@ class SweepResult:
     rows: tuple[SweepRow, ...]
 
 
-def _probe(state: str, n_sites: int):
-    """Sector, source configurations, and target configurations for one input family."""
-    if state not in KNOWN_STATES:
-        raise ValueError(f"unknown state {state!r}; expected one of {KNOWN_STATES}")
-    if state == "omega0":
-        return 1, ((1,),), ((n_sites,),)
-    if n_sites < 4:
-        raise ValueError("Bell transfer needs N >= 4 so the receiver pair is distinct")
-    if state == "omega1":
-        return 1, ((1,), (2,)), ((n_sites - 1,), (n_sites,))
-    cross = tuple((m, n_sites - 1) for m in range(1, n_sites - 1))
-    cross += tuple((m, n_sites) for m in range(1, n_sites - 1))
-    return 2, ((1, 2),), cross + ((n_sites - 1, n_sites),)
-
-
-def _score(state: str, amps: np.ndarray, vacuum_angles: np.ndarray,
-           omega2_convention: str) -> np.ndarray:
-    """Fidelities from (..., targets, sources) amplitude blocks, one per leading index.
-
-    ``vacuum_angles`` (E_vac t per instant) broadcasts against the leading
-    shape.  The single-qubit amplitude is taken in the vacuum gauge
-    (multiplied by e^{+i E_vac t}) because its fidelity formula interferes
-    the excitation against the vacuum branch.  The Bell formulas consume
-    the raw sector amplitudes as printed, and omega1 is insensitive to the
-    shared phase.  omega2 is not: its |00> half is the vacuum, which the
-    partial-trace oracle evolves by e^{-i E_vac t}, so in the oracle's gauge
-    the final term would read Re(g e^{+i E_vac t}) where this passes the
-    bare g.  The bare reading is kept, so outputs do not change; at N=6,
-    t=4 (J1=1, J2=-1, E0=0.1) it is above the gauged one by 0.0188.  The
-    abs_amplitude reading does not depend on the gauge.
-    """
-    if state == "omega0":
-        return single_qubit_fidelity_array(amps[..., 0, 0] * np.exp(1j * vacuum_angles))
-    if state == "omega1":
-        return bell_fidelity_omega1_array(amps[..., 0, 0], amps[..., 1, 1],
-                                          amps[..., 0, 1], amps[..., 1, 0])
-    return bell_fidelity_omega2_array(amps[..., :-1, 0], amps[..., -1, 0], omega2_convention)
-
-
 def fidelity_lattice(params: ChainParams, state: str, tau_grid: Sequence[float], m_max: int,
                      e1: float = 1.0,
                      u0_convention: str = "hamiltonian_tau",
@@ -231,18 +182,14 @@ def fidelity_lattice(params: ChainParams, state: str, tau_grid: Sequence[float],
     tau_grid[i]; column 0 is the untouched initial state (0.5 for the single
     qubit, whose amplitude has not yet reached the receiver).
     """
-    n = params.profile.n_sites
-    k, sources, targets = _probe(state, n)
-    basis = enumerate_basis(n, k)
+    basis, sources, targets = family_sector(state, params.profile.n_sites)
     e_vac = vacuum_energy(params)
 
     def score(amps, taus, ms):
-        return _score(state, amps, np.multiply.outer(e_vac * taus, ms), omega2_convention)
+        return family_score(state, amps, np.multiply.outer(e_vac * taus, ms), omega2_convention)
 
-    return kick_lattice(params, basis, tau_grid, e1,
-                        [index_of(basis, s) for s in sources],
-                        [index_of(basis, t) for t in targets],
-                        m_max, score, u0_convention=u0_convention)
+    return kick_lattice(params, basis, tau_grid, e1, sources, targets, m_max, score,
+                        u0_convention=u0_convention)
 
 
 def fidelity_series(params: ChainParams, schedule: KickSchedule, state: str,
@@ -295,46 +242,41 @@ def continuous_fidelity_series(params: ChainParams, times: Sequence[float], stat
     All requested amplitudes come from one eigendecomposition per sector,
     so long integer-time grids are cheap.
     """
-    n = params.profile.n_sites
-    k, sources, targets = _probe(state, n)
-    basis = enumerate_basis(n, k)
+    basis, sources, targets = family_sector(state, params.profile.n_sites)
     w, v = eigendecompose(build_hamiltonian(params, basis))
-    src_idx = [index_of(basis, s) for s in sources]
-    tgt_idx = [index_of(basis, t) for t in targets]
     # <t|e^{-iHt}|s> = sum_a v[t,a] conj(v[s,a]) e^{-i w_a t}, one weight row per (t, s)
-    weights = np.stack([v[ti, :] * v[si, :].conj() for ti in tgt_idx for si in src_idx])
+    weights = np.stack([v[ti, :] * v[si, :].conj() for ti in targets for si in sources])
     t_arr = np.asarray(times, dtype=float)
     amp_all = weights @ _phase_table(w, t_arr)
     # (targets * sources, times) -> a (times, targets, sources) view
-    amps = np.moveaxis(amp_all.reshape(len(tgt_idx), len(src_idx), t_arr.size), -1, 0)
-    return _score(state, amps, vacuum_energy(params) * t_arr, omega2_convention)
+    amps = np.moveaxis(amp_all.reshape(len(targets), len(sources), t_arr.size), -1, 0)
+    return family_score(state, amps, vacuum_energy(params) * t_arr, omega2_convention)
 
 
 def _maximum(params: ChainParams, state: str, tau_grid: Sequence[float], m_max: int,
              e1: float, u0_convention: str, omega2_convention: str,
              continuous_times: Sequence[float] = CONTINUOUS_TIMES, endpoint_only: bool = False):
-    """(max value, argmax tau, argmax kick count, series) of one exhaustive search.
+    """(max value, argmax tau, argmax kick count) of one exhaustive search.
 
     The kicked search scores the tau by kick-count lattice and takes the
     first maximum in row-major order: the smallest tau, then the smallest
-    kick count; ``series`` is the lattice row of the maximum.  With
-    ``endpoint_only`` only the kick count m_max is scored, so the search
-    runs over tau alone.  With e1 = 0 there is no kick, and the search runs
-    over ``continuous_times`` instead (the tau grid is still validated);
-    it reports tau 1.0, the argmax time in the kick-count slot (ties to the
-    earliest), and the whole kick-free series.
+    kick count.  With ``endpoint_only`` only the kick count m_max is
+    scored, so the search runs over tau alone.  With e1 = 0 there is no
+    kick, and the search runs over ``continuous_times`` instead (the tau
+    grid is still validated); it reports tau 1.0 and the argmax time in the
+    kick-count slot (ties to the earliest).
     """
     taus = _check_grid(tau_grid, "tau_grid", positive=True)
     if e1 == 0.0:
         series = continuous_fidelity_series(params, continuous_times, state,
                                             omega2_convention=omega2_convention)
         best = int(np.argmax(series))
-        return float(series[best]), 1.0, int(continuous_times[best]), series
+        return float(series[best]), 1.0, int(continuous_times[best])
     first = m_max if endpoint_only else 0
     lattice = fidelity_lattice(params, state, taus, m_max, e1=e1, u0_convention=u0_convention,
                                omega2_convention=omega2_convention)[:, first:]
     i, m = np.unravel_index(int(np.argmax(lattice)), lattice.shape)
-    return float(lattice[i, m]), taus[i], first + int(m), lattice[i]
+    return float(lattice[i, m]), taus[i], first + int(m)
 
 
 def max_fidelity(params: ChainParams, state: str,
@@ -352,7 +294,7 @@ def max_fidelity(params: ChainParams, state: str,
     stroboscopic interval 1.0 and the argmax time in the kick-count slot.
     """
     return _maximum(params, state, tau_grid, m_max, e1, u0_convention, omega2_convention,
-                    continuous_times)[:3]
+                    continuous_times)
 
 
 def _point_setup(plan: SweepPlan, value: float):
@@ -384,14 +326,13 @@ def _evaluate_point(plan: SweepPlan, idx: int) -> list[SweepRow]:
     params, e1, taus, fixed_kicks = _point_setup(plan, value)
     rows = []
     for state in plan.states:
-        val, atau, am, series = _maximum(
+        val, atau, am = _maximum(
             params, state, taus, plan.m_max if fixed_kicks is None else fixed_kicks, e1,
             plan.u0_convention, plan.omega2_convention, endpoint_only=fixed_kicks is not None)
         rows.append(SweepRow(
             grid_index=idx, grid_value=float(value), state=state,
             max_fidelity=val, argmax_tau=atau, argmax_kicks=am,
             out_of_range=out_of_range(val),
-            series=tuple(series) if plan.retain_series else None,
         ))
     return rows
 

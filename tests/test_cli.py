@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -90,6 +91,24 @@ def test_readme_config_reference_shows_the_defaults():
     assert (cfg.run.axis, cfg.impurity.kind) == ("tau", "type1")
 
 
+def test_readme_library_names_resolve_on_the_package():
+    # every backticked name in "Lower layers" and every name the "Library use"
+    # example imports is an attribute of kickedchain (dotted names by getattr)
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Library use"):]
+    example = section[section.index("from kickedchain import"):section.index(")")]
+    imported = example.removeprefix("from kickedchain import").strip(" (").replace("\n", " ")
+    layers = section[section.index("Lower layers"):]
+    layers = layers[:layers.index("\n\n")]
+    names = [n.strip() for n in imported.split(",")] + re.findall(r"`([^`]+)`", layers)
+    assert len(names) > 10
+    for name in names:
+        obj = kickedchain
+        for part in name.split("."):
+            assert hasattr(obj, part), f"README names {name!r}, which kickedchain lacks"
+            obj = getattr(obj, part)
+
+
 def test_impurity_strength_normalizes_to_explicit_ratios():
     cfg = parsed("impurity: {kind: type2, strength: 3.0}\n")
     imp = cfg.impurity
@@ -164,6 +183,9 @@ def test_unknown_keys_are_rejected_with_their_path(text, key_path):
     ("output: {path: null}\n", "output.path"),
     ("output: {path: 3}\n", "output.path"),
     ("output: {path: [a]}\n", "output.path"),
+    ("output: {path: ''}\n", "output.path"),
+    ("output: {path: .}\n", "output.path"),
+    ("output: {path: sub/..}\n", "output.path"),
     ("output: {physical_time_column: yes please}\n", "output"),
     ("impurity: {strength: 1.5}\n", "impurity.kind"),
     ("impurity: {kind: type3, strength: 1.5}\n", "impurity.kind"),
@@ -251,6 +273,15 @@ def test_output_suffix_is_normalized(tmp_path):
     cfg = replace(cfg, output=replace(cfg.output, path=str(tmp_path / "table.csv")))
     paths = run(cfg)
     assert paths[0].name == "table.csv" and paths[1].name == "table.json"
+
+
+def test_dotfile_output_name_writes_two_files(tmp_path):
+    cfg = parse_config(f"chain: {{n_sites: 4}}\ndrive: {{n_kicks: 3}}\n"
+                       f"output: {{path: {tmp_path / 'sub' / '.hidden'}}}\n")
+    csv_path, json_path = run(cfg)
+    assert (csv_path.name, json_path.name) == (".hidden.csv", ".hidden.json")
+    assert csv_path.read_text(encoding="utf-8").startswith("kick_index,")
+    assert json_path.read_text(encoding="utf-8").startswith("[")
 
 
 def test_json_format_puts_json_first(tmp_path):

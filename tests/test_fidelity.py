@@ -18,6 +18,7 @@ from kickedchain import (
     build_hamiltonian,
     classical_threshold,
     conformance_report,
+    continuous_fidelity_series,
     enumerate_basis,
     index_of,
     out_of_range,
@@ -123,12 +124,6 @@ def test_omega2_conventions_differ_only_through_the_final_term():
     assert bell_fidelity_omega2([], -1.0, "abs_amplitude") == 7.0 / 6.0
     with pytest.raises(ValueError):
         bell_fidelity_omega2([], 0.0, "modulus")
-
-
-def test_omega2_accepts_nested_cross_amplitudes():
-    flat = bell_fidelity_omega2([0.1j, 0.2, 0.3, 0.4j], 0.5)
-    nested = bell_fidelity_omega2([[0.1j, 0.2], [0.3, 0.4j]], 0.5)
-    assert flat == nested
 
 
 def test_bell_input_validation():
@@ -257,3 +252,18 @@ def test_conformance_report_shape_and_time_zero_rows():
     # the exact family averages at t = 0 take the same values
     assert at_zero["omega1"]["direct_family_avg"] == 0.0
     assert at_zero["omega2"]["direct_family_avg"] == 0.5
+
+
+def test_conformance_report_scores_the_layout_the_sweeps_run():
+    # the report's literal columns and the kick-free sweep series read the same
+    # family table, so they agree up to the two ways of forming e^{-iHt}
+    rows = conformance_report(n_sites_values=(4, 5, 6), times=(1.0, 2.0, 4.0))
+    assert len(rows) == 18
+    for r in rows:
+        params = params_for(r["n_sites"])
+        series = continuous_fidelity_series(params, [r["time"]], r["state"])
+        assert abs(r["literal"] - series[0]) <= 1e-12
+        if r["state"] == "omega2":
+            alt = continuous_fidelity_series(params, [r["time"]], "omega2",
+                                             omega2_convention="abs_amplitude")
+            assert abs(r["literal_alt"] - alt[0]) <= 1e-12

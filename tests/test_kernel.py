@@ -19,9 +19,7 @@ from kickedchain import (
     ChainParams,
     KickSchedule,
     bell_fidelity_omega1,
-    bell_fidelity_omega1_array,
     bell_fidelity_omega2,
-    bell_fidelity_omega2_array,
     conformance_report,
     enumerate_basis,
     fidelity_lattice,
@@ -30,7 +28,6 @@ from kickedchain import (
     kick_step,
     max_fidelity,
     single_qubit_fidelity,
-    single_qubit_fidelity_array,
     uniform_profile,
     vacuum_energy,
 )
@@ -161,8 +158,8 @@ def eigenbasis_lattice(params, state, taus, m_max, omega2_convention="re_amplitu
             params, basis, taus, E1, [index_of(basis, s) for s in sources],
             [index_of(basis, t) for t in targets], m_max):
         ms = np.arange(m0, m0 + amps.shape[1])
-        out[:, ms] = sweep_module._score(state, amps, np.multiply.outer(e_vac * taus, ms),
-                                         omega2_convention)
+        out[:, ms] = fidelity_module.family_score(state, amps, np.multiply.outer(e_vac * taus, ms),
+                                                  omega2_convention)
     return out
 
 
@@ -284,7 +281,7 @@ def test_kicked_columns_and_evolve_kicked_match_repeated_products(n_kicks):
         want = step @ want
 
 
-# -- array scorers ----------------------------------------------------------------
+# -- elementwise scorers ----------------------------------------------------------
 
 def unitary_columns(rng, dim, count):
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -295,23 +292,24 @@ def unitary_columns(rng, dim, count):
 def test_array_scorers_equal_scalar_scorers_elementwise():
     rng = np.random.default_rng(5)
     cols = np.stack([unitary_columns(rng, 15, 2) for _ in range(40)])    # (40, 15, 2)
+    # each scorer on the whole stack equals its own per-element calls, and a
+    # scalar in gives a float
     f = cols[:, 0, 0]
-    assert np.array_equal(single_qubit_fidelity_array(f),
-                          [single_qubit_fidelity(x) for x in f])
+    singles = [single_qubit_fidelity(x) for x in f]
+    assert np.array_equal(single_qubit_fidelity(f), singles)
     near, far, cross_near, cross_far = cols[:, 0, 0], cols[:, 1, 1], cols[:, 0, 1], cols[:, 1, 0]
-    assert np.array_equal(
-        bell_fidelity_omega1_array(near, far, cross_near, cross_far),
-        [bell_fidelity_omega1(*args) for args in zip(near, far, cross_near, cross_far)])
+    pairs = [bell_fidelity_omega1(*args) for args in zip(near, far, cross_near, cross_far)]
+    assert np.array_equal(bell_fidelity_omega1(near, far, cross_near, cross_far), pairs)
     cross, final = cols[:, :-1, 0], cols[:, -1, 0]
     for convention in ("re_amplitude", "abs_amplitude"):
-        assert np.array_equal(
-            bell_fidelity_omega2_array(cross, final, convention),
-            [bell_fidelity_omega2(c, g, convention) for c, g in zip(cross, final)])
+        vacua = [bell_fidelity_omega2(c, g, convention) for c, g in zip(cross, final)]
+        assert np.array_equal(bell_fidelity_omega2(cross, final, convention), vacua)
+        assert all(isinstance(v, float) for v in singles + pairs + vacua)
 
 
 def test_single_qubit_array_clips_to_the_unit_interval():
     f = np.array([1.0 + 5e-10, -1.0, 0.0, 1j, 0.6 - 0.8j])
-    values = single_qubit_fidelity_array(f)
+    values = single_qubit_fidelity(f)
     assert values[0] == 1.0
     assert np.all((values >= 0.0) & (values <= 1.0))
     assert np.array_equal(values, [single_qubit_fidelity(x) for x in f])
@@ -319,16 +317,15 @@ def test_single_qubit_array_clips_to_the_unit_interval():
 
 def test_single_qubit_array_rejects_moduli_beyond_one():
     with pytest.raises(ValueError, match="exceeds 1"):
-        single_qubit_fidelity_array(np.array([0.5, 1.0 + 1e-4j, 0.0]))
+        single_qubit_fidelity(np.array([0.5, 1.0 + 1e-4j, 0.0]))
     with pytest.raises(ValueError, match="exceeds 1"):
         single_qubit_fidelity(1.0 + 1e-4j)
 
 
 def test_omega2_array_is_unclamped_above_one():
-    values = bell_fidelity_omega2_array(np.zeros((3, 4)), np.array([1.0, -1.0, 1j]),
-                                        "abs_amplitude")
+    values = bell_fidelity_omega2(np.zeros((3, 4)), np.array([1.0, -1.0, 1j]), "abs_amplitude")
     assert np.array_equal(values, [7.0 / 6.0] * 3)
-    assert bell_fidelity_omega2_array(np.zeros(4), 1.0) == 7.0 / 6.0
+    assert bell_fidelity_omega2(np.zeros(4), 1.0) == 7.0 / 6.0
 
 
 # -- hoisting ------------------------------------------------------------------------

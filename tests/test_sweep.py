@@ -1,7 +1,5 @@
 """Grid sweeps, the no-kick branch, tie-breaking, and the periodogram."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -328,67 +326,52 @@ def test_worker_count_does_not_change_results():
     assert sweep_axis(plan, workers=1) == sweep_axis(plan, workers=4)
 
 
-def test_retained_series_contains_the_reported_maximum():
+def test_sweep_rows_equal_max_fidelity():
     plan = SweepPlan(params=params_for(5), axis="tau", grid=(1.0, 2.0),
-                     states=("omega0",), m_max=20, retain_series=True)
+                     states=("omega0",), m_max=20)
     for row in sweep_axis(plan).rows:
-        assert row.series is not None
-        assert max(row.series) == row.max_fidelity
+        assert (row.max_fidelity, row.argmax_tau, row.argmax_kicks) == \
+            max_fidelity(params_for(5), "omega0", (row.grid_value,), 20)
 
-    # at N = 10 the omega2 lattice on the default tau grid runs in the H0 eigenbasis,
-    # while a series of its own at one tau would run on the blocked loop
-    omega2 = SweepPlan(params=params_for(10), axis="e1", grid=(1.0,),
-                       states=("omega2",), retain_series=True)
+    # at N = 10 the omega2 lattice on the default tau grid runs in the H0 eigenbasis
+    omega2 = SweepPlan(params=params_for(10), axis="e1", grid=(1.0,), states=("omega2",))
     row = sweep_axis(omega2).rows[0]
-    assert len(row.series) == omega2.m_max + 1
-    assert max(row.series) == row.max_fidelity == row.series[row.argmax_kicks]
     assert (row.max_fidelity, row.argmax_tau, row.argmax_kicks) == \
         max_fidelity(params_for(10), "omega2")
 
-    no_series = SweepPlan(params=params_for(5), axis="tau", grid=(1.0,),
-                          states=("omega0",), m_max=5)
-    assert sweep_axis(no_series).rows[0].series is None
 
-
-def test_retained_kicked_series_takes_one_lattice_per_point_and_state(monkeypatch):
+def test_kicked_sweep_takes_one_lattice_per_point_and_state(monkeypatch):
     plan = SweepPlan(params=params_for(5), axis="e1", grid=(0.5, 1.0),
-                     states=("omega0", "omega2"), tau_grid=(0.5, 1.0, 1.5), m_max=20,
-                     retain_series=True)
+                     states=("omega0", "omega2"), tau_grid=(0.5, 1.0, 1.5), m_max=20)
     calls = []
     compute = sweep_module.kick_lattice
     monkeypatch.setattr(sweep_module, "kick_lattice",
                         lambda *args, **kw: calls.append(args[1].n_excitations)
                         or compute(*args, **kw))
-    kept = sweep_axis(plan)
+    rows = sweep_axis(plan).rows
     assert calls == [1, 2] * 2
     monkeypatch.undo()
 
-    plain = sweep_axis(replace(plan, retain_series=False))
-    assert [replace(row, series=None) for row in kept.rows] == list(plain.rows)
-    for row in kept.rows:
-        assert row.series[row.argmax_kicks] == max(row.series) == row.max_fidelity
+    for row in rows:
+        assert (row.max_fidelity, row.argmax_tau, row.argmax_kicks) == \
+            max_fidelity(params_for(5), row.state, plan.tau_grid, 20, e1=row.grid_value)
 
 
-def test_retained_kick_free_series_is_computed_once_per_point_and_state(monkeypatch):
+def test_kick_free_series_is_computed_once_per_point_and_state(monkeypatch):
     plan = SweepPlan(params=params_for(5), axis="j2_over_j1", grid=(-1.0, 0.5),
-                     states=("omega0", "omega2"), e1=0.0, retain_series=True)
+                     states=("omega0", "omega2"), e1=0.0)
     calls = []
     compute = sweep_module.continuous_fidelity_series
     monkeypatch.setattr(sweep_module, "continuous_fidelity_series",
                         lambda *args, **kw: calls.append(args[2]) or compute(*args, **kw))
-    kept = sweep_axis(plan)
+    rows = sweep_axis(plan).rows
     assert calls == ["omega0", "omega2"] * 2
     monkeypatch.undo()
 
-    plain = sweep_axis(replace(plan, retain_series=False))
-    assert [replace(row, series=None) for row in kept.rows] == list(plain.rows)
-    for row in kept.rows:
+    for row in rows:
         p = params_for(5, j2=row.grid_value)
         assert (row.max_fidelity, row.argmax_tau, row.argmax_kicks) == \
             max_fidelity(p, row.state, e1=0.0)
-        assert np.array_equal(row.series, continuous_fidelity_series(p, CONTINUOUS_TIMES, row.state))
-        # first occurrence of the maximum, at time argmax_kicks
-        assert row.series.index(row.max_fidelity) == row.argmax_kicks - 1
 
 
 def test_failing_grid_point_reports_its_position():
