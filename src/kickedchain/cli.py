@@ -16,8 +16,12 @@ mode-dependent checks see the final mode.
 
 Every run writes two files with the same records, a CSV table (the
 plot-ready artifact) and a JSON mirror; reruns of the same config are
-byte-identical.  Failures print a one-line machine-readable JSON error
-record to stderr and exit nonzero.
+byte-identical.  A table longer than one 2048-row block (a long evolve or
+periodogram) has its JSON written by a forked child while the CSV is
+written here, so the two use both cores; every sweep and recipe table is
+shorter and is written in-process, as on a platform without os.fork.
+Failures, the child's included, print a one-line machine-readable JSON
+error record to stderr and exit nonzero.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from itertools import chain
@@ -434,8 +439,11 @@ def _periodogram_tables(config: ExperimentConfig):
                    np.concatenate(dominant)]
 
 
-# Rows per block: each block is one %-format pass per file, so the writer
+# Rows per block: each block is one %-format pass per file, so a writer
 # holds one block's cells and text at a time, however long the table is.
+# Only a table longer than one block forks its JSON writer: fork and wait cost
+# about 3 ms in a process that has imported numpy, twice what the JSON of a
+# 501-row recipe table takes to write.
 _BLOCK_ROWS = 2048
 # Cell types a table column may hold; bool comes before int, its base class.
 _CELL_TYPES = (bool, int, float, str)
@@ -452,7 +460,8 @@ def _json_bools(cells):
 
 
 def _json_strings(cells):
-    return list(map(json.dumps, cells))
+    encoded = {s: json.dumps(s) for s in set(cells)}
+    return list(map(encoded.__getitem__, cells))
 
 
 def _json_nonfinite_floats(cells):
@@ -512,24 +521,23 @@ def _output_paths(config: ExperimentConfig) -> tuple[Path, Path]:
     return base.parent / (base.name + ".csv"), base.parent / (base.name + ".json")
 
 
-def write_tables(config: ExperimentConfig, names: list[str], columns: list) -> list[Path]:
-    """Emit the CSV table and its JSON mirror; returns paths, primary first.
+@dataclass(frozen=True)
+class _Table:
+    """A typed table: row templates with its constant columns baked in as text,
+    and the varying columns as (cells, JSON token function or None)."""
+    names: list[str]
+    n_rows: int
+    csv_row: str
+    json_record: str
+    varying: list
 
-    ``columns`` holds one column per name, all of one length: a numpy bool,
-    int or float array, or a sequence of one cell type (bool, int, float or
-    str).  Each column is typed once, before either file is opened, so a
-    column of mixed types raises TypeError and writes nothing.  A column
-    whose cells are bit-identical is formatted once into the row templates.
-    Both files are then written in blocks of _BLOCK_ROWS rows, one %-format
-    pass per block and file.  The bytes equal a cell-by-cell rendering: CSV
-    cells as 1/0, %d, %.17g and %s, and the JSON as json.dumps(records,
-    indent=2) of one record per row.
-    """
+
+def _typed_table(names: list[str], columns: list) -> _Table:
+    """Check and type every column and build the row templates of both files."""
     lengths = {len(cells) for cells in columns}
     if len(columns) != len(names) or len(lengths) > 1:
         raise ValueError(f"need one column per name, all of one length; got {len(names)} "
                          f"names and columns of lengths {[len(c) for c in columns]}")
-    n_rows = lengths.pop() if lengths else 0
     csv_row, json_fields, varying = [], [], []
     for name, cells in zip(names, columns):
         cells, csv_spec, json_spec, to_json = _typed_column(name, cells)
@@ -541,23 +549,110 @@ def write_tables(config: ExperimentConfig, names: list[str], columns: list) -> l
             varying.append((cells, to_json))
         csv_row.append(csv_spec)
         json_fields.append(f'\n    {json.dumps(name).replace("%", "%%")}: {json_spec}')
-    csv_row = ",".join(csv_row) + "\n"
-    json_record = "  {" + ",".join(json_fields) + "\n  }"
+    return _Table(names=names, n_rows=lengths.pop() if lengths else 0,
+                  csv_row=",".join(csv_row) + "\n",
+                  json_record="  {" + ",".join(json_fields) + "\n  }", varying=varying)
 
+
+def _blocks(table: _Table):
+    """(first row, row count, varying cells as Python lists) for each block of the table."""
+    for start in range(0, table.n_rows, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, table.n_rows)
+        yield start, stop - start, [_python_cells(cells, start, stop) for cells, _ in table.varying]
+
+
+def _write_csv(file, table: _Table):
+    file.write(",".join(table.names) + "\n")
+    for _, n, block in _blocks(table):
+        file.write(table.csv_row * n % tuple(chain.from_iterable(zip(*block))))
+
+
+def _write_json(file, table: _Table):
+    file.write("[")
+    for start, n, block in _blocks(table):
+        tokens = [to_json(b) if to_json else b for b, (_, to_json) in zip(block, table.varying)]
+        records = ("," if start else "") + "\n" + ",\n".join([table.json_record] * n)
+        file.write(records % tuple(chain.from_iterable(zip(*tokens))))
+    file.write("\n]\n" if table.n_rows else "]\n")
+
+
+def _write_forked(csv_file, json_file, json_path: Path, table: _Table):
+    """Write the JSON in a forked child while this process writes the CSV.
+
+    Returns once both files are written.  The child reports a failure
+    through a pipe, so stderr keeps the command line's one error record, and
+    leaves through os._exit, so it runs no atexit handler and flushes no
+    buffer it shares with this process.  An exception here kills the child;
+    either way the child is reaped before this returns or raises.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:            # e.g. out of processes
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            _write_json(json_file, table)
+            json_file.flush()
+            status = 0
+        except BaseException as exc:   # the child must never unwind into its caller
+            with open(write_fd, "w", encoding="utf-8") as pipe:
+                pipe.write(f"{type(exc).__name__}: {exc}")
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    try:
+        _write_csv(csv_file, table)
+    except BaseException:
+        import signal    # here, not at the top: it adds about 1 ms to every start-up
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        with open(read_fd, encoding="utf-8", errors="replace") as pipe:
+            message = pipe.read()
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status:
+        raise RuntimeError(f"writing {json_path} failed: "
+                           f"{message or f'the writer exited with status {status}'}")
+
+
+def write_tables(config: ExperimentConfig, names: list[str], columns: list) -> list[Path]:
+    """Emit the CSV table and its JSON mirror; returns paths, primary first.
+
+    ``columns`` holds one column per name, all of one length: a numpy bool,
+    int or float array, or a sequence of one cell type (bool, int, float or
+    str).  Each column is typed once, before either file is opened, so a
+    column of mixed types raises TypeError and writes nothing.  A column
+    whose cells are bit-identical is formatted once into the row templates.
+    Each file is written in blocks of _BLOCK_ROWS rows, one %-format pass per
+    block.  The bytes equal a cell-by-cell rendering: CSV cells as 1/0, %d,
+    %.17g and %s, and the JSON as json.dumps(records, indent=2) of one
+    record per row.
+
+    Both files are opened (and so created) before either is written.  A
+    table of at most one block, which covers every sweep and recipe, is
+    then written here, CSV first: forking costs more than its JSON takes.
+    A longer one, where os.fork exists, has its JSON written by a forked
+    child while this process writes the CSV; a failure in the child raises
+    RuntimeError naming the JSON path and carrying the child's error, and
+    no child outlives the call.  The child only formats text and makes no
+    BLAS call; on Python >= 3.12 a process whose BLAS runs threads gets a
+    DeprecationWarning from the fork.
+    """
+    table = _typed_table(names, columns)
     csv_path, json_path = _output_paths(config)
     csv_path.parent.mkdir(parents=True, exist_ok=True)
     with (open(csv_path, "w", encoding="utf-8") as csv_file,
           open(json_path, "w", encoding="utf-8") as json_file):
-        csv_file.write(",".join(names) + "\n")
-        json_file.write("[")
-        for start in range(0, n_rows, _BLOCK_ROWS):
-            stop = min(start + _BLOCK_ROWS, n_rows)
-            block = [_python_cells(cells, start, stop) for cells, _ in varying]
-            csv_file.write(csv_row * (stop - start) % tuple(chain.from_iterable(zip(*block))))
-            tokens = [to_json(b) if to_json else b for b, (_, to_json) in zip(block, varying)]
-            records = ("," if start else "") + "\n" + ",\n".join([json_record] * (stop - start))
-            json_file.write(records % tuple(chain.from_iterable(zip(*tokens))))
-        json_file.write("\n]\n" if n_rows else "]\n")
+        if table.n_rows > _BLOCK_ROWS and hasattr(os, "fork"):
+            _write_forked(csv_file, json_file, json_path, table)
+        else:
+            _write_csv(csv_file, table)
+            _write_json(json_file, table)
     return [json_path, csv_path] if config.output.format == "json" else [csv_path, json_path]
 
 

@@ -14,11 +14,9 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 import oracle
 from kickedchain import (
-    CONTINUOUS_TIMES,
     DEFAULT_TAU_GRID,
     ChainParams,
     CouplingProfile,
