@@ -54,7 +54,6 @@ from .sweep import (
     DEFAULT_TAU_GRID,
     SWEEP_AXES,
     SweepPlan,
-    SweepResult,
     SweepRow,
     continuous_fidelity_series,
     fidelity_lattice,

@@ -16,7 +16,8 @@ mode-dependent checks see the final mode.
 
 Every run writes two files with the same records, a CSV table (the
 plot-ready artifact) and a JSON mirror; reruns of the same config are
-byte-identical.  A table longer than one 2048-row block (a long evolve or
+byte-identical.  Each mode hands the writer numpy columns, typed by dtype
+kind alone.  A table longer than one 2048-row block (a long evolve or
 periodogram) has its JSON written by a forked child while the CSV is
 written here, so the two use both cores; every sweep and recipe table is
 shorter and is written in-process, as on a platform without os.fork.
@@ -420,10 +421,10 @@ def _evolve_tables(config: ExperimentConfig):
 
 
 def _sweep_tables(config: ExperimentConfig, workers: int):
-    rows = sweep_axis(_sweep_plan(config), workers=workers).rows
+    rows = sweep_axis(_sweep_plan(config), workers=workers)
     keys = ("grid_value", "state", "max_fidelity", "argmax_tau", "argmax_kicks", "out_of_range")
     names = [*keys[:-1], "out_of_range_flag"]
-    return names, [[getattr(row, key) for row in rows] for key in keys]
+    return names, [np.array([getattr(row, key) for row in rows]) for key in keys]
 
 
 def _periodogram_tables(config: ExperimentConfig):
@@ -431,12 +432,12 @@ def _periodogram_tables(config: ExperimentConfig):
     states, frequencies, magnitudes, dominant = [], [], [], []
     for state, series in _kicked_series(config).items():
         f, mag, peak = periodogram(series)
-        states += [state] * f.size
+        states.append(np.full(f.size, state))
         frequencies.append(f)
         magnitudes.append(mag)
         dominant.append(f == peak if peak is not None else np.zeros(f.size, dtype=bool))
-    return names, [states, np.concatenate(frequencies), np.concatenate(magnitudes),
-                   np.concatenate(dominant)]
+    return names, [np.concatenate(states), np.concatenate(frequencies),
+                   np.concatenate(magnitudes), np.concatenate(dominant)]
 
 
 # Rows per block: each block is one %-format pass per file, so a writer
@@ -445,13 +446,6 @@ def _periodogram_tables(config: ExperimentConfig):
 # about 3 ms in a process that has imported numpy, twice what the JSON of a
 # 501-row recipe table takes to write.
 _BLOCK_ROWS = 2048
-# Cell types a table column may hold; bool comes before int, its base class.
-_CELL_TYPES = (bool, int, float, str)
-_DTYPE_CELL_TYPES = {"b": bool, "i": int, "u": int, "f": float}
-_CSV_SPECS = {bool: "%d", int: "%d", float: "%.17g", str: "%s"}
-# JSON cells: ints and finite floats go straight into %d and %r (float repr is
-# what json.dumps writes); the other types pass through a token function first.
-_JSON_SPECS = {bool: "%s", int: "%d", float: "%r", str: "%s"}
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
@@ -468,50 +462,32 @@ def _json_nonfinite_floats(cells):
     return [_JSON_NONFINITE.get(t, t) for t in map(repr, cells)]
 
 
-_JSON_TOKENS = {bool: _json_bools, str: _json_strings}
+# (CSV spec, JSON spec, JSON token function or None) by dtype kind.  JSON ints and
+# finite floats go straight into %d and %r (float repr is what json.dumps writes);
+# bools, strs and a float column with a non-finite cell pass through a token function.
+_FORMATS = {"b": ("%d", "%s", _json_bools), "i": ("%d", "%d", None), "u": ("%d", "%d", None),
+            "f": ("%.17g", "%r", None), "U": ("%s", "%s", _json_strings)}
 
 
-def _column_type(name: str, cells) -> type:
-    """The one cell type of a column, from _CELL_TYPES (str for an empty column)."""
-    kinds = {next((k for k in _CELL_TYPES if issubclass(t, k)), t) for t in set(map(type, cells))}
-    if len(kinds) > 1 or not kinds <= set(_CELL_TYPES):
-        found = ", ".join(sorted(k.__name__ for k in kinds))
-        raise TypeError(f"column {name!r} must hold one of bool, int, float, str; got {found}")
-    return kinds.pop() if kinds else str
+def _column_format(name: str, cells) -> tuple:
+    """(CSV spec, JSON spec, JSON token function or None) of one column, by its dtype kind."""
+    kind = cells.dtype.kind if isinstance(cells, np.ndarray) else None
+    if kind not in _FORMATS:
+        found = cells.dtype if kind else type(cells).__name__
+        raise TypeError(f"column {name!r} must be a bool, int, float or str array, not {found}")
+    if kind == "f" and not np.isfinite(cells).all():
+        return _FORMATS["f"][0], "%s", _json_nonfinite_floats
+    return _FORMATS[kind]
 
 
-def _typed_column(name: str, cells):
-    """(cells, CSV spec, JSON spec, JSON token function or None) for one column.
-
-    A numpy bool, int or float column is typed by its dtype, any other
-    column by all of its cells; a float column becomes a float64 array, so
-    constancy and finiteness are array checks.
-    """
-    if isinstance(cells, np.ndarray) and cells.dtype.kind not in _DTYPE_CELL_TYPES:
-        cells = cells.tolist()             # e.g. a str array: typed cell by cell
-    if isinstance(cells, np.ndarray):
-        kind = _DTYPE_CELL_TYPES[cells.dtype.kind]
-    else:
-        kind = _column_type(name, cells)
-        if kind is float:
-            cells = np.array(cells, dtype=float)
-    if kind is float and not np.isfinite(cells).all():
-        return cells, _CSV_SPECS[float], "%s", _json_nonfinite_floats
-    return cells, _CSV_SPECS[kind], _JSON_SPECS[kind], _JSON_TOKENS.get(kind)
-
-
-def _is_constant(cells) -> bool:
-    """Whether a nonempty column holds one value, bit for bit (0.0 and -0.0 differ)."""
-    if not len(cells):
+def _is_constant(cells: np.ndarray) -> bool:
+    """Whether a nonempty column holds one value; floats compare bits, so 0.0 and
+    -0.0 differ and an all-NaN column is constant."""
+    if not cells.size:
         return False
-    if isinstance(cells, np.ndarray):
-        bits = cells.view(f"u{cells.itemsize}")
-        return bool((bits == bits[0]).all())
-    return cells.count(cells[0]) == len(cells)   # bool, int or str: == is identity of value
-
-
-def _python_cells(cells, start: int, stop: int):
-    return cells[start:stop].tolist() if isinstance(cells, np.ndarray) else cells[start:stop]
+    if cells.dtype.kind == "f":
+        cells = cells.view(f"u{cells.itemsize}")
+    return bool((cells == cells[0]).all())
 
 
 def _output_paths(config: ExperimentConfig) -> tuple[Path, Path]:
@@ -540,9 +516,9 @@ def _typed_table(names: list[str], columns: list) -> _Table:
                          f"names and columns of lengths {[len(c) for c in columns]}")
     csv_row, json_fields, varying = [], [], []
     for name, cells in zip(names, columns):
-        cells, csv_spec, json_spec, to_json = _typed_column(name, cells)
+        csv_spec, json_spec, to_json = _column_format(name, cells)
         if _is_constant(cells):
-            value = _python_cells(cells, 0, 1)
+            value = cells[:1].tolist()
             csv_spec = (csv_spec % tuple(value)).replace("%", "%%")
             json_spec = (json_spec % tuple(to_json(value) if to_json else value)).replace("%", "%%")
         else:
@@ -558,7 +534,7 @@ def _blocks(table: _Table):
     """(first row, row count, varying cells as Python lists) for each block of the table."""
     for start in range(0, table.n_rows, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, table.n_rows)
-        yield start, stop - start, [_python_cells(cells, start, stop) for cells, _ in table.varying]
+        yield start, stop - start, [cells[start:stop].tolist() for cells, _ in table.varying]
 
 
 def _write_csv(file, table: _Table):
@@ -623,11 +599,12 @@ def _write_forked(csv_file, json_file, json_path: Path, table: _Table):
 def write_tables(config: ExperimentConfig, names: list[str], columns: list) -> list[Path]:
     """Emit the CSV table and its JSON mirror; returns paths, primary first.
 
-    ``columns`` holds one column per name, all of one length: a numpy bool,
-    int or float array, or a sequence of one cell type (bool, int, float or
-    str).  Each column is typed once, before either file is opened, so a
-    column of mixed types raises TypeError and writes nothing.  A column
-    whose cells are bit-identical is formatted once into the row templates.
+    ``columns`` holds one column per name, all of one length, each a numpy
+    bool, int, uint, float or str array, typed by its dtype kind through
+    _FORMATS before either file is opened: any other column (a list, an
+    object or complex array) raises TypeError naming it and writes nothing.
+    A column whose cells are bit-identical is formatted once into the row
+    templates.
     Each file is written in blocks of _BLOCK_ROWS rows, one %-format pass per
     block.  The bytes equal a cell-by-cell rendering: CSV cells as 1/0, %d,
     %.17g and %s, and the JSON as json.dumps(records, indent=2) of one

@@ -75,6 +75,8 @@ U0_CONVENTIONS = ("hamiltonian_tau", "literal_eq5")
 _STEP_STACK_BYTES = 256 * 1024
 _AMPLITUDE_BLOCK_BYTES = 64 * 1024
 _COMPLEX_BYTES = np.dtype(complex).itemsize
+# Largest |H - H^+| entry eigendecompose accepts.
+_HERMITICITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -95,17 +97,17 @@ class KickSchedule:
             raise ValueError(f"kick count must be non-negative, got {self.n_kicks}")
 
 
-def eigendecompose(h: np.ndarray, hermiticity_tol: float = 1e-12):
+def eigendecompose(h: np.ndarray):
     """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix.
 
-    Rejects matrices whose Hermiticity defect exceeds ``hermiticity_tol``
+    Rejects matrices whose Hermiticity defect exceeds _HERMITICITY_TOL
     rather than silently symmetrizing them.
     """
     h = np.asarray(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
     defect = np.max(np.abs(h - h.conj().T)) if h.size else 0.0
-    if defect > hermiticity_tol:
+    if defect > _HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian (max|H - H^+| = {defect:.3e})")
     return np.linalg.eigh(h)
 

@@ -47,7 +47,6 @@ __all__ = [
     "float_grid",
     "SweepPlan",
     "SweepRow",
-    "SweepResult",
     "fidelity_series",
     "fidelity_lattice",
     "continuous_fidelity_series",
@@ -160,16 +159,6 @@ class SweepRow:
     argmax_tau: float
     argmax_kicks: int
     out_of_range: bool
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    """Rows for every (grid value, state) pair, ordered by grid index then plan state order."""
-
-    axis: str
-    grid: tuple[float, ...]
-    states: tuple[str, ...]
-    rows: tuple[SweepRow, ...]
 
 
 def fidelity_lattice(params: ChainParams, state: str, tau_grid: Sequence[float], m_max: int,
@@ -337,8 +326,10 @@ def _evaluate_point(plan: SweepPlan, idx: int) -> list[SweepRow]:
     return rows
 
 
-def sweep_axis(plan: SweepPlan, workers: int = 1) -> SweepResult:
-    """Evaluate the plan at every grid value, in grid order, in the caller's thread.
+def sweep_axis(plan: SweepPlan, workers: int = 1) -> tuple[SweepRow, ...]:
+    """Rows for every (grid value, state) pair, ordered by grid index then plan state order.
+
+    The plan is evaluated at every grid value, in grid order, in the caller's thread.
 
     ``workers`` is validated (>= 1) but does not change scheduling or
     results: the grid points are BLAS-bound, and a thread pool over them
@@ -352,7 +343,7 @@ def sweep_axis(plan: SweepPlan, workers: int = 1) -> SweepResult:
             rows += _evaluate_point(plan, idx)
         except Exception as exc:
             raise RuntimeError(f"sweep point {idx} (grid value {value!r}) failed: {exc}") from exc
-    return SweepResult(axis=plan.axis, grid=plan.grid, states=plan.states, rows=tuple(rows))
+    return tuple(rows)
 
 
 def periodogram(series: Sequence[float]):

@@ -309,7 +309,7 @@ def test_trend_stronger_type1_impurity_never_helps_omega2_without_kicks():
     plan = SweepPlan(params=canonical_params(), axis="impurity_ratio",
                      grid=float_grid(1.0, 2.2, 0.1), states=("omega2",),
                      impurity=template, e1=0.0)
-    rows = sweep_axis(plan).rows
+    rows = sweep_axis(plan)
     values = np.array([row.max_fidelity for row in rows])
     slope = float(np.polyfit(np.array(plan.grid), values, 1)[0])
     passed = slope <= 0.0 and values[-1] <= values[0]

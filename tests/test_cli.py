@@ -312,23 +312,24 @@ def reference_rendering(columns, rows):
 
 
 TYPED_COLUMNS = ["index", "state", "value", "flag", "rate_%d"]
+TYPED_DTYPES = [np.int64, str, float, bool, float]
 TYPED_ROWS = [
     [0, "omega0", 0.1, True, -0.0],
     [-7, 'say "hi" \\ 100%', float("nan"), False, float("inf")],
-    [2 ** 70, "caf\u00e9", 1e-300, True, float("-inf")],
+    [2 ** 63 - 1, "caf\u00e9", 1e-300, True, float("-inf")],
     [3, "", np.float64(2.0 / 3.0), False, 5e-324],
-    [4, "%s,%d", -2.5e17, True, 1.0],
+    [-2 ** 63, "%s,%d", -2.5e17, True, 1.0],
 ]
 
 
-def columns_of(names, rows):
-    """The columns of a row-major table, as lists."""
-    return [[row[i] for row in rows] for i in range(len(names))]
+def columns_of(dtypes, rows):
+    """The columns of a row-major table, as numpy arrays of the given dtypes."""
+    return [np.array([row[i] for row in rows], dtype=dtype) for i, dtype in enumerate(dtypes)]
 
 
 def rows_of(columns):
-    """The rows of a column-major table, numpy columns as Python values."""
-    return list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns)))
+    """The rows of a column-major table, as Python values."""
+    return list(zip(*(c.tolist() for c in columns)))
 
 
 def assert_written_as_reference(tmp_path, names, columns):
@@ -345,7 +346,7 @@ def assert_written_as_reference(tmp_path, names, columns):
                          ids=["typed", "one_row", "zero_rows"])
 def test_write_tables_equals_the_cell_by_cell_rendering(tmp_path, rows):
     cfg = parse_config(f"output: {{path: {tmp_path / 't'}}}")
-    csv_path, json_path = write_tables(cfg, TYPED_COLUMNS, columns_of(TYPED_COLUMNS, rows))
+    csv_path, json_path = write_tables(cfg, TYPED_COLUMNS, columns_of(TYPED_DTYPES, rows))
     want_csv, want_json = reference_rendering(TYPED_COLUMNS, rows)
     assert csv_path.read_text(encoding="utf-8") == want_csv
     assert json_path.read_text(encoding="utf-8") == want_json
@@ -355,61 +356,62 @@ def test_write_tables_equals_the_cell_by_cell_rendering(tmp_path, rows):
                                     2 * _BLOCK_ROWS + 1])
 def test_write_tables_streams_blocks_that_equal_the_cell_by_cell_rendering(tmp_path, n_rows):
     index = np.arange(n_rows)
-    late = [i / 7 for i in range(n_rows)]      # non-finite only in the last block
+    late = index / 7                             # non-finite only in the last block
     if n_rows > _BLOCK_ROWS:
         late[-2:] = [float("nan"), float("-inf")]
     columns = [
-        index,                                          # numpy int64
-        np.sin(index) * 1e5,                            # numpy float64
-        index % 3 == 0,                                 # numpy bool
-        [f"s{i % 5}" for i in range(n_rows)],          # str list
-        late,                                           # float list
-        [i * i for i in range(n_rows)],                 # int list
-        [i % 2 == 1 for i in range(n_rows)],            # bool list
-        np.array([f"{i % 3}%" for i in range(n_rows)]),  # numpy str
-        np.full(n_rows, 2.0 / 3.0),                     # constant numpy float64
+        index,                                          # int64
+        np.sin(index) * 1e5,                            # float64
+        index % 3 == 0,                                 # bool
+        np.array([f"s{i % 5}" for i in range(n_rows)], dtype=str),
+        late,                                           # float64, non-finite late
+        index.astype(np.uint32) ** 2,                   # uint32
+        np.array([f"{i % 3}%" for i in range(n_rows)], dtype=str),
+        np.full(n_rows, 2.0 / 3.0),                     # constant float64
     ]
-    names = ["index", "wave", "third", "label", "late", "square", "odd", "percent", "constant"]
+    names = ["index", "wave", "third", "label", "late", "square", "percent", "constant"]
     assert_written_as_reference(tmp_path, names, columns)
 
 
 def test_write_tables_constant_columns_compare_bits(tmp_path):
     n_rows = _BLOCK_ROWS + 3
-    signed_zero = [0.0] * n_rows
+    signed_zero = np.zeros(n_rows)
     signed_zero[_BLOCK_ROWS + 1] = -0.0                # == 0.0, but written "-0.0"
+    late_label = np.full(n_rows, "a")
+    late_label[_BLOCK_ROWS + 1] = "b"
     columns = [
         signed_zero,
-        np.array(signed_zero),
-        [float("nan")] * n_rows,
         np.full(n_rows, np.nan),
-        ["100% %s,%d"] * n_rows,
+        np.full(n_rows, "100% %s,%d"),
+        late_label,
         np.full(n_rows, -7),
         np.full(n_rows, True),
     ]
-    names = ["zero_list", "zero_array", "nan_list", "nan_array", "percent", "int", "flag"]
+    names = ["zero", "nan", "percent", "late_label", "int", "flag"]
     csv_text, json_text = assert_written_as_reference(tmp_path, names, columns)
     lines = csv_text.splitlines()
-    assert lines[1] == "0,0,nan,nan,100% %s,%d,-7,1"
-    assert lines[_BLOCK_ROWS + 2] == "-0,-0,nan,nan,100% %s,%d,-7,1"
-    assert '"nan_array": NaN' in json_text
+    assert lines[1] == "0,nan,100% %s,%d,a,-7,1"
+    assert lines[_BLOCK_ROWS + 2] == "-0,nan,100% %s,%d,b,-7,1"
+    assert '"nan": NaN' in json_text
 
 
-def test_write_tables_rejects_a_column_of_mixed_types(tmp_path):
+def test_write_tables_rejects_a_column_that_is_not_a_typed_array(tmp_path):
     cfg = parse_config(f"output: {{path: {tmp_path / 't'}}}")
-    with pytest.raises(TypeError, match="'value'"):
-        write_tables(cfg, ["value"], [[1.0, 2]])
-    assert not list(tmp_path.iterdir())
-    # a stray type in a later block is found before either file is opened
-    stray = [0.5] * (_BLOCK_ROWS + 5) + [True]
-    with pytest.raises(TypeError, match="'late'"):
-        write_tables(cfg, ["index", "late"], [np.arange(len(stray)), stray])
-    assert not list(tmp_path.iterdir())
+    n_rows = _BLOCK_ROWS + 5
+    for bad in ([0.5] * n_rows,                           # a list, even of one type
+                np.full(n_rows, 0.5, dtype=object),
+                np.full(n_rows, 0.5 + 1j),
+                np.full(n_rows, b"bytes")):
+        # the bad column comes after a good one and is found before either file is opened
+        with pytest.raises(TypeError, match="'late'"):
+            write_tables(cfg, ["index", "late"], [np.arange(n_rows), bad])
+        assert not list(tmp_path.iterdir())
 
 
 def test_write_tables_rejects_columns_of_unequal_length(tmp_path):
     cfg = parse_config(f"output: {{path: {tmp_path / 't'}}}")
     with pytest.raises(ValueError, match="one length"):
-        write_tables(cfg, ["a", "b"], [np.arange(3), [1, 2]])
+        write_tables(cfg, ["a", "b"], [np.arange(3), np.arange(2)])
     with pytest.raises(ValueError, match="one column per name"):
         write_tables(cfg, ["a", "b"], [np.arange(3)])
     assert not list(tmp_path.iterdir())
@@ -440,7 +442,7 @@ def test_write_tables_memory_does_not_grow_with_the_table(tmp_path):
         assert long <= 1.5 * short, (short, long)
 
 
-LONG_LABELS = [f"s{i % 5}" for i in range(2 * _BLOCK_ROWS + 1)]
+LONG_LABELS = np.array([f"s{i % 5}" for i in range(2 * _BLOCK_ROWS + 1)])
 
 
 def assert_no_child_is_left():
@@ -455,7 +457,7 @@ def test_write_tables_without_fork_writes_a_long_table_in_process(tmp_path, monk
 
 
 def test_write_tables_reports_a_failed_json_child(tmp_path, monkeypatch, capfd):
-    encode = cli._JSON_TOKENS[str]
+    csv_spec, json_spec, encode = cli._FORMATS["U"]
     calls = []
 
     def second_block_fails(cells):
@@ -464,7 +466,7 @@ def test_write_tables_reports_a_failed_json_child(tmp_path, monkeypatch, capfd):
             raise ValueError("no room for block 2")
         return encode(cells)
 
-    monkeypatch.setitem(cli._JSON_TOKENS, str, second_block_fails)
+    monkeypatch.setitem(cli._FORMATS, "U", (csv_spec, json_spec, second_block_fails))
     cfg = parse_config(f"output: {{path: {tmp_path / 't'}}}")
     with pytest.raises(RuntimeError) as failure:
         write_tables(cfg, ["label"], [LONG_LABELS])
@@ -512,7 +514,9 @@ def test_write_tables_raises_a_failed_fork_and_closes_its_pipe(tmp_path, monkeyp
 
 
 def test_write_tables_kills_and_reaps_the_json_child_when_the_csv_fails(tmp_path, monkeypatch):
-    monkeypatch.setitem(cli._JSON_TOKENS, str, lambda cells: time.sleep(60))   # a stuck child
+    csv_spec, json_spec, _ = cli._FORMATS["U"]
+    monkeypatch.setitem(cli._FORMATS, "U",                  # a stuck child
+                        (csv_spec, json_spec, lambda cells: time.sleep(60)))
 
     def csv_fails(file, table):
         raise OSError("csv disk full")

@@ -15,6 +15,7 @@ from kickedchain import (
     bell_fidelity_omega1,
     bell_fidelity_omega2,
     build_hamiltonian,
+    classical_threshold,
     continuous_fidelity_series,
     eigendecompose,
     enumerate_basis,
@@ -254,7 +255,7 @@ def test_single_point_tau_sweep_equals_direct_maximum():
     p = params_for(5)
     plan = SweepPlan(params=p, axis="tau", grid=(2.0,), states=("omega0",),
                      m_max=40)
-    row = sweep_axis(plan).rows[0]
+    row = sweep_axis(plan)[0]
     val, atau, am = max_fidelity(p, "omega0", (2.0,), m_max=40)
     assert (row.max_fidelity, row.argmax_tau, row.argmax_kicks) == (val, atau, am)
     assert row.grid_value == 2.0 and row.grid_index == 0
@@ -264,8 +265,8 @@ def test_single_point_tau_sweep_equals_direct_maximum():
 def test_e1_axis_switches_to_continuous_at_zero():
     plan = SweepPlan(params=params_for(5), axis="e1", grid=(0.0, 1.0),
                      states=("omega0",), tau_grid=(0.5, 1.0), m_max=30)
-    result = sweep_axis(plan)
-    by_value = {row.grid_value: row for row in result.rows}
+    rows = sweep_axis(plan)
+    by_value = {row.grid_value: row for row in rows}
     assert by_value[0.0].argmax_tau == 1.0
     assert by_value[0.0].argmax_kicks >= 1
     assert by_value[1.0].argmax_tau in (0.5, 1.0)
@@ -275,7 +276,7 @@ def test_j2_over_j1_axis_rebuilds_a_uniform_profile():
     template = params_for(6, j1=1.3, j2=0.0)
     plan = SweepPlan(params=template, axis="j2_over_j1", grid=(-1.0, 0.5),
                      states=("omega0",), tau_grid=(1.0, 2.0), m_max=30)
-    rows = sweep_axis(plan).rows
+    rows = sweep_axis(plan)
     manual = max_fidelity(params_for(6, j1=1.3, j2=1.3 * 0.5), "omega0",
                           (1.0, 2.0), m_max=30)
     got = rows[1]
@@ -287,7 +288,7 @@ def test_impurity_ratio_axis_scales_strength_per_point():
     plan = SweepPlan(params=params_for(7), axis="impurity_ratio",
                      grid=(1.0, 1.8), states=("omega0",), impurity=template,
                      tau_grid=(1.0, 2.0), m_max=30)
-    rows = sweep_axis(plan).rows
+    rows = sweep_axis(plan)
     spec = impurity_from_strength("type1", 4, 1.8)
     perturbed = ChainParams(apply_impurity(uniform_profile(7, 1.0, -1.0), spec),
                             dm_field=0.1, b_field=0.0)
@@ -300,7 +301,7 @@ def test_kick_count_axis_scores_the_series_endpoint():
     p = params_for(5)
     plan = SweepPlan(params=p, axis="kick_count", grid=(0.0, 3.0),
                      states=("omega0",), tau_grid=(1.0, 2.0))
-    rows = sweep_axis(plan).rows
+    rows = sweep_axis(plan)
     assert rows[0].max_fidelity == 0.5            # zero kicks: untouched input
     assert rows[0].argmax_tau == 1.0              # flat in tau, ties to first
     assert rows[0].argmax_kicks == 0
@@ -315,8 +316,8 @@ def test_kick_count_axis_scores_the_series_endpoint():
 def test_rows_come_back_in_grid_then_state_order():
     plan = SweepPlan(params=params_for(5), axis="tau", grid=(1.0, 2.0),
                      states=("omega0", "omega1"), m_max=10)
-    result = sweep_axis(plan)
-    labels = [(row.grid_index, row.state) for row in result.rows]
+    rows = sweep_axis(plan)
+    labels = [(row.grid_index, row.state) for row in rows]
     assert labels == [(0, "omega0"), (0, "omega1"), (1, "omega0"), (1, "omega1")]
 
 
@@ -329,15 +330,34 @@ def test_worker_count_does_not_change_results():
 def test_sweep_rows_equal_max_fidelity():
     plan = SweepPlan(params=params_for(5), axis="tau", grid=(1.0, 2.0),
                      states=("omega0",), m_max=20)
-    for row in sweep_axis(plan).rows:
+    for row in sweep_axis(plan):
         assert (row.max_fidelity, row.argmax_tau, row.argmax_kicks) == \
             max_fidelity(params_for(5), "omega0", (row.grid_value,), 20)
 
     # at N = 10 the omega2 lattice on the default tau grid runs in the H0 eigenbasis
     omega2 = SweepPlan(params=params_for(10), axis="e1", grid=(1.0,), states=("omega2",))
-    row = sweep_axis(omega2).rows[0]
+    row = sweep_axis(omega2)[0]
     assert (row.max_fidelity, row.argmax_tau, row.argmax_kicks) == \
         max_fidelity(params_for(10), "omega2")
+
+
+def test_canonical_maxima_depend_on_the_tau_step():
+    # A lattice maximum is exact for its lattice but not converged in the tau step:
+    # at the canonical point (N = 10, J2/J1 = -1, e1 = 1, m <= 500) halving the
+    # step lifts the omega1 maximum across the classical 2/3, while omega0 keeps
+    # its maximum at the same lattice point.
+    expected = {  # (tau step, state): (maximum, argmax tau, argmax kicks, above 2/3)
+        (0.1, "omega0"): (0.9394008557674434, 0.2, 265, True),
+        (0.05, "omega0"): (0.9394008557674434, 0.2, 265, True),
+        (0.1, "omega1"): (0.6399033127702366, 9.6, 132, False),
+        (0.05, "omega1"): (0.6780891940583381, 9.25, 154, True),
+    }
+    for (step, state), (value, tau, kicks, above) in expected.items():
+        got, got_tau, got_kicks = max_fidelity(params_for(10), state,
+                                               float_grid(step, 10.0, step), m_max=500)
+        assert got == pytest.approx(value, abs=1e-9), (step, state)
+        assert (got_tau, got_kicks) == (tau, kicks), (step, state)
+        assert (got > classical_threshold()) == above, (step, state)
 
 
 def test_kicked_sweep_takes_one_lattice_per_point_and_state(monkeypatch):
@@ -348,7 +368,7 @@ def test_kicked_sweep_takes_one_lattice_per_point_and_state(monkeypatch):
     monkeypatch.setattr(sweep_module, "kick_lattice",
                         lambda *args, **kw: calls.append(args[1].n_excitations)
                         or compute(*args, **kw))
-    rows = sweep_axis(plan).rows
+    rows = sweep_axis(plan)
     assert calls == [1, 2] * 2
     monkeypatch.undo()
 
@@ -364,7 +384,7 @@ def test_kick_free_series_is_computed_once_per_point_and_state(monkeypatch):
     compute = sweep_module.continuous_fidelity_series
     monkeypatch.setattr(sweep_module, "continuous_fidelity_series",
                         lambda *args, **kw: calls.append(args[2]) or compute(*args, **kw))
-    rows = sweep_axis(plan).rows
+    rows = sweep_axis(plan)
     assert calls == ["omega0", "omega2"] * 2
     monkeypatch.undo()
 
