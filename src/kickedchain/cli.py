@@ -326,7 +326,9 @@ def _read_config(text: str, flags: dict) -> ExperimentConfig:
             raise ConfigError(f"run.states[{i}]", str(exc)) from None
 
     output = OutputBlock(**_read_fields(OutputBlock, raw["output"], "output"))
-    if Path(output.path).name in ("", ".."):
+    # the last component as typed: Path drops a trailing "/" or "/." and would
+    # write <dir>.csv next to the directory the path names
+    if output.path.replace(os.sep, "/").rsplit("/", 1)[-1] in ("", ".", ".."):
         raise ConfigError("output.path", f"needs a file name, got {output.path!r}")
 
     config = ExperimentConfig(chain=chain, drive=drive, impurity=impurity,

@@ -1,6 +1,8 @@
 """Config parsing, table writing, and the command-line entry point."""
 
 import csv
+import gc
+import importlib
 import json
 import os
 import re
@@ -15,6 +17,7 @@ import numpy as np
 import pytest
 
 import kickedchain
+import kickedchain.__main__
 from kickedchain import DEFAULT_TAU_GRID, cli, float_grid, periodogram
 from kickedchain.cli import (
     _BLOCK_ROWS,
@@ -190,6 +193,8 @@ def test_unknown_keys_are_rejected_with_their_path(text, key_path):
     ("output: {path: ''}\n", "output.path"),
     ("output: {path: .}\n", "output.path"),
     ("output: {path: sub/..}\n", "output.path"),
+    ("output: {path: res/}\n", "output.path"),
+    ("output: {path: res/.}\n", "output.path"),
     ("output: {physical_time_column: yes please}\n", "output"),
     ("impurity: {strength: 1.5}\n", "impurity.kind"),
     ("impurity: {kind: type3, strength: 1.5}\n", "impurity.kind"),
@@ -670,6 +675,15 @@ def test_main_rejects_bad_worker_override(tmp_path, capsys):
     assert record["key_path"] == "run.workers"
 
 
+def test_main_rejects_an_out_flag_naming_a_directory(tmp_path, capsys):
+    # Path("res/") is Path("res"): the run would write res.csv beside the directory
+    (tmp_path / "res").mkdir()
+    code = main(["evolve", "--out", f"{tmp_path / 'res'}/"])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["key_path"] == "output.path"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["res"]
+
+
 def test_main_validate_prints_normalized_config(capsys):
     code = main(["validate"])
     assert code == 0
@@ -678,16 +692,75 @@ def test_main_validate_prints_normalized_config(capsys):
     assert text.startswith("chain:")
 
 
-def test_module_entry_point_wiring(tmp_path):
+def _run_python(args: list[str], cwd: Path) -> subprocess.CompletedProcess:
     # the subprocess runs in tmp_path, so a relative PYTHONPATH would not find the package
     src = str(Path(kickedchain.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-m", "kickedchain", "validate"],
-        capture_output=True, text=True, cwd=tmp_path, env=env,
-    )
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, cwd=cwd, env=env)
+
+
+def test_module_entry_point_wiring(tmp_path):
+    proc = _run_python(["-m", "kickedchain", "validate"], tmp_path)
     assert proc.returncode == 0
     assert proc.stdout.startswith("chain:")
+
+
+def test_console_script_runs_the_module_entry():
+    text = (Path(__file__).parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    target = re.search(r'^\[project\.scripts\]\nkickedchain = "([\w.]+):(\w+)"$', text, re.M)
+    assert getattr(importlib.import_module(target[1]), target[2]) is kickedchain.__main__.entry
+
+
+def test_console_script_prints_what_the_module_prints(tmp_path):
+    # the installed script's wrapper: `from <module> import <name>; sys.exit(<name>())`
+    wrapper = "import sys; from kickedchain.__main__ import entry; sys.exit(entry())"
+    recipe = CONFIGS / "ci_sweep_coarse.yaml"
+    argv = ["validate", "--config", str(recipe)]
+    script = _run_python(["-c", wrapper, *argv], tmp_path)
+    module = _run_python(["-m", "kickedchain", *argv], tmp_path)
+    assert (script.returncode, script.stderr) == (0, "")
+    assert script.stdout == module.stdout
+    assert parse_config(script.stdout) == parse_config(recipe.read_text(encoding="utf-8"))
+
+
+def test_module_entry_failure_is_one_json_record_on_stderr(tmp_path):
+    proc = _run_python(["-m", "kickedchain", "evolve", "--workers", "0",
+                        "--out", str(tmp_path / "x")], tmp_path)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["key_path"] == "run.workers"
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_subprocess_sweep_writes_the_in_process_bytes(tmp_path):
+    recipe = CONFIGS / "ci_sweep_coarse.yaml"
+    proc = _run_python(["-m", "kickedchain", "sweep", "--config", str(recipe),
+                        "--out", str(tmp_path / "sub")], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    cfg = parse_config(recipe.read_text(encoding="utf-8"))
+    run(replace(cfg, output=replace(cfg.output, path=str(tmp_path / "own"))))
+    for suffix in (".csv", ".json"):
+        assert (tmp_path / f"sub{suffix}").read_bytes() == (tmp_path / f"own{suffix}").read_bytes()
+
+
+def test_entry_freezes_the_collector_only_after_main_returns(tmp_path):
+    probe = ("import gc, kickedchain.__main__ as m\n"
+             "seen = []\n"
+             "m.main = lambda: seen.append(gc.get_freeze_count()) or 7\n"
+             "code = m.entry()\n"
+             "print(code, seen, gc.get_freeze_count() > 0)\n")
+    proc = _run_python(["-c", probe], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "7 [0] True\n"
+
+
+def test_library_main_never_freezes_the_collector(capsys):
+    before = gc.get_freeze_count()
+    assert main(["validate"]) == 0
+    assert gc.get_freeze_count() == before
+    assert capsys.readouterr().out.startswith("chain:")
 
 
 def test_forked_writer_duplicates_no_output(tmp_path):
