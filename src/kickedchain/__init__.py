@@ -40,12 +40,11 @@ from .fidelity import (
     OMEGA2_CONVENTIONS,
     BellInput,
     bell_fidelity_direct,
-    bell_fidelity_direct_averaged,
     bell_fidelity_omega1,
     bell_fidelity_omega2,
-    bloch_average_single_qubit,
     classical_threshold,
     conformance_report,
+    direct_family_average,
     out_of_range,
     single_qubit_fidelity,
 )

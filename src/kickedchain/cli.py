@@ -51,6 +51,7 @@ from .model import (
 )
 from .propagator import U0_CONVENTIONS, KickSchedule
 from .sweep import (
+    DEFAULT_M_MAX,
     DEFAULT_TAU_GRID,
     SWEEP_AXES,
     SweepPlan,
@@ -119,7 +120,7 @@ class RunBlock:
     axis: str | None = _choice(None, SWEEP_AXES)
     grid: tuple[float, ...] | None = None
     tau_grid: tuple[float, ...] = DEFAULT_TAU_GRID
-    m_max: int = 500
+    m_max: int = DEFAULT_M_MAX
     workers: int = 1
 
 
@@ -396,7 +397,7 @@ def _kicked_series(config: ExperimentConfig) -> dict[str, np.ndarray]:
     """Each configured state's fidelity after kicks 0..n_kicks at the drive's one tau."""
     params = _template_params(config, with_impurity=True)
     drive = config.drive
-    return {s: fidelity_series(params, _schedule(drive), s, drive.n_kicks,
+    return {s: fidelity_series(params, _schedule(drive), s,
                                u0_convention=drive.u0_convention,
                                omega2_convention=drive.omega2_convention)
             for s in config.run.states}
@@ -422,8 +423,8 @@ def _evolve_tables(config: ExperimentConfig):
     return names, columns
 
 
-def _sweep_tables(config: ExperimentConfig, workers: int):
-    rows = sweep_axis(_sweep_plan(config), workers=workers)
+def _sweep_tables(config: ExperimentConfig):
+    rows = sweep_axis(_sweep_plan(config))
     keys = ("grid_value", "state", "max_fidelity", "argmax_tau", "argmax_kicks", "out_of_range")
     names = [*keys[:-1], "out_of_range_flag"]
     return names, [np.array([getattr(row, key) for row in rows]) for key in keys]
@@ -635,13 +636,13 @@ def write_tables(config: ExperimentConfig, names: list[str], columns: list) -> l
     return [json_path, csv_path] if config.output.format == "json" else [csv_path, json_path]
 
 
-def run(config: ExperimentConfig, workers: int | None = None) -> list[Path]:
+def run(config: ExperimentConfig) -> list[Path]:
     """Execute one experiment; returns the written files, primary format first."""
     mode = config.run.mode
     if mode == "evolve":
         names, columns = _evolve_tables(config)
     elif mode == "sweep":
-        names, columns = _sweep_tables(config, workers or config.run.workers)
+        names, columns = _sweep_tables(config)
     elif mode == "periodogram":
         names, columns = _periodogram_tables(config)
     else:
@@ -698,7 +699,3 @@ def main(argv=None) -> int:
             record["key_path"] = key_path
         print(json.dumps(record), file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -34,21 +34,20 @@ embeds the Bell state over the all-down background, evolves every
 excitation sector (the vacuum by its pure phase), partial-traces down to
 the receiver pair (N-1, N) and evaluates <Omega|rho_out|Omega> directly.
 
-``bell_fidelity_direct_averaged`` and ``bloch_average_single_qubit``
-average that oracle over the input family exactly, not by sampling.  An
-input c0|k0> + c1|k1> reaches the receivers as c0*t0 + c1*t1, one row per
-environment configuration, and its fidelity is a quartic form in (c0, c1).
-Under the Haar measure on C^2, E|c0|^4 = E|c1|^4 = 1/3, E|c0|^2|c1|^2 =
-1/6 and every phase-unbalanced moment vanishes, so with A, B = t0, t1 in
-the slot of |k0> and C, D = t0, t1 in the slot of |k1> the family average
-is the moment sum
+``direct_family_average`` averages that oracle over any of the three input
+families exactly, not by sampling.  An input c0|k0> + c1|k1> reaches the
+receivers as c0*t0 + c1*t1, one row per environment configuration, and its
+fidelity is a quartic form in (c0, c1).  Under the Haar measure on C^2,
+E|c0|^4 = E|c1|^4 = 1/3, E|c0|^2|c1|^2 = 1/6 and every phase-unbalanced
+moment vanishes, so with A, B = t0, t1 in the slot of |k0> and C, D = t0,
+t1 in the slot of |k1> the family average is the moment sum
 
     sum_env (|A|^2 + |D|^2 + Re(A conj(D)))/3 + (|B|^2 + |C|^2)/6.
 
 The oracle states the receiver geometry on its own (``_branch_tables``,
-``_FAMILY_SLOTS``), since it is the reference the family table is checked
-against.  ``conformance_report`` tabulates the closed forms against both
-readings.
+``_FAMILY_SLOTS``, ``_check_bell_geometry``), since it is the reference
+the family table is checked against.  ``conformance_report`` tabulates the
+closed forms against both readings.
 """
 
 from __future__ import annotations
@@ -71,8 +70,7 @@ __all__ = [
     "bell_fidelity_omega1",
     "bell_fidelity_omega2",
     "bell_fidelity_direct",
-    "bell_fidelity_direct_averaged",
-    "bloch_average_single_qubit",
+    "direct_family_average",
     "family_sector",
     "family_score",
     "conformance_report",
@@ -248,14 +246,15 @@ def family_score(state: str, amps, vacuum_angles, omega2_convention: str):
 # ---------------------------------------------------------------------------
 
 def _propagation(params: ChainParams, time: float | None = None,
-                 schedule: KickSchedule | None = None, n_kicks: int | None = None,
+                 schedule: KickSchedule | None = None,
                  u0_convention: str = "hamiltonian_tau"):
     """``(columns, elapsed)`` for continuous (``time``) or kicked (``schedule``) evolution.
 
     ``columns(basis, sources)`` returns the propagator columns
     <config|U|source> in that sector; ``elapsed`` is the evolution time.
     Kicked columns come from ``np.linalg.matrix_power`` of the kick step,
-    so the oracle shares no code with the kick loops it checks.
+    taken ``schedule.n_kicks`` times, so the oracle shares no code with the
+    kick loops it checks.
     """
     if (time is None) == (schedule is None):
         raise ValueError("specify exactly one of time= or schedule=")
@@ -265,9 +264,7 @@ def _propagation(params: ChainParams, time: float | None = None,
             return u[:, [index_of(basis, s) for s in sources]]
 
         return columns, float(time)
-    m = schedule.n_kicks if n_kicks is None else n_kicks
-    if m < 0:
-        raise ValueError(f"kick count must be non-negative, got {m}")
+    m = schedule.n_kicks
 
     def columns(basis: ExcitationBasis, sources: Sequence) -> np.ndarray:
         step = kick_step(params, schedule, basis, u0_convention=u0_convention)
@@ -350,7 +347,6 @@ def _bell_overlap(tables: np.ndarray, bell: BellInput) -> float:
 def bell_fidelity_direct(params: ChainParams, bell: BellInput,
                          time: float | None = None,
                          schedule: KickSchedule | None = None,
-                         n_kicks: int | None = None,
                          u0_convention: str = "hamiltonian_tau") -> float:
     """Fidelity <Omega|rho_out|Omega> by explicit reduced-density-matrix construction.
 
@@ -359,11 +355,11 @@ def bell_fidelity_direct(params: ChainParams, bell: BellInput,
     phase), the receiver pair (N-1, N) is traced out of the full state and
     compared against the same Bell state relabeled onto the receivers.
 
-    Pass either ``time`` for continuous evolution or ``schedule`` (and
-    optionally ``n_kicks``) for kicked evolution.
+    Pass either ``time`` for continuous evolution or ``schedule`` for
+    ``schedule.n_kicks`` kicks.
     """
     _check_bell_geometry(params)
-    evolution = _propagation(params, time, schedule, n_kicks, u0_convention)
+    evolution = _propagation(params, time, schedule, u0_convention)
     return _bell_overlap(_branch_tables(params, bell.family, *evolution), bell)
 
 
@@ -381,34 +377,24 @@ def _family_average(tables: np.ndarray, family: str) -> float:
     return float(np.sum(per_env))
 
 
-def bell_fidelity_direct_averaged(params: ChainParams, family: str,
-                                  time: float | None = None,
-                                  schedule: KickSchedule | None = None,
-                                  n_kicks: int | None = None,
-                                  u0_convention: str = "hamiltonian_tau") -> float:
-    """Exact mean of the direct fidelity over Haar-random coefficient pairs."""
-    if family not in BELL_FAMILIES:
-        raise ValueError(f"unknown Bell family {family!r}; expected one of {BELL_FAMILIES}")
-    _check_bell_geometry(params)
-    evolution = _propagation(params, time, schedule, n_kicks, u0_convention)
-    return _family_average(_branch_tables(params, family, *evolution), family)
+def direct_family_average(params: ChainParams, family: str,
+                          time: float | None = None,
+                          schedule: KickSchedule | None = None,
+                          u0_convention: str = "hamiltonian_tau") -> float:
+    """Exact mean of the direct fidelity over one input family.
 
-
-def bloch_average_single_qubit(params: ChainParams,
-                               time: float | None = None,
-                               schedule: KickSchedule | None = None,
-                               n_kicks: int | None = None,
-                               u0_convention: str = "hamiltonian_tau") -> float:
-    """Exact Bloch-sphere mean of <psi_in|rho_out|psi_in> for single-qubit transfer.
-
-    The input qubit alpha|0> + beta|1> sits at site 1; the output density
-    matrix of site N is built from the vacuum branch (evolved by the
-    vacuum phase) and the one-excitation branch, then scored against the
-    input state and averaged over the input exactly.  This is the
-    partial-trace check on ``single_qubit_fidelity``.
+    ``omega0`` is the qubit alpha|0> + beta|1> at site 1, read from the
+    density matrix of site N (built from the vacuum branch, evolved by the
+    vacuum phase, and the one-excitation branch) and averaged over the
+    Bloch sphere.  The Bell families are read at the receiver pair
+    (N-1, N) and averaged over Haar-random coefficient pairs.  This is the
+    partial-trace check on the closed forms.  Pass ``time`` or
+    ``schedule`` as for ``bell_fidelity_direct``.
     """
-    evolution = _propagation(params, time, schedule, n_kicks, u0_convention)
-    return _family_average(_branch_tables(params, "omega0", *evolution), "omega0")
+    if family != "omega0":
+        _check_bell_geometry(params)
+    evolution = _propagation(params, time, schedule, u0_convention)
+    return _family_average(_branch_tables(params, family, *evolution), family)
 
 
 # ---------------------------------------------------------------------------

@@ -297,6 +297,11 @@ def kick_lattice(params: ChainParams, basis: ExcitationBasis, taus, e1: float,
     stack it makes B - 1 row products, log2(B) squarings and two products
     per iteration but the first.  The eigenbasis loop, open to
     "hamiltonian_tau" only, makes two per kick for every tau at once.
+    The loop is chosen for the whole grid and the two loops round
+    differently, so a cell's value can depend on the rest of its grid: at
+    N = 10, J2/J1 = -1, e1 = 1 and 500 kicks, the omega1 lattice runs
+    blocked on tau 0.1..10 step 0.1 and in the eigenbasis on step 0.02, and
+    49 725 of the 50 100 cells the two grids share differ, by up to 3.4e-14.
     """
     taus = np.asarray(taus, dtype=float)
     if taus.ndim != 1 or taus.size == 0:

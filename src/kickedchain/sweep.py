@@ -43,6 +43,7 @@ from .propagator import U0_CONVENTIONS, KickSchedule, eigendecompose, kick_latti
 __all__ = [
     "SWEEP_AXES",
     "DEFAULT_TAU_GRID",
+    "DEFAULT_M_MAX",
     "CONTINUOUS_TIMES",
     "float_grid",
     "SweepPlan",
@@ -56,6 +57,7 @@ __all__ = [
 ]
 
 SWEEP_AXES = ("tau", "e1", "j2_over_j1", "impurity_ratio", "kick_count")
+_MAX_GRID_POINTS = 100_000
 
 
 def float_grid(start: float, stop: float, step: float) -> tuple[float, ...]:
@@ -63,18 +65,23 @@ def float_grid(start: float, stop: float, step: float) -> tuple[float, ...]:
 
     Values are rounded to 12 decimals so a grid like 0.1..10 step 0.1
     carries 0.3, not 0.30000000000000004; the endpoint is included when it
-    lies on the lattice within half a step.
+    lies on the lattice within half a step.  A grid of more than
+    _MAX_GRID_POINTS (100 000) points is rejected before any point is made.
     """
     if step <= 0:
         raise ValueError(f"grid step must be positive, got {step}")
     if stop < start:
         raise ValueError(f"empty grid: stop {stop} < start {start}")
-    count = int(math.floor((stop - start) / step + 0.5)) + 1
+    span = (stop - start) / step           # a float: inf when the step underflows it
+    if span + 0.5 >= _MAX_GRID_POINTS:
+        raise ValueError(f"grid of about {span + 1:.3g} points; at most {_MAX_GRID_POINTS} allowed")
+    count = int(math.floor(span + 0.5)) + 1
     values = tuple(round(start + i * step, 12) for i in range(count))
     return tuple(v for v in values if v <= stop + step * 1e-9)
 
 
 DEFAULT_TAU_GRID = float_grid(0.1, 10.0, 0.1)
+DEFAULT_M_MAX = 500
 CONTINUOUS_TIMES = tuple(range(1, 5001))
 
 
@@ -110,7 +117,7 @@ class SweepPlan:
     states: tuple[str, ...] = ("omega0",)
     impurity: ImpuritySpec | None = None
     tau_grid: tuple[float, ...] = DEFAULT_TAU_GRID
-    m_max: int = 500
+    m_max: int = DEFAULT_M_MAX
     e1: float = 1.0
     u0_convention: str = "hamiltonian_tau"
     omega2_convention: str = "re_amplitude"
@@ -182,19 +189,15 @@ def fidelity_lattice(params: ChainParams, state: str, tau_grid: Sequence[float],
 
 
 def fidelity_series(params: ChainParams, schedule: KickSchedule, state: str,
-                    m_max: int | None = None, u0_convention: str = "hamiltonian_tau",
+                    u0_convention: str = "hamiltonian_tau",
                     omega2_convention: str = "re_amplitude") -> np.ndarray:
-    """Fidelity after each of 0..m_max kicks for one input family.
+    """Fidelity after each of 0..schedule.n_kicks kicks for one input family.
 
     Entry m is evaluated just after the m-th kick; entry 0 is the
     untouched initial state (0.5 for the single qubit, whose amplitude has
     not yet reached the receiver).
     """
-    if m_max is None:
-        m_max = schedule.n_kicks
-    if m_max < 0:
-        raise ValueError(f"m_max must be non-negative, got {m_max}")
-    return fidelity_lattice(params, state, (schedule.tau,), m_max, e1=schedule.e1,
+    return fidelity_lattice(params, state, (schedule.tau,), schedule.n_kicks, e1=schedule.e1,
                             u0_convention=u0_convention,
                             omega2_convention=omega2_convention)[0]
 
@@ -244,23 +247,23 @@ def continuous_fidelity_series(params: ChainParams, times: Sequence[float], stat
 
 def _maximum(params: ChainParams, state: str, tau_grid: Sequence[float], m_max: int,
              e1: float, u0_convention: str, omega2_convention: str,
-             continuous_times: Sequence[float] = CONTINUOUS_TIMES, endpoint_only: bool = False):
+             endpoint_only: bool = False):
     """(max value, argmax tau, argmax kick count) of one exhaustive search.
 
     The kicked search scores the tau by kick-count lattice and takes the
     first maximum in row-major order: the smallest tau, then the smallest
     kick count.  With ``endpoint_only`` only the kick count m_max is
     scored, so the search runs over tau alone.  With e1 = 0 there is no
-    kick, and the search runs over ``continuous_times`` instead (the tau
+    kick, and the search runs over ``CONTINUOUS_TIMES`` instead (the tau
     grid is still validated); it reports tau 1.0 and the argmax time in the
     kick-count slot (ties to the earliest).
     """
     taus = _check_grid(tau_grid, "tau_grid", positive=True)
     if e1 == 0.0:
-        series = continuous_fidelity_series(params, continuous_times, state,
+        series = continuous_fidelity_series(params, CONTINUOUS_TIMES, state,
                                             omega2_convention=omega2_convention)
         best = int(np.argmax(series))
-        return float(series[best]), 1.0, int(continuous_times[best])
+        return float(series[best]), 1.0, CONTINUOUS_TIMES[best]
     first = m_max if endpoint_only else 0
     lattice = fidelity_lattice(params, state, taus, m_max, e1=e1, u0_convention=u0_convention,
                                omega2_convention=omega2_convention)[:, first:]
@@ -269,21 +272,19 @@ def _maximum(params: ChainParams, state: str, tau_grid: Sequence[float], m_max: 
 
 
 def max_fidelity(params: ChainParams, state: str,
-                 tau_grid: Sequence[float] = DEFAULT_TAU_GRID, m_max: int = 500,
+                 tau_grid: Sequence[float] = DEFAULT_TAU_GRID, m_max: int = DEFAULT_M_MAX,
                  e1: float = 1.0, u0_convention: str = "hamiltonian_tau",
-                 omega2_convention: str = "re_amplitude",
-                 continuous_times: Sequence[float] = CONTINUOUS_TIMES):
+                 omega2_convention: str = "re_amplitude"):
     """Exhaustive maximum of the fidelity over the kick-interval by kick-count lattice.
 
     Returns (max value, argmax tau, argmax kick count); ties go to the
     smallest tau, then the smallest kick count, so reported argmaxima are
     reproducible.  With e1 = 0 there is no kick at all and the lattice
-    degenerates, so the search instead runs over ``continuous_times``
-    (integer times by default); the row then reports the equivalent
+    degenerates, so the search instead runs over ``CONTINUOUS_TIMES``
+    (the integer times 1..5000); the row then reports the equivalent
     stroboscopic interval 1.0 and the argmax time in the kick-count slot.
     """
-    return _maximum(params, state, tau_grid, m_max, e1, u0_convention, omega2_convention,
-                    continuous_times)
+    return _maximum(params, state, tau_grid, m_max, e1, u0_convention, omega2_convention)
 
 
 def _point_setup(plan: SweepPlan, value: float):
@@ -326,17 +327,11 @@ def _evaluate_point(plan: SweepPlan, idx: int) -> list[SweepRow]:
     return rows
 
 
-def sweep_axis(plan: SweepPlan, workers: int = 1) -> tuple[SweepRow, ...]:
+def sweep_axis(plan: SweepPlan) -> tuple[SweepRow, ...]:
     """Rows for every (grid value, state) pair, ordered by grid index then plan state order.
 
     The plan is evaluated at every grid value, in grid order, in the caller's thread.
-
-    ``workers`` is validated (>= 1) but does not change scheduling or
-    results: the grid points are BLAS-bound, and a thread pool over them
-    measured slower than running them in order.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     rows = []
     for idx, value in enumerate(plan.grid):
         try:

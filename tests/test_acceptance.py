@@ -25,10 +25,10 @@ from kickedchain import (
     apply_impurity,
     bell_fidelity_omega1,
     bell_fidelity_omega2,
-    bloch_average_single_qubit,
     build_hamiltonian,
     classical_threshold,
     conformance_report,
+    direct_family_average,
     enumerate_basis,
     eigendecompose,
     fidelity_series,
@@ -172,12 +172,12 @@ def test_criterion_4_single_qubit_formula_vs_exact_bloch_average():
             u = unitary_exp(build_hamiltonian(params, basis), t)
             f = u[index_of(basis, (n,)), index_of(basis, (1,))]
             gauge = vacuum_phase(params, t).conjugate()
-            average = bloch_average_single_qubit(params, time=t)
+            average = direct_family_average(params, "omega0", time=t)
         else:
             schedule = KickSchedule(tau=tau, e1=1.0, n_kicks=m)
             f = amplitude_series(params, schedule, basis, (1,), (n,), m)[m]
             gauge = vacuum_phase(params, m * tau).conjugate()
-            average = bloch_average_single_qubit(params, schedule=schedule)
+            average = direct_family_average(params, "omega0", schedule=schedule)
         closed = single_qubit_fidelity(complex(f) * gauge)
         worst = max(worst, abs(closed - average))
     elapsed = time.perf_counter() - started
@@ -191,11 +191,10 @@ def test_criterion_5_threshold_crossing_and_periodicity():
     threshold = classical_threshold()
     crossings = {}
     for tau in (2.0, 2.1, 2.2, 2.3):
-        schedule = KickSchedule(tau=tau, e1=1.0)
-        series = fidelity_series(params, schedule, "omega0", m_max=500)
+        schedule = KickSchedule(tau=tau, e1=1.0, n_kicks=500)
+        series = fidelity_series(params, schedule, "omega0")
         crossings[tau] = int(np.sum(series > threshold))
-    series0 = fidelity_series(params, KickSchedule(tau=2.0, e1=1.0),
-                              "omega0", m_max=500)
+    series0 = fidelity_series(params, KickSchedule(tau=2.0, e1=1.0, n_kicks=500), "omega0")
     _, mags, dominant = periodogram(series0)
     peak_ratio = float(mags[1:].max() / np.median(mags[1:]))
     passed = all(c > 0 for c in crossings.values()) and dominant is not None \

@@ -182,6 +182,8 @@ def test_unknown_keys_are_rejected_with_their_path(text, key_path):
     ("drive: {e1: -.inf}\n", "drive.e1"),
     ("run: {mode: sweep, axis: e1, grid: [0, .nan]}\n", "run.grid[1]"),
     ("run: {mode: sweep, axis: tau, grid: {start: 0, stop: .inf, step: 1}}\n", "run.grid.stop"),
+    ("run: {tau_grid: {start: 0.1, stop: 10, step: 1.0e-9}}\n", "run.tau_grid"),
+    ("run: {tau_grid: {start: 0.1, stop: 10, step: 5.0e-324}}\n", "run.tau_grid"),
     ("chain: {n_sites: 3}\nrun: {states: [omega0, omega1]}\n", "run.states[1]"),
     ("run: {mode: sweep, axis: kick_count, grid: [0.5]}\n", "run: kick_count grid values"),
     ("run: {mode: sweep, axis: tau, grid: [-1]}\n", "run: grid values must be positive"),
@@ -561,12 +563,13 @@ def test_sweep_table_shape_and_ordering(tmp_path):
 
 
 def test_sweep_workers_do_not_change_bytes(tmp_path):
-    base = parse_config(SWEEP_TEXT)
-    one = replace(base, output=replace(base.output, path=str(tmp_path / "w1")))
-    three = replace(base, output=replace(base.output, path=str(tmp_path / "w3")))
-    p1 = run(one, workers=1)
-    p3 = run(three, workers=3)
-    assert p1[0].read_bytes() == p3[0].read_bytes()
+    written = []
+    for workers in (1, 3):
+        cfg = parse_config(SWEEP_TEXT + f"  workers: {workers}\n")
+        assert cfg.run.workers == workers
+        out = replace(cfg.output, path=str(tmp_path / f"w{workers}"))
+        written.append([path.read_bytes() for path in run(replace(cfg, output=out))])
+    assert written[0] == written[1]
 
 
 def test_periodogram_mode_emits_spectrum_rows(tmp_path):

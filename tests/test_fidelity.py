@@ -11,14 +11,13 @@ from kickedchain import (
     ChainParams,
     KickSchedule,
     bell_fidelity_direct,
-    bell_fidelity_direct_averaged,
     bell_fidelity_omega1,
     bell_fidelity_omega2,
-    bloch_average_single_qubit,
     build_hamiltonian,
     classical_threshold,
     conformance_report,
     continuous_fidelity_series,
+    direct_family_average,
     enumerate_basis,
     index_of,
     out_of_range,
@@ -77,7 +76,7 @@ def test_single_qubit_formula_matches_exact_bloch_average():
     f = u[index_of(basis, (4,)), index_of(basis, (1,))]
     f_gauged = f * vacuum_phase(p, 1.7).conjugate()
     closed = single_qubit_fidelity(f_gauged)
-    average = bloch_average_single_qubit(p, time=1.7)
+    average = direct_family_average(p, "omega0", time=1.7)
     assert abs(closed - average) < 1e-12
 
 
@@ -87,7 +86,7 @@ def test_exact_bloch_average_without_gauge_disagrees():
     basis = enumerate_basis(4, 1)
     u = unitary_exp(build_hamiltonian(p, basis), 2.0)
     f = u[index_of(basis, (4,)), index_of(basis, (1,))]
-    average = bloch_average_single_qubit(p, time=2.0)
+    average = direct_family_average(p, "omega0", time=2.0)
     gauged = single_qubit_fidelity(f * vacuum_phase(p, 2.0).conjugate())
     raw = single_qubit_fidelity(f)
     assert abs(gauged - average) < 1e-12
@@ -163,9 +162,6 @@ def test_direct_fidelity_argument_errors():
                              schedule=KickSchedule(tau=1.0))  # both
     with pytest.raises(ValueError):
         bell_fidelity_direct(params_for(3), bell, time=1.0)   # pairs overlap
-    with pytest.raises(ValueError, match="non-negative"):
-        bell_fidelity_direct(p, bell, schedule=KickSchedule(tau=1.0),
-                             n_kicks=-1)                      # not an inverse step
 
 
 @pytest.mark.parametrize("family", ["omega1", "omega2"])
@@ -200,15 +196,6 @@ def test_direct_fidelity_matches_full_space_kicked(family):
     assert abs(got - want) < 1e-9
 
 
-def test_explicit_n_kicks_overrides_schedule_budget():
-    p = ChainParams(uniform_profile(5, 1.0, -1.0), dm_field=0.1)
-    bell = BellInput.maximal("omega1")
-    a = bell_fidelity_direct(p, bell, schedule=KickSchedule(tau=1.4, e1=0.8, n_kicks=2))
-    b = bell_fidelity_direct(p, bell, schedule=KickSchedule(tau=1.4, e1=0.8, n_kicks=9),
-                             n_kicks=2)
-    assert a == b
-
-
 def test_omega1_closed_form_equals_family_average():
     # the omega1 formula reproduces the Haar mean over coefficient pairs
     n, t = 5, 1.3
@@ -218,7 +205,7 @@ def test_omega1_closed_form_equals_family_average():
     s1, s2 = index_of(basis, (1,)), index_of(basis, (2,))
     near, far = index_of(basis, (n - 1,)), index_of(basis, (n,))
     literal = bell_fidelity_omega1(u[near, s1], u[far, s2], u[near, s2], u[far, s1])
-    averaged = bell_fidelity_direct_averaged(p, "omega1", time=t)
+    averaged = direct_family_average(p, "omega1", time=t)
     assert abs(literal - averaged) < 0.01
 
 

@@ -7,12 +7,11 @@ import oracle
 from kickedchain import (
     ChainParams,
     KickSchedule,
-    bell_fidelity_direct_averaged,
     bell_fidelity_omega2,
-    bloch_average_single_qubit,
     build_hamiltonian,
     conformance_report,
     continuous_fidelity_series,
+    direct_family_average,
     enumerate_basis,
     index_of,
     single_qubit_fidelity,
@@ -40,7 +39,7 @@ def test_omega0_closed_form_is_the_exact_bloch_average_continuous(n, b, t):
     u = unitary_exp(build_hamiltonian(params, basis), t)
     f = u[index_of(basis, (n,)), index_of(basis, (1,))]
     closed = single_qubit_fidelity(f * vacuum_phase(params, t).conjugate())
-    assert abs(closed - bloch_average_single_qubit(params, time=t)) <= 1e-12
+    assert abs(closed - direct_family_average(params, "omega0", time=t)) <= 1e-12
 
 
 @pytest.mark.parametrize("n,b,tau,m", KICKED_POINTS)
@@ -49,7 +48,7 @@ def test_omega0_closed_form_is_the_exact_bloch_average_kicked(n, b, tau, m):
     schedule = KickSchedule(tau=tau, e1=1.0, n_kicks=m)
     f = amplitude_series(params, schedule, enumerate_basis(n, 1), (1,), (n,), m)[m]
     closed = single_qubit_fidelity(complex(f) * vacuum_phase(params, m * tau).conjugate())
-    assert abs(closed - bloch_average_single_qubit(params, schedule=schedule)) <= 1e-12
+    assert abs(closed - direct_family_average(params, "omega0", schedule=schedule)) <= 1e-12
 
 
 def test_conformance_family_averages_are_exact():
@@ -88,15 +87,18 @@ def test_omega2_is_scored_from_the_bare_amplitude_not_the_vacuum_gauge():
 
 def test_family_averages_are_deterministic():
     p = params_for(5, b=0.3)
-    assert bloch_average_single_qubit(p, time=1.3) == bloch_average_single_qubit(p, time=1.3)
+    for family in ("omega0", "omega1", "omega2"):
+        first = direct_family_average(p, family, time=1.3)
+        assert direct_family_average(p, family, time=1.3) == first
+
+
+def test_family_average_rejects_unknown_families_and_overlapping_bell_pairs():
+    with pytest.raises(ValueError, match="unknown input family"):
+        direct_family_average(params_for(5), "omega3", time=1.0)
     for family in ("omega1", "omega2"):
-        first = bell_fidelity_direct_averaged(p, family, time=1.3)
-        assert bell_fidelity_direct_averaged(p, family, time=1.3) == first
-
-
-def test_bell_average_rejects_the_single_qubit_family():
-    with pytest.raises(ValueError):
-        bell_fidelity_direct_averaged(params_for(5), "omega0", time=1.0)
+        with pytest.raises(ValueError, match="overlap"):
+            direct_family_average(params_for(3), family, time=1.0)
+    assert direct_family_average(params_for(2), "omega0", time=0.0) == 0.5
 
 
 @pytest.mark.parametrize("kicked", [False, True], ids=["continuous", "kicked"])
@@ -115,9 +117,6 @@ def test_exact_averages_match_full_space_sampling(family, n, kicked):
         evolution = {"time": 2.3}
         full_h = oracle.full_hamiltonian(j1, j2, b, 0.1, n)
         unitary = oracle.evolve(full_h, np.eye(2 ** n, dtype=complex), 2.3)
-    if family == "omega0":
-        exact = bloch_average_single_qubit(params, **evolution)
-    else:
-        exact = bell_fidelity_direct_averaged(params, family, **evolution)
+    exact = direct_family_average(params, family, **evolution)
     sampled = oracle.sampled_family_average(family, unitary, n, n_samples=10_000, seed=n)
     assert abs(exact - sampled) < 1e-2

@@ -24,6 +24,7 @@ from kickedchain import (
     enumerate_basis,
     fidelity_lattice,
     fidelity_series,
+    float_grid,
     index_of,
     kick_step,
     max_fidelity,
@@ -233,6 +234,31 @@ def test_the_loop_with_fewer_matrix_products_runs(monkeypatch):
                  u0_convention="literal_eq5") == {"_stroboscopic_blocks"}
 
 
+def test_a_cell_shared_by_two_grids_agrees_across_the_two_loops(monkeypatch):
+    """The loop is chosen for the whole tau grid, so a cell's value depends on its grid.
+
+    At N = 10 the omega1 lattice runs blocked on tau step 0.1 and in the H0
+    eigenbasis on step 0.02.  The two loops round differently: 49 725 of the
+    50 100 cells the grids share differ, by up to 3.4e-14.
+    """
+    taken = []
+    loop = propagator_module._eigenbasis_blocks
+    monkeypatch.setattr(propagator_module, "_eigenbasis_blocks",
+                        lambda *args: taken.append(True) or loop(*args))
+    params = ChainParams(uniform_profile(10, 1.0, -1.0), dm_field=0.1)
+
+    def lattice(taus):
+        taken.clear()
+        return fidelity_lattice(params, "omega1", taus, 500), bool(taken)
+
+    coarse, coarse_in_eigenbasis = lattice(DEFAULT_TAU_GRID)
+    fine_taus = float_grid(0.02, 10.0, 0.02)
+    fine, fine_in_eigenbasis = lattice(fine_taus)
+    assert (coarse_in_eigenbasis, fine_in_eigenbasis) == (False, True)
+    shared = fine[[fine_taus.index(tau) for tau in DEFAULT_TAU_GRID]]
+    assert np.abs(shared - coarse).max() <= 1e-12
+
+
 # -- B kicks per loop iteration -------------------------------------------------------
 
 # (m_max, B): the kicks per iteration at that m_max, where m_max + 1 kicks end
@@ -259,7 +285,7 @@ def test_blocked_loop_matches_naive_loop_around_block_edges(m_max, b, state):
 def test_blocked_loop_matches_naive_loop_over_5000_kicks(state, u0_convention):
     params = params_for()
     want = naive_lattice(params, state, (2.1,), 5000, u0_convention, "re_amplitude")[0]
-    got = fidelity_series(params, KickSchedule(tau=2.1, e1=E1), state, 5000,
+    got = fidelity_series(params, KickSchedule(tau=2.1, e1=E1, n_kicks=5000), state,
                           u0_convention=u0_convention)
     assert np.abs(got - want).max() <= 1e-12
 
