@@ -54,6 +54,7 @@ from .sweep import (
     DEFAULT_M_MAX,
     DEFAULT_TAU_GRID,
     SWEEP_AXES,
+    GridError,
     SweepPlan,
     fidelity_series,
     float_grid,
@@ -370,7 +371,11 @@ def _schedule(drive: DriveBlock) -> KickSchedule:
 
 
 def _sweep_plan(config: ExperimentConfig) -> SweepPlan:
-    """The sweep plan of a config; a plan the library rejects is a ConfigError on ``run``."""
+    """The sweep plan of a config; a plan the library rejects is a ConfigError.
+
+    A rejected grid is reported on its key (``run.grid`` or ``run.tau_grid``),
+    anything else on ``run``.
+    """
     run_block = config.run
     if run_block.axis is None:
         raise ConfigError("run.axis", "required for sweep mode")
@@ -389,6 +394,8 @@ def _sweep_plan(config: ExperimentConfig) -> SweepPlan:
             u0_convention=config.drive.u0_convention,
             omega2_convention=config.drive.omega2_convention,
         )
+    except GridError as exc:
+        raise ConfigError(f"run.{exc.field}", str(exc)) from None
     except ValueError as exc:
         raise ConfigError("run", str(exc)) from None
 

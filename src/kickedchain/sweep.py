@@ -12,12 +12,15 @@ caller's thread.
 
 How the kick-free path runs: each (point, state) diagonalises its sector
 once, H = V diag(w) V+, and every receiver amplitude at every probe time is
-one product of a weight matrix V[r,a] conj(V[s,a]) with the phase table
+a product of a weight matrix V[r,a] conj(V[s,a]) with the phase table
 e^{-i w_a t}.  On an evenly spaced grid (the integer probe times are one)
 the table is factorized into a coarse and a fine table of about sqrt(n)
-columns each (``_phase_table``), so it costs about 2*sqrt(n) complex
-exponentials per eigenvalue instead of n.  The series is computed once per
-(point, state).
+columns each, so it costs about 2*sqrt(n) complex exponentials per
+eigenvalue instead of n.  The table is never held whole: it is made, multiplied
+and scored one column block at a time (``_phase_blocks``), each block
+_PHASE_BLOCK_BYTES (384 KiB) of table rounded down to a multiple of 64 probe
+times, so memory does not grow with the probe count.  The series is computed
+once per (point, state).
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ __all__ = [
     "DEFAULT_M_MAX",
     "CONTINUOUS_TIMES",
     "float_grid",
+    "GridError",
     "SweepPlan",
     "SweepRow",
     "fidelity_series",
@@ -82,17 +86,27 @@ def float_grid(start: float, stop: float, step: float) -> tuple[float, ...]:
 
 DEFAULT_TAU_GRID = float_grid(0.1, 10.0, 0.1)
 DEFAULT_M_MAX = 500
-CONTINUOUS_TIMES = tuple(range(1, 5001))
+# read-only int64, so a series converts it to float with one C cast
+CONTINUOUS_TIMES = np.arange(1, 5001, dtype=np.int64)
+CONTINUOUS_TIMES.flags.writeable = False
+
+
+class GridError(ValueError):
+    """A grid the search rejects; ``field`` names it (``"grid"`` or ``"tau_grid"``)."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
 
 
 def _check_grid(grid: Sequence[float], name: str, positive: bool = False) -> tuple[float, ...]:
     values = tuple(float(g) for g in grid)
     if not values:
-        raise ValueError(f"{name} must be nonempty")
+        raise GridError(name, f"{name} must be nonempty")
     if any(b <= a for a, b in zip(values, values[1:])):
-        raise ValueError(f"{name} must be strictly increasing")
+        raise GridError(name, f"{name} must be strictly increasing")
     if positive and values[0] <= 0:
-        raise ValueError(f"{name} values must be positive")
+        raise GridError(name, f"{name} values must be positive")
     return values
 
 
@@ -148,7 +162,8 @@ class SweepPlan:
         if self.axis == "kick_count":
             for g in self.grid:
                 if g != int(g) or g < 0:
-                    raise ValueError(f"kick_count grid values must be non-negative integers, got {g}")
+                    raise GridError("grid", f"kick_count grid values must be non-negative "
+                                           f"integers, got {g}")
         if self.axis == "j2_over_j1":
             profile = self.params.profile
             if len(set(profile.j1_bonds)) != 1 or len(set(profile.j2_bonds)) > 1:
@@ -202,16 +217,35 @@ def fidelity_series(params: ChainParams, schedule: KickSchedule, state: str,
                             omega2_convention=omega2_convention)[0]
 
 
-def _phase_table(w: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """The (len(w), len(t)) table e^{-i w_a t_k}.
+# Bytes of one column block of the kick-free phase table (see _block_width).
+_PHASE_BLOCK_BYTES = 384 * 1024
+
+
+def _block_width(dim: int) -> int:
+    """Probe times per block: _PHASE_BLOCK_BYTES of a (dim, width) complex table.
+
+    The width is rounded down to a multiple of 64 columns, and is at least
+    64.  Blocks then start where the matrix product's column panels start,
+    so each block's amplitudes are bit-identical to the same columns of one
+    product over the whole grid (on OpenBLAS 0.3.31, widths that are a
+    multiple of 4 kept every bit, and widths of 71, 91, 142 and 213 did not).
+    """
+    return max(64, _PHASE_BLOCK_BYTES // (16 * dim) // 64 * 64)
+
+
+def _phase_blocks(w: np.ndarray, t: np.ndarray, width: int):
+    """The (len(w), len(t)) table e^{-i w_a t_k}, yielded as ``(k0, block)`` of ``width`` columns.
 
     An evenly spaced grid, t_k == t0 + k*dt exactly in floating point (as
     every integer-time grid is), is factorized: with R = ceil(sqrt(n)) and
     k = q*R + r, e^{-i w t_k} = e^{-i w q R dt} * e^{-i w t_r}, so a (dim, Q)
-    and a (dim, R) table of exponentials and one broadcast product give the
-    whole table from about 2*sqrt(n) exponentials per eigenvalue instead of
-    n.  Any other grid takes one exponential per entry.  The two forms round
-    the phase argument w*t differently, each to within about half an ulp of
+    and a (dim, R) table of exponentials give the whole table from about
+    2*sqrt(n) exponentials per eigenvalue instead of n.  Each block is cut
+    from the broadcast product of the coarse rows it spans with the fine
+    table, the same elementwise products as one product over all n columns,
+    so it holds at most width + 2R columns at a time.  Any other grid takes
+    one exponential per entry, a block at a time.  The two forms round the
+    phase argument w*t differently, each to within about half an ulp of
     |w| t (the ulp is 3.6e-12 for the omega2 sector at N = 10, where |w| t
     reaches 16 464 at t = 5000), so neither is more exact than the other and
     their entries differ by little more than one such ulp.
@@ -219,12 +253,18 @@ def _phase_table(w: np.ndarray, t: np.ndarray) -> np.ndarray:
     n = t.size
     dt = t[1] - t[0] if n > 1 else 0.0
     if n == 0 or not np.array_equal(t, t[0] + dt * np.arange(n)):
-        return np.exp(-1j * np.outer(w, t))
+        for k0 in range(0, n, width):
+            yield k0, np.exp(-1j * np.outer(w, t[k0:k0 + width]))
+        return
     r = math.isqrt(n - 1) + 1
     q = -(-n // r)
     coarse = np.exp(-1j * np.outer(w, (r * dt) * np.arange(q)))
     fine = np.exp(-1j * np.outer(w, t[:r]))
-    return (coarse[:, :, None] * fine[:, None, :]).reshape(w.size, q * r)[:, :n]
+    for k0 in range(0, n, width):
+        k1 = min(k0 + width, n)
+        q0, q1 = k0 // r, -(-k1 // r)
+        rows = (coarse[:, q0:q1, None] * fine[:, None, :]).reshape(w.size, (q1 - q0) * r)
+        yield k0, rows[:, k0 - q0 * r:k1 - q0 * r]
 
 
 def continuous_fidelity_series(params: ChainParams, times: Sequence[float], state: str,
@@ -232,17 +272,22 @@ def continuous_fidelity_series(params: ChainParams, times: Sequence[float], stat
     """Fidelity under continuous (kick-free) evolution at each requested time.
 
     All requested amplitudes come from one eigendecomposition per sector,
-    so long integer-time grids are cheap.
+    and the times are scored one fixed-width block at a time, so long
+    integer-time grids are cheap in time and in memory.
     """
     basis, sources, targets = family_sector(state, params.profile.n_sites)
     w, v = eigendecompose(build_hamiltonian(params, basis))
     # <t|e^{-iHt}|s> = sum_a v[t,a] conj(v[s,a]) e^{-i w_a t}, one weight row per (t, s)
     weights = np.stack([v[ti, :] * v[si, :].conj() for ti in targets for si in sources])
     t_arr = np.asarray(times, dtype=float)
-    amp_all = weights @ _phase_table(w, t_arr)
-    # (targets * sources, times) -> a (times, targets, sources) view
-    amps = np.moveaxis(amp_all.reshape(len(targets), len(sources), t_arr.size), -1, 0)
-    return family_score(state, amps, vacuum_energy(params) * t_arr, omega2_convention)
+    e_vac = vacuum_energy(params)
+    series = np.empty(t_arr.size)
+    for k0, phases in _phase_blocks(w, t_arr, _block_width(w.size)):
+        k1 = k0 + phases.shape[1]
+        # (targets * sources, times) -> a (times, targets, sources) view
+        amps = np.moveaxis((weights @ phases).reshape(len(targets), len(sources), k1 - k0), -1, 0)
+        series[k0:k1] = family_score(state, amps, e_vac * t_arr[k0:k1], omega2_convention)
+    return series
 
 
 def _maximum(params: ChainParams, state: str, tau_grid: Sequence[float], m_max: int,
@@ -263,7 +308,7 @@ def _maximum(params: ChainParams, state: str, tau_grid: Sequence[float], m_max: 
         series = continuous_fidelity_series(params, CONTINUOUS_TIMES, state,
                                             omega2_convention=omega2_convention)
         best = int(np.argmax(series))
-        return float(series[best]), 1.0, CONTINUOUS_TIMES[best]
+        return float(series[best]), 1.0, int(CONTINUOUS_TIMES[best])
     first = m_max if endpoint_only else 0
     lattice = fidelity_lattice(params, state, taus, m_max, e1=e1, u0_convention=u0_convention,
                                omega2_convention=omega2_convention)[:, first:]

@@ -185,8 +185,8 @@ def test_unknown_keys_are_rejected_with_their_path(text, key_path):
     ("run: {tau_grid: {start: 0.1, stop: 10, step: 1.0e-9}}\n", "run.tau_grid"),
     ("run: {tau_grid: {start: 0.1, stop: 10, step: 5.0e-324}}\n", "run.tau_grid"),
     ("chain: {n_sites: 3}\nrun: {states: [omega0, omega1]}\n", "run.states[1]"),
-    ("run: {mode: sweep, axis: kick_count, grid: [0.5]}\n", "run: kick_count grid values"),
-    ("run: {mode: sweep, axis: tau, grid: [-1]}\n", "run: grid values must be positive"),
+    ("run: {mode: sweep, axis: kick_count, grid: [0.5]}\n", "run.grid: kick_count grid values"),
+    ("run: {mode: sweep, axis: tau, grid: [-1]}\n", "run.grid: grid values must be positive"),
     ("drive: {n_kicks: 2}\nrun: {mode: periodogram}\n", "drive.n_kicks"),
     ("output: {format: parquet}\n", "output.format"),
     ("output: {path: null}\n", "output.path"),
@@ -213,6 +213,18 @@ def test_invalid_configs_fail_at_parse_time(text, fragment):
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("text,key_path", [
+    ("run: {mode: sweep, axis: e1, grid: [1.0, 0.5]}\n", "run.grid"),
+    ("run: {mode: sweep, axis: e1, grid: [1.0], tau_grid: [2.0, 1.0]}\n", "run.tau_grid"),
+    ("run: {mode: sweep, axis: tau, grid: [-0.5, 1.0]}\n", "run.grid"),
+    ("run: {mode: sweep, axis: kick_count, grid: [10, 20.5]}\n", "run.grid"),
+], ids=["decreasing-grid", "decreasing-tau-grid", "negative-tau", "fractional-kick-count"])
+def test_sweep_grid_errors_name_the_grid_key(text, key_path):
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.key_path == key_path
 
 
 def test_config_error_is_a_value_error_with_key_path():

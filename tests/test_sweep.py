@@ -1,5 +1,7 @@
 """Grid sweeps, the no-kick branch, tie-breaking, and the periodogram."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -32,7 +34,7 @@ from kickedchain import (
     unitary_exp,
     vacuum_phase,
 )
-from kickedchain.sweep import _phase_table
+from kickedchain.sweep import _block_width, _phase_blocks
 
 
 def params_for(n, j1=1.0, j2=-1.0, e=0.1, b=0.0):
@@ -83,6 +85,11 @@ def test_kick_free_probe_times_cover_one_to_5000():
     assert CONTINUOUS_TIMES[0] == 1
     assert CONTINUOUS_TIMES[-1] == 5000
     assert len(CONTINUOUS_TIMES) == 5000
+    # a read-only int64 array, so a series casts it to float in C
+    assert CONTINUOUS_TIMES.dtype == np.int64
+    assert np.array_equal(CONTINUOUS_TIMES, np.arange(1, 5001))
+    with pytest.raises(ValueError):
+        CONTINUOUS_TIMES[0] = 2
 
 
 # -- stroboscopic and continuous series -------------------------------------------
@@ -156,6 +163,14 @@ def test_continuous_series_matches_per_time_amplitudes():
 
 # -- the kick-free phase table ----------------------------------------------------
 
+def phase_table(w, t, width):
+    """The blocks of ``_phase_blocks`` side by side, after checking where each starts."""
+    blocks = list(_phase_blocks(w, t, width))
+    assert [k0 for k0, _ in blocks] == list(range(0, t.size, width))
+    assert all(b.shape == (w.size, min(width, t.size - k0)) for k0, b in blocks)
+    return np.concatenate([b for _, b in blocks], axis=1)
+
+
 def phase_bound(w, t):
     """Both tables round each phase w*t to within about half an ulp, so entries
     may differ by a little over one ulp of |w| t, plus the exp and product round-off."""
@@ -168,9 +183,11 @@ def test_factorized_phase_table_matches_direct_exponentials(t0, dt, n):
     w = sector_eigenvalues(10, 2)
     t = t0 + dt * np.arange(n)
     want = np.exp(-1j * np.outer(w, t))
-    got = _phase_table(w, t)
-    assert got.shape == want.shape == (45, n)
-    assert np.all(np.abs(got - want) <= phase_bound(w, t))
+    default = phase_table(w, t, _block_width(w.size))
+    assert default.shape == want.shape == (45, n)
+    assert np.all(np.abs(default - want) <= phase_bound(w, t))
+    # 64-column blocks cut coarse rows apart, and hold the same products
+    assert np.array_equal(phase_table(w, t, 64), default)
 
 
 def test_phase_table_takes_about_two_sqrt_n_exponentials_per_eigenvalue(monkeypatch):
@@ -178,21 +195,63 @@ def test_phase_table_takes_about_two_sqrt_n_exponentials_per_eigenvalue(monkeypa
     entries = []
     exp = np.exp
     monkeypatch.setattr(np, "exp", lambda z: entries.append(np.size(z)) or exp(z))
-    _phase_table(w, np.asarray(CONTINUOUS_TIMES, dtype=float))
-    assert sum(entries) == 45 * (71 + 71)   # R = ceil(sqrt(5000)) = 71 = Q
+    phase_table(w, np.asarray(CONTINUOUS_TIMES, dtype=float), 64)
+    assert sum(entries) == 45 * (71 + 71)   # R = ceil(sqrt(5000)) = 71 = Q, for all blocks
     entries.clear()
-    _phase_table(w, np.array([1.0, 2.0, 4.0]))
+    phase_table(w, np.array([1.0, 2.0, 4.0]), 64)
     assert sum(entries) == 45 * 3
 
 
 def test_unevenly_spaced_grid_keeps_the_direct_exponentials():
     w = sector_eigenvalues(10, 2)
     t = np.array([0.5, 1.0, 2.0, 3.5, 4999.9])
-    assert np.array_equal(_phase_table(w, t), np.exp(-1j * np.outer(w, t)))
+    assert np.array_equal(phase_table(w, t, 64), np.exp(-1j * np.outer(w, t)))
     # a decimal-clean grid is even only up to round-off, so it is not factorized either
     t = np.array(float_grid(0.1, 0.4, 0.1))
     assert not np.array_equal(t, t[0] + (t[1] - t[0]) * np.arange(4))
-    assert np.array_equal(_phase_table(w, t), np.exp(-1j * np.outer(w, t)))
+    assert np.array_equal(phase_table(w, t, 64), np.exp(-1j * np.outer(w, t)))
+    t = np.linspace(0.3, 700.0, 1001)
+    assert np.array_equal(phase_table(w, t, 64), np.exp(-1j * np.outer(w, t)))
+
+
+def test_block_width_is_a_multiple_of_64_within_the_byte_budget():
+    assert _block_width(45) == 512                      # omega2 at N = 10
+    assert _block_width(10) == 2432                     # omega0 and omega1 at N = 10
+    for dim in (2, 10, 45, 120, 5000):
+        width = _block_width(dim)
+        assert width % 64 == 0 and width >= 64
+        assert width == 64 or 16 * dim * width <= sweep_module._PHASE_BLOCK_BYTES
+
+
+@pytest.mark.parametrize("times", [
+    CONTINUOUS_TIMES,                                   # R = 71: 64-column blocks split coarse rows
+    np.linspace(0.3, 700.0, 3001),                      # uneven: direct exponentials
+    np.array([3.0]),                                    # n = 1
+    np.arange(1, 1001),                                 # n = 15 * 64 + 40
+], ids=["probe-grid", "uneven", "one-time", "n-1000"])
+@pytest.mark.parametrize("state", ["omega0", "omega1", "omega2"])
+def test_narrow_blocks_give_the_same_series_bit_for_bit(monkeypatch, state, times):
+    p = params_for(10)
+    default = continuous_fidelity_series(p, times, state)
+    monkeypatch.setattr(sweep_module, "_PHASE_BLOCK_BYTES", 1)      # every block 64 columns
+    assert _block_width(45) == _block_width(10) == 64
+    narrow = continuous_fidelity_series(p, times, state)
+    assert default.shape == narrow.shape == (len(times),)
+    assert np.array_equal(narrow, default)
+
+
+def test_series_memory_does_not_grow_with_the_probe_grid():
+    # one (45, 200 000) phase table is 144 MB; a block of it is 0.4 MB
+    p = params_for(10)
+    times = np.arange(1, 200_001)
+    tracemalloc.start()
+    try:
+        series = continuous_fidelity_series(p, times, "omega2")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert series.shape == (200_000,) and np.all(np.isfinite(series))
+    assert peak < 12e6
 
 
 def per_time_fidelity(p, state, t):
@@ -237,6 +296,7 @@ def test_max_fidelity_no_kick_branch_reports_time_in_kick_slot():
     assert 1 <= am <= 5000
     series = continuous_fidelity_series(p, CONTINUOUS_TIMES, "omega0")
     assert val == series.max() and series[am - 1] == val
+    assert type(am) is int
 
 
 def test_flat_landscape_ties_go_to_the_earliest_time():
