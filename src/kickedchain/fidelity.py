@@ -117,11 +117,6 @@ class BellInput:
             raise ValueError(f"coefficients must be normalized; |c0|^2+|c1|^2 = {norm2}")
         object.__setattr__(self, "coefficients", (complex(c0), complex(c1)))
 
-    @property
-    def maximally_entangled(self) -> bool:
-        c0, c1 = self.coefficients
-        return abs(c0 - c1) <= 1e-12 and abs(_abs2(c0) - 0.5) <= 1e-12
-
     @classmethod
     def maximal(cls, family: str) -> "BellInput":
         # (1+i)/2 is 1/sqrt(2) up to a global phase, and its squared

@@ -9,7 +9,8 @@ nearest-neighbour bonds:
         + B sum_i S_i^z + E sum_i (S_i x S_{i+1})^z
 
 Total S^z is conserved, so H block-diagonalizes over excitation number;
-``build_hamiltonian`` assembles the dense block for one sector.  In the
+``build_hamiltonian`` assembles the dense block for one sector, and its
+bond table is where the matrix-element rules are stated.  In the
 excitation picture the exchange terms give real hopping -J/2 plus Ising
 diagonals, while the DM term turns the nearest-neighbour hopping complex:
 +iE/2 for an excitation moving down the chain (j -> i on the ordered bond
@@ -111,8 +112,6 @@ class ChainParams:
 
 def uniform_profile(n_sites: int, j1: float, j2: float) -> CouplingProfile:
     """Profile with every NN bond equal to j1 and every NNN bond equal to j2."""
-    if n_sites < 2:
-        raise ValueError(f"need at least 2 sites, got {n_sites}")
     return CouplingProfile(
         n_sites=n_sites,
         j1_bonds=(float(j1),) * (n_sites - 1),
@@ -137,13 +136,8 @@ def impurity_from_strength(kind: str, site: int, strength: float) -> ImpuritySpe
     if strength < 1.0:
         raise ValueError("impurity strength must be >= 1 (1 means no impurity)")
     weak = 1.0 - (strength - 1.0) / 4.0
-    if kind == "type1":
-        return ImpuritySpec(kind, site, ratio_nn=strength,
-                            ratio_nnn_strong=strength, ratio_nnn_weak=weak)
-    if kind == "type2":
-        return ImpuritySpec(kind, site, ratio_nn=weak,
-                            ratio_nnn_strong=strength, ratio_nnn_weak=weak)
-    raise ValueError(f"unknown impurity kind {kind!r}; expected one of {IMPURITY_KINDS}")
+    return ImpuritySpec(kind, site, ratio_nn=strength if kind == "type1" else weak,
+                        ratio_nnn_strong=strength, ratio_nnn_weak=weak)
 
 
 def apply_impurity(profile: CouplingProfile, spec: ImpuritySpec) -> CouplingProfile:
@@ -167,29 +161,18 @@ def apply_impurity(profile: CouplingProfile, spec: ImpuritySpec) -> CouplingProf
     if not 2 <= p <= n - 1:
         raise ValueError(f"impurity site must lie in [2, {n - 1}], got {p}")
 
-    j1 = list(profile.j1_bonds)
-    j2 = list(profile.j2_bonds)
-
-    def scale_nn(i, factor):
-        # bond (i, i+1) lives at index i-1
-        if 1 <= i <= n - 1:
-            j1[i - 1] *= factor
-
-    def scale_nnn(i, factor):
-        # bond (i, i+2) lives at index i-1
-        if 1 <= i <= n - 2:
-            j2[i - 1] *= factor
-
     if spec.kind == "type1":
         outer, bridge = spec.ratio_nnn_strong, spec.ratio_nnn_weak
     else:
         outer, bridge = spec.ratio_nnn_weak, spec.ratio_nnn_strong
 
-    scale_nn(p - 2, spec.ratio_nn)
-    scale_nn(p + 1, spec.ratio_nn)
-    scale_nnn(p - 3, outer)
-    scale_nnn(p + 1, outer)
-    scale_nnn(p - 1, bridge)
+    # bond (i, i+1) lives at j1[i-1] and bond (i, i+2) at j2[i-1]
+    j1 = list(profile.j1_bonds)
+    j2 = list(profile.j2_bonds)
+    for bonds, i, factor in ((j1, p - 2, spec.ratio_nn), (j1, p + 1, spec.ratio_nn),
+                             (j2, p - 3, outer), (j2, p + 1, outer), (j2, p - 1, bridge)):
+        if 1 <= i <= len(bonds):
+            bonds[i - 1] *= factor
 
     return CouplingProfile(n, tuple(j1), tuple(j2))
 
@@ -197,16 +180,15 @@ def apply_impurity(profile: CouplingProfile, spec: ImpuritySpec) -> CouplingProf
 def build_hamiltonian(params: ChainParams, basis: ExcitationBasis) -> np.ndarray:
     """Dense Hamiltonian block in one excitation sector.
 
-    Matrix-element rules, for a configuration with up-set A:
-
-    * diagonal: sum over bonds of -J_ij * s/4 with s = +1 when i, j are on
-      the same side of A (both up or both down) and -1 otherwise, plus
-      B*(k - N/2);
-    * NN hopping: -J1/2 + iE/2 for an excitation moving j -> i on the
-      ordered bond (i, i+1), conjugate for the reverse move;
-    * NNN hopping: -J2/2, no DM phase.
-
-    The result is exactly Hermitian by construction.
+    Every bond is one row (lo, hi, J, E) of a table: the NN bonds (i, i+1)
+    carry the DM field, the NNN bonds (i, i+2) carry none.  For a
+    configuration with up-set A, each bond adds -J * s/4 to the diagonal,
+    with s = +1 when lo, hi are on the same side of A and -1 otherwise, and
+    where exactly one end is up it hops the excitation across with
+    amplitude -J/2 + iE/2 down the chain (hi -> lo) or -J/2 - iE/2 up it.
+    The diagonal starts from B*(k - N/2), takes the bonds in table order
+    and is then added to the zero entry (see ``vacuum_energy``).  The
+    result is exactly Hermitian by construction.
     """
     profile = params.profile
     n = profile.n_sites
@@ -214,39 +196,23 @@ def build_hamiltonian(params: ChainParams, basis: ExcitationBasis) -> np.ndarray
         raise ValueError(
             f"basis is for {basis.n_sites} sites but params describe {n}"
         )
-    e = params.dm_field
-    dim = basis.size
-    h = np.zeros((dim, dim), dtype=complex)
+    bonds = ([(i, i + 1, j, params.dm_field) for i, j in enumerate(profile.j1_bonds, 1)]
+             + [(i, i + 2, j, 0.0) for i, j in enumerate(profile.j2_bonds, 1)])
+    h = np.zeros((basis.size, basis.size), dtype=complex)
     b_diag = params.b_field * (basis.n_excitations - n / 2.0)
 
     for col, config in enumerate(basis.configs):
         up = set(config)
         diag = b_diag
-        for i in range(1, n):
-            same = (i in up) == ((i + 1) in up)
-            diag += -profile.j1_bonds[i - 1] * (0.25 if same else -0.25)
-        for i in range(1, n - 1):
-            same = (i in up) == ((i + 2) in up)
-            diag += -profile.j2_bonds[i - 1] * (0.25 if same else -0.25)
-        h[col, col] += diag
-
-        for i in range(1, n):
-            j1 = profile.j1_bonds[i - 1]
-            lo, hi = i, i + 1
-            if (lo in up) != (hi in up):
-                if hi in up:    # excitation hops down the chain, hi -> lo
-                    moved = tuple(sorted(up - {hi} | {lo}))
-                    h[basis.index_map[moved], col] += -j1 / 2.0 + 1j * e / 2.0
-                else:           # lo -> hi
-                    moved = tuple(sorted(up - {lo} | {hi}))
-                    h[basis.index_map[moved], col] += -j1 / 2.0 - 1j * e / 2.0
-        for i in range(1, n - 1):
-            j2 = profile.j2_bonds[i - 1]
-            lo, hi = i, i + 2
-            if (lo in up) != (hi in up):
-                src, dst = (hi, lo) if hi in up else (lo, hi)
+        for lo, hi, j, field in bonds:
+            same = (lo in up) == (hi in up)
+            diag += -j * (0.25 if same else -0.25)
+            if not same:
+                # an excitation hops down the chain, hi -> lo, or up, lo -> hi
+                src, dst, dm = (hi, lo, field) if hi in up else (lo, hi, -field)
                 moved = tuple(sorted(up - {src} | {dst}))
-                h[basis.index_map[moved], col] += -j2 / 2.0
+                h[basis.index_map[moved], col] += -j / 2.0 + 1j * dm / 2.0
+        h[col, col] += diag
 
     return h
 

@@ -130,8 +130,7 @@ def test_bell_input_validation():
         BellInput("omega0", (1.0, 0.0))
     with pytest.raises(ValueError):
         BellInput("omega1", (1.0, 1.0))
-    lopsided = BellInput("omega1", (1.0, 0.0))
-    assert not lopsided.maximally_entangled
+    BellInput("omega1", (1.0, 0.0))   # lopsided but normalized: accepted
 
 
 def test_maximal_bell_input_is_exactly_normalized():
@@ -140,7 +139,6 @@ def test_maximal_bell_input_is_exactly_normalized():
         c0, c1 = bell.coefficients
         assert c0.real ** 2 + c0.imag ** 2 == 0.5
         assert c0 == c1 == 0.5 + 0.5j
-        assert bell.maximally_entangled
 
 
 # -- direct partial-trace evaluation --------------------------------------------

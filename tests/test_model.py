@@ -51,6 +51,35 @@ def test_two_site_blocks_with_field_and_dm():
     assert np.array_equal(h2, np.array([[0.0]]))
 
 
+def test_four_site_impurity_blocks_exact():
+    # type1 strength 1.5 at site 3 scales NN bond (1, 2) by 1.5 and the
+    # bridging NNN bond (2, 4) by 0.875; every entry is a binary fraction.
+    profile = apply_impurity(uniform_profile(4, 1.0, -1.0),
+                             impurity_from_strength("type1", 3, 1.5))
+    assert profile == CouplingProfile(4, (1.5, 1.0, 1.0), (-1.0, -0.875))
+    p = ChainParams(profile, dm_field=0.25, b_field=0.5)
+    u = 0.125j   # iE/2, carried by a hop down the chain
+    h0 = build_hamiltonian(p, enumerate_basis(4, 0))
+    h1 = build_hamiltonian(p, enumerate_basis(4, 1))
+    h2 = build_hamiltonian(p, enumerate_basis(4, 2))
+    assert np.array_equal(h0, np.array([[-1.40625]]))
+    assert np.array_equal(h1, np.array([
+        [-0.65625, -0.75 + u, 0.5, 0.0],
+        [-0.75 - u, -0.09375, -0.5 + u, 0.4375],
+        [0.5, -0.5 - u, -0.40625, -0.5 + u],
+        [0.0, 0.4375, -0.5 - u, -0.84375],
+    ]))
+    # rows and columns: (1,2), (1,3), (1,4), (2,3), (2,4), (3,4)
+    assert np.array_equal(h2, np.array([
+        [-0.84375, -0.5 + u, 0.4375, 0.5, 0.0, 0.0],
+        [-0.5 - u, 1.34375, -0.5 + u, -0.75 + u, 0.0, 0.0],
+        [0.4375, -0.5 - u, -0.09375, 0.0, -0.75 + u, 0.5],
+        [0.5, -0.75 - u, 0.0, -0.09375, -0.5 + u, 0.4375],
+        [0.0, 0.0, -0.75 - u, -0.5 - u, 1.34375, -0.5 + u],
+        [0.0, 0.0, 0.5, 0.4375, -0.5 - u, -0.84375],
+    ]))
+
+
 def test_block_is_exactly_hermitian():
     rng = np.random.default_rng(3)
     for _ in range(5):
@@ -225,12 +254,12 @@ def test_impurity_spec_validation():
         ImpuritySpec("type1", 6, 1.0, 1.5, 1.1)   # weak ratio above 1
     with pytest.raises(ValueError):
         impurity_from_strength("type1", 6, 0.9)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown impurity kind"):
         impurity_from_strength("type3", 6, 1.5)
 
 
 def test_profile_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need at least 2 sites"):
         uniform_profile(1, 1.0, 0.0)
     with pytest.raises(ValueError):
         CouplingProfile(4, (1.0, 1.0), (0.0, 0.0))       # one j1 bond short
