@@ -61,8 +61,6 @@ def enumerate_basis(n_sites: int, n_excitations: int) -> ExcitationBasis:
         raise ValueError(f"need at least 2 sites, got {n_sites}")
     if not 0 <= n_excitations <= 2:
         raise ValueError(f"unsupported sector k={n_excitations}; expected 0, 1 or 2")
-    if n_excitations > n_sites:
-        raise ValueError(f"k={n_excitations} excitations do not fit on {n_sites} sites")
     configs = tuple(itertools.combinations(range(1, n_sites + 1), n_excitations))
     index_map = {c: i for i, c in enumerate(configs)}
     return ExcitationBasis(n_sites, n_excitations, configs, index_map)

@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .fidelity import KNOWN_STATES, OMEGA2_CONVENTIONS, classical_threshold, family_sector
+from .fidelity import OMEGA2_CONVENTIONS, classical_threshold, family_sector
 from .model import (
     ChainParams,
     IMPURITY_KINDS,
@@ -218,7 +218,6 @@ def _read_states(value, where: str) -> tuple[str, ...]:
         raise ConfigError(where, "expected a nonempty list of state names")
     states = []
     for i, s in enumerate(value):
-        _as_choice(s, KNOWN_STATES, f"{where}[{i}]")
         if s in states:
             raise ConfigError(f"{where}[{i}]", f"duplicate state {s!r}")
         states.append(s)

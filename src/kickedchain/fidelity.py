@@ -18,7 +18,7 @@ Each family reads one block of sector amplitudes <target|U|source> into
 its closed form.  The family table below is stated once, in
 ``family_sector`` (sector, sources, targets) and ``family_score`` (which
 amplitude feeds which argument), and the sweeps, ``conformance_report``
-and the config check all read it from there:
+and the state checks of ``SweepPlan`` and the config read it from there:
 
     family  sector  sources    targets                                  closed form
     omega0  k=1     (1)        (N)                                      single_qubit_fidelity
@@ -44,10 +44,10 @@ t1 in the slot of |k1> the family average is the moment sum
 
     sum_env (|A|^2 + |D|^2 + Re(A conj(D)))/3 + (|B|^2 + |C|^2)/6.
 
-The oracle states the receiver geometry on its own (``_branch_tables``,
-``_FAMILY_SLOTS``, ``_check_bell_geometry``), since it is the reference
-the family table is checked against.  ``conformance_report`` tabulates the
-closed forms against both readings.
+The oracle states its geometry on its own, in ``_branch_tables`` (sources,
+receivers and the N >= 4 rule of the Bell pairs) and ``_FAMILY_SLOTS``,
+since it is the reference the family table is checked against.
+``conformance_report`` tabulates the closed forms against both readings.
 """
 
 from __future__ import annotations
@@ -243,29 +243,26 @@ def family_score(state: str, amps, vacuum_angles, omega2_convention: str):
 def _propagation(params: ChainParams, time: float | None = None,
                  schedule: KickSchedule | None = None,
                  u0_convention: str = "hamiltonian_tau"):
-    """``(columns, elapsed)`` for continuous (``time``) or kicked (``schedule``) evolution.
+    """``(propagator, elapsed)`` for continuous (``time``) or kicked (``schedule``) evolution.
 
-    ``columns(basis, sources)`` returns the propagator columns
-    <config|U|source> in that sector; ``elapsed`` is the evolution time.
-    Kicked columns come from ``np.linalg.matrix_power`` of the kick step,
-    taken ``schedule.n_kicks`` times, so the oracle shares no code with the
-    kick loops it checks.
+    ``propagator(basis)`` is the evolution operator U of that sector;
+    ``elapsed`` is the evolution time.  Kicked evolution is
+    ``np.linalg.matrix_power`` of ``kick_step``, taken ``schedule.n_kicks``
+    times, so the oracle shares no code with the kick loops it checks.
     """
     if (time is None) == (schedule is None):
         raise ValueError("specify exactly one of time= or schedule=")
     if time is not None:
-        def columns(basis: ExcitationBasis, sources: Sequence) -> np.ndarray:
-            u = unitary_exp(build_hamiltonian(params, basis), time)
-            return u[:, [index_of(basis, s) for s in sources]]
+        def propagator(basis: ExcitationBasis) -> np.ndarray:
+            return unitary_exp(build_hamiltonian(params, basis), time)
 
-        return columns, float(time)
-    m = schedule.n_kicks
+        return propagator, float(time)
 
-    def columns(basis: ExcitationBasis, sources: Sequence) -> np.ndarray:
+    def propagator(basis: ExcitationBasis) -> np.ndarray:
         step = kick_step(params, schedule, basis, u0_convention=u0_convention)
-        return np.linalg.matrix_power(step, m)[:, [index_of(basis, s) for s in sources]]
+        return np.linalg.matrix_power(step, schedule.n_kicks)
 
-    return columns, m * schedule.tau
+    return propagator, schedule.n_kicks * schedule.tau
 
 
 def _environment_tables(branches, receiver_sites) -> np.ndarray:
@@ -295,25 +292,29 @@ def _environment_tables(branches, receiver_sites) -> np.ndarray:
     return tables
 
 
-def _branch_tables(params: ChainParams, family: str, columns, elapsed: float) -> np.ndarray:
+def _branch_tables(params: ChainParams, family: str, propagator, elapsed: float) -> np.ndarray:
     """Environment-grouped receiver tables for the two basis kets of a family.
 
     The input state c0|k0> + c1|k1> evolves to c0 * branch0 + c1 * branch1.
     The receivers are site N for ``omega0`` (|k0> the vacuum, |k1> an
-    excitation at site 1) and the pair (N-1, N) for the Bell families.
-    ``columns`` and ``elapsed`` describe the evolution, as ``_propagation``
-    returns them.
+    excitation at site 1) and the pair (N-1, N) for the Bell families,
+    which need N >= 4 so that it is distinct from the sender pair (1, 2).
+    ``propagator`` and ``elapsed`` describe the evolution, as
+    ``_propagation`` returns them.
     """
     n = params.profile.n_sites
+    if family in BELL_FAMILIES and n < 4:
+        raise ValueError("sender pair (1,2) and receiver pair (N-1,N) overlap below N=4")
     if family == "omega1":
         basis = enumerate_basis(n, 1)
-        cols = columns(basis, [(2,), (1,)])
+        u = propagator(basis)
         # |01> starts at site 2, |10> at site 1
-        branches = [zip(basis.configs, cols[:, 0]), zip(basis.configs, cols[:, 1])]
+        branches = [zip(basis.configs, u[:, index_of(basis, (2,))]),
+                    zip(basis.configs, u[:, index_of(basis, (1,))])]
     elif family in ("omega0", "omega2"):
         k, source = (1, (1,)) if family == "omega0" else (2, (1, 2))
         basis = enumerate_basis(n, k)
-        col = columns(basis, [source])[:, 0]
+        col = propagator(basis)[:, index_of(basis, source)]
         branches = [[((), vacuum_phase(params, elapsed))], zip(basis.configs, col)]
     else:
         raise ValueError(f"unknown input family {family!r}; expected one of {KNOWN_STATES}")
@@ -322,11 +323,6 @@ def _branch_tables(params: ChainParams, family: str, columns, elapsed: float) ->
 
 # receiver slots of |k0> and |k1>: |0>,|1>; |01>,|10>; |00>,|11>
 _FAMILY_SLOTS = {"omega0": (0, 1), "omega1": (1, 2), "omega2": (0, 3)}
-
-
-def _check_bell_geometry(params: ChainParams):
-    if params.profile.n_sites < 4:
-        raise ValueError("sender pair (1,2) and receiver pair (N-1,N) overlap below N=4")
 
 
 def _bell_overlap(tables: np.ndarray, bell: BellInput) -> float:
@@ -353,7 +349,6 @@ def bell_fidelity_direct(params: ChainParams, bell: BellInput,
     Pass either ``time`` for continuous evolution or ``schedule`` for
     ``schedule.n_kicks`` kicks.
     """
-    _check_bell_geometry(params)
     evolution = _propagation(params, time, schedule, u0_convention)
     return _bell_overlap(_branch_tables(params, bell.family, *evolution), bell)
 
@@ -386,8 +381,6 @@ def direct_family_average(params: ChainParams, family: str,
     partial-trace check on the closed forms.  Pass ``time`` or
     ``schedule`` as for ``bell_fidelity_direct``.
     """
-    if family != "omega0":
-        _check_bell_geometry(params)
     evolution = _propagation(params, time, schedule, u0_convention)
     return _family_average(_branch_tables(params, family, *evolution), family)
 
@@ -421,21 +414,16 @@ def conformance_report(n_sites_values: Sequence[int] = (4, 5, 6),
     for n in n_sites_values:
         params = ChainParams(uniform_profile(n, j1, j2), dm_field=e0, b_field=b_field)
         sectors = {state: family_sector(state, n) for state in BELL_FAMILIES}
-        hamiltonians = {basis.n_excitations: build_hamiltonian(params, basis)
-                        for basis, _, _ in sectors.values()}
+        hamiltonians = {basis: build_hamiltonian(params, basis) for basis, _, _ in sectors.values()}
         e_vac = vacuum_energy(params)
         for t in times:
-            u = {k: unitary_exp(h, t) for k, h in hamiltonians.items()}
-
-            def columns(basis, sources):
-                return u[basis.n_excitations][:, [index_of(basis, s) for s in sources]]
-
+            u = {basis: unitary_exp(h, t) for basis, h in hamiltonians.items()}
             for state, (basis, sources, targets) in sectors.items():
-                amps = u[basis.n_excitations][np.ix_(targets, sources)]
+                amps = u[basis][np.ix_(targets, sources)]
                 literal = float(family_score(state, amps, e_vac * t, "re_amplitude"))
                 literal_alt = (float(family_score(state, amps, e_vac * t, "abs_amplitude"))
                                if state == "omega2" else None)
-                tables = _branch_tables(params, state, columns, float(t))
+                tables = _branch_tables(params, state, u.__getitem__, float(t))
                 direct = _bell_overlap(tables, BellInput.maximal(state))
                 average = _family_average(tables, state)
                 rows.append({

@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fidelity import KNOWN_STATES, OMEGA2_CONVENTIONS, family_score, family_sector, out_of_range
+from .fidelity import OMEGA2_CONVENTIONS, family_score, family_sector, out_of_range
 from .model import (
     ChainParams,
     ImpuritySpec,
@@ -116,13 +116,14 @@ class SweepPlan:
 
     ``params`` (plus the optional ``impurity``) describes the point every
     grid value perturbs; its ``dm_field`` is the static field of every
-    point.  For axis ``tau`` the grid values are kick intervals and must be
-    positive.  For axis ``j2_over_j1`` the template profile
-    must be uniform, since the grid value replaces the ratio of the two
-    uniform couplings; for axis ``impurity_ratio`` the template impurity
-    supplies kind and site while the grid value sets the strength; for
-    axis ``kick_count`` the grid values are kick counts and the search
-    runs over ``tau_grid`` at that fixed count.
+    point.  Each state is checked through the family table, N >= 4 for the
+    Bell states included (``fidelity.family_sector``).  For axis ``tau`` the
+    grid values are kick intervals and must be positive.  For axis
+    ``j2_over_j1`` the template profile must be uniform, since the grid
+    value replaces the ratio of the two uniform couplings; for axis
+    ``impurity_ratio`` the template impurity supplies kind and site while
+    the grid value sets the strength; for ``kick_count`` the grid values
+    are kick counts and the search runs over ``tau_grid`` at that count.
     """
 
     params: ChainParams
@@ -146,8 +147,7 @@ class SweepPlan:
         if not states:
             raise ValueError("states must be nonempty")
         for s in states:
-            if s not in KNOWN_STATES:
-                raise ValueError(f"unknown state {s!r}; expected one of {KNOWN_STATES}")
+            family_sector(s, self.params.profile.n_sites)
         if len(set(states)) != len(states):
             raise ValueError("duplicate states in plan")
         object.__setattr__(self, "states", states)

@@ -18,7 +18,18 @@ import pytest
 
 import kickedchain
 import kickedchain.__main__
-from kickedchain import DEFAULT_TAU_GRID, cli, float_grid, periodogram
+from kickedchain import (
+    DEFAULT_TAU_GRID,
+    ChainParams,
+    KickSchedule,
+    apply_impurity,
+    cli,
+    fidelity_series,
+    float_grid,
+    impurity_from_strength,
+    periodogram,
+    uniform_profile,
+)
 from kickedchain.cli import (
     _BLOCK_ROWS,
     _typed_table,
@@ -178,6 +189,9 @@ def test_unknown_keys_are_rejected_with_their_path(text, key_path):
     ("run: {mode: sweep, axis: tau, grid: {start: 1.0, stop: 2.0}}\n", "run.grid"),
     ("run: {mode: sweep, axis: tau, grid: [1.0, true]}\n", "run.grid[1]"),
     ("run: {mode: sweep, axis: tau, grid: []}\n", "run.grid"),
+    ("run: {mode: sweep, axis: tau, grid: 5}\n", "run.grid: expected a list of numbers"),
+    ("run: {mode: sweep, axis: impurity_ratio, grid: [1.5]}\n",
+     "run: impurity_ratio axis needs an impurity template"),
     ("drive: {tau: .nan}\n", "drive.tau"),
     ("drive: {e1: -.inf}\n", "drive.e1"),
     ("run: {mode: sweep, axis: e1, grid: [0, .nan]}\n", "run.grid[1]"),
@@ -615,6 +629,32 @@ def test_periodogram_table_marks_the_dominant_bin_of_each_state(tmp_path):
     assert csv_path.read_text(encoding="utf-8") == want_csv
     assert json_path.read_text(encoding="utf-8") == want_json
     assert sum(row[3] for row in rows) == 2
+
+
+def test_evolve_and_periodogram_run_on_the_impurity_chain(tmp_path):
+    text = ("chain: {n_sites: 6}\ndrive: {tau: 1.0, n_kicks: 40}\n"
+            "impurity: {kind: type1, strength: 2.0}\nrun: {states: [omega0, omega1, omega2]}\n")
+    cfg = parse_config(text)
+    assert cfg.impurity.site == 4                      # the default, mid-chain
+    evolve = replace(cfg, output=replace(cfg.output, path=str(tmp_path / "series")))
+    spectrum = replace(evolve, run=replace(cfg.run, mode="periodogram"),
+                       output=replace(cfg.output, path=str(tmp_path / "spec")))
+    with open(run(evolve)[0], encoding="utf-8") as f:
+        series = list(csv.DictReader(f))
+    with open(run(spectrum)[0], encoding="utf-8") as f:
+        dominant_rows = [r for r in csv.DictReader(f) if r["is_dominant"] == "1"]
+    pure = ChainParams(uniform_profile(6, 1.0, -1.0), dm_field=0.1)
+    doped = replace(pure, profile=apply_impurity(pure.profile,
+                                                 impurity_from_strength("type1", 4, 2.0)))
+    schedule = KickSchedule(tau=1.0, e1=1.0, n_kicks=40)
+    for state in cfg.run.states:
+        got = np.array([float(r[f"fidelity_{state}"]) for r in series])
+        assert np.array_equal(got, fidelity_series(doped, schedule, state))
+        assert np.abs(got - fidelity_series(pure, schedule, state)).max() > 1e-3
+        dominant = [float(r["frequency"]) for r in dominant_rows if r["state"] == state]
+        assert dominant == [periodogram(got)[2]]
+    assert round(float(series[1]["fidelity_omega0"]), 5) == 0.51253
+    assert round(float(fidelity_series(pure, schedule, "omega0")[1]), 5) == 0.52077
 
 
 # -- entry point -----------------------------------------------------------------------

@@ -480,6 +480,9 @@ def test_plan_validation_errors():
         SweepPlan(**{**good, "states": ()})
     with pytest.raises(ValueError):
         SweepPlan(**{**good, "states": ("omega3",)})
+    for bell in ("omega1", "omega2"):                          # receiver pair overlaps senders
+        with pytest.raises(ValueError, match="n_sites >= 4"):
+            SweepPlan(**{**good, "params": params_for(3), "states": (bell,)})
     with pytest.raises(ValueError):
         SweepPlan(**{**good, "states": ("omega0", "omega0")})
     with pytest.raises(ValueError):
