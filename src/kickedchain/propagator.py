@@ -12,11 +12,11 @@ read out just after the kick.
 
 How the lattice search runs: every kicked result, from one fidelity
 series to a full tau x kick lattice, comes from ``kick_lattice``.  Per call
-it builds H0 and D and diagonalises each once, then runs whichever of two
-kick loops issues fewer matrix products.
+it builds H0 and D and diagonalises each once, works out B, and scores the
+chunks of whichever of two kick loops issues fewer matrix products.
 
-* The blocked loop (``_stroboscopic_blocks``) forms U1 U0(tau) for a stack
-  of taus and advances B kicks per iteration, B the power of two nearest
+* The blocked loop (``_stroboscopic_blocks``) advances the steps U1 U0(tau)
+  of one tau stack B kicks per iteration, B the power of two nearest
   sqrt(m_max + 1): it builds the target rows of step^r for r < B and
   step^B once, and each iteration reads B kicks' target amplitudes off one
   batched product of those rows with the current columns before advancing
@@ -191,12 +191,12 @@ def _kicks_per_iteration(m_max: int, dim: int, n_targets: int) -> int:
     return b
 
 
-def _stroboscopic_blocks(steps: np.ndarray, cols: np.ndarray, targets, m_max: int):
+def _stroboscopic_blocks(steps: np.ndarray, sources, targets, m_max: int, b: int):
     """The kick loop: every step of the stack is applied m = 0..m_max times, B kicks at a time.
 
-    ``steps`` is (n_tau, dim, dim) and ``cols`` the (n_tau, dim, n_src)
-    starting columns.  Yields ``(m0, block)`` where block[t, j] holds rows
-    ``targets`` of steps[t]^(m0 + j) @ cols[t], covering m = 0..m_max.
+    ``steps`` is (n_tau, dim, dim) and ``b`` is B.  Yields ``(m0, block)``
+    where block[t, j] holds rows ``targets`` of steps[t]^(m0 + j) @ cols,
+    with cols the unit columns ``sources``, covering m = 0..m_max.
 
     The target rows of steps^r for r < B are built once, by repeated
     multiplication, and steps^B by squaring.  Each iteration then gives
@@ -205,9 +205,10 @@ def _stroboscopic_blocks(steps: np.ndarray, cols: np.ndarray, targets, m_max: in
     fit in _AMPLITUDE_BLOCK_BYTES, and at least one.  The block buffer is
     reused: a consumer must be done with one block before taking the next.
     """
-    n_tau, dim, n_src = cols.shape
-    n_tgt = len(targets)
-    b = _kicks_per_iteration(m_max, dim, n_tgt)
+    n_tau, dim = steps.shape[:2]
+    n_src, n_tgt = len(sources), len(targets)
+    cols = np.zeros((n_tau, dim, n_src), dtype=complex)
+    cols[:, sources, np.arange(n_src)] = 1.0
     rows = np.empty((n_tau, b, n_tgt, dim), dtype=complex)
     rows[:, 0] = np.eye(dim)[targets]
     for r in range(1, b):
@@ -266,18 +267,6 @@ def _eigenbasis_blocks(params: ChainParams, basis: ExcitationBasis, taus: np.nda
         yield m0, block
 
 
-def _blocked_stacks(params: ChainParams, basis: ExcitationBasis, taus: np.ndarray, e1: float,
-                    sources, targets, m_max: int, u0_convention: str, tau_chunk: int):
-    """``_stroboscopic_blocks`` over stacks of tau_chunk taus: yields ``(t0, m0, block)``."""
-    build = _floquet_builder(params, basis, e1, u0_convention)
-    for t0 in range(0, taus.size, tau_chunk):
-        chunk = taus[t0:t0 + tau_chunk]
-        cols = np.zeros((chunk.size, basis.size, len(sources)), dtype=complex)
-        cols[:, sources, np.arange(len(sources))] = 1.0
-        for m0, block in _stroboscopic_blocks(build(chunk), cols, targets, m_max):
-            yield t0, m0, block
-
-
 def kick_lattice(params: ChainParams, basis: ExcitationBasis, taus, e1: float,
                  sources, targets, m_max: int, score,
                  u0_convention: str = "hamiltonian_tau") -> np.ndarray:
@@ -290,12 +279,13 @@ def kick_lattice(params: ChainParams, basis: ExcitationBasis, taus, e1: float,
     len(sources)) and the returned array is (len(taus), len(ms)).  Returns
     the (len(taus), m_max + 1) lattice, in the dtype ``score`` returns.
 
-    H0 and D are diagonalised once per call, however many taus there are.
-    Of the two kick loops, the one that issues fewer matrix products runs.
-    The blocked loop steps stacks of taus whose steps and target-row stacks
-    together fit in _STEP_STACK_BYTES (at least one tau per stack); per
-    stack it makes B - 1 row products, log2(B) squarings and two products
-    per iteration but the first.  The eigenbasis loop, open to
+    H0 and D are diagonalised, and B worked out, once per call.  Of the two
+    kick loops, the one that issues fewer matrix products runs, and one
+    loop here scores the chunks of either.  For the blocked loop it walks
+    stacks of taus whose steps and target-row stacks together fit in
+    _STEP_STACK_BYTES (at least one tau per stack); per stack that loop
+    makes B - 1 row products, log2(B) squarings and two products per
+    iteration but the first.  The eigenbasis loop, open to
     "hamiltonian_tau" only, makes two per kick for every tau at once.
     The loop is chosen for the whole grid and the two loops round
     differently, so a cell's value can depend on the rest of its grid: at
@@ -316,16 +306,17 @@ def kick_lattice(params: ChainParams, basis: ExcitationBasis, taus, e1: float,
     n_stacks = -(-taus.size // tau_chunk)
     blocked_products = n_stacks * (b - 1 + b.bit_length() - 1 + 2 * -(-(m_max + 1) // b) - 1)
     if u0_convention == "hamiltonian_tau" and 2 * m_max < blocked_products:
-        blocks = ((0, m0, block) for m0, block in
-                  _eigenbasis_blocks(params, basis, taus, e1, sources, targets, m_max))
+        stacks = [(0, _eigenbasis_blocks(params, basis, taus, e1, sources, targets, m_max))]
     else:
-        blocks = _blocked_stacks(params, basis, taus, e1, sources, targets, m_max,
-                                 u0_convention, tau_chunk)
+        build = _floquet_builder(params, basis, e1, u0_convention)
+        stacks = ((t0, _stroboscopic_blocks(build(taus[t0:t0 + tau_chunk]), sources, targets,
+                                            m_max, b))
+                  for t0 in range(0, taus.size, tau_chunk))
     lattice = None
-    for t0, m0, amps in blocks:
-        values = score(amps, taus[t0:t0 + amps.shape[0]], np.arange(m0, m0 + amps.shape[1]))
-        if lattice is None:
-            lattice = np.empty((taus.size, m_max + 1), dtype=values.dtype)
-        lattice[t0:t0 + amps.shape[0], m0:m0 + amps.shape[1]] = values
+    for t0, blocks in stacks:
+        for m0, amps in blocks:
+            values = score(amps, taus[t0:t0 + amps.shape[0]], np.arange(m0, m0 + amps.shape[1]))
+            if lattice is None:
+                lattice = np.empty((taus.size, m_max + 1), dtype=values.dtype)
+            lattice[t0:t0 + amps.shape[0], m0:m0 + amps.shape[1]] = values
     return lattice
-

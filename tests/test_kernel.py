@@ -177,14 +177,21 @@ def test_eigenbasis_loop_matches_naive_loop(state, omega2_convention, m_max):
     assert (TAUS[i], m) == naive_argmax(want, TAUS)
 
 
+@pytest.mark.parametrize("loop", ["eigenbasis", "blocked"])
 @pytest.mark.parametrize("state", ["omega0", "omega1", "omega2"])
-def test_eigenbasis_loop_column_zero_is_the_untouched_input(state):
+def test_each_kick_loop_column_zero_is_the_untouched_input(state, loop):
     k, sources, targets = probe(state)
     basis = enumerate_basis(N, k)
     src = [index_of(basis, s) for s in sources]
     tgt = [index_of(basis, t) for t in targets]
-    m0, amps = next(propagator_module._eigenbasis_blocks(params_for(), basis, np.array(TAUS),
-                                                         E1, src, tgt, M_MAX))
+    params, taus = params_for(), np.array(TAUS)
+    if loop == "eigenbasis":
+        blocks = propagator_module._eigenbasis_blocks(params, basis, taus, E1, src, tgt, M_MAX)
+    else:
+        steps = propagator_module._floquet_builder(params, basis, E1, "hamiltonian_tau")(taus)
+        b = propagator_module._kicks_per_iteration(M_MAX, basis.size, len(tgt))
+        blocks = propagator_module._stroboscopic_blocks(steps, src, tgt, M_MAX, b)
+    m0, amps = next(blocks)
     assert m0 == 0
     for t in range(len(TAUS)):
         assert np.array_equal(amps[t, 0], np.eye(basis.size)[np.ix_(tgt, src)])
