@@ -49,7 +49,7 @@ from .model import (
     impurity_from_strength,
     uniform_profile,
 )
-from .propagator import U0_CONVENTIONS, KickSchedule
+from .propagator import U0_CONVENTIONS, FieldError, KickSchedule
 from .sweep import (
     DEFAULT_M_MAX,
     DEFAULT_TAU_GRID,
@@ -266,8 +266,8 @@ def _parse_impurity(raw: dict, chain: ChainBlock) -> ImpuritySpec | None:
     try:
         spec = (impurity_from_strength(kind, site, strength) if strength is not None
                 else ImpuritySpec(kind, site, **ratios))
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from None
+    except ValueError as exc:   # with a strength given, only the strength can be at fault
+        raise ConfigError(path if strength is None else f"{path}.strength", str(exc)) from None
 
     # re-validate against the chain geometry so bad sites fail at parse time
     try:
@@ -310,8 +310,8 @@ def _read_config(text: str, flags: dict) -> ExperimentConfig:
     drive = DriveBlock(**_read_fields(DriveBlock, raw["drive"], "drive"))
     try:
         _schedule(drive)
-    except ValueError as exc:
-        raise ConfigError("drive", str(exc)) from None
+    except FieldError as exc:
+        raise ConfigError(f"drive.{exc.field}", str(exc)) from None
 
     impurity = _parse_impurity(raw["impurity"], chain)
 

@@ -31,8 +31,9 @@ a ``np.float64``.
 
 ``bell_fidelity_direct`` is an independent check on the closed forms: it
 embeds the Bell state over the all-down background, evolves every
-excitation sector (the vacuum by its pure phase), partial-traces down to
-the receiver pair (N-1, N) and evaluates <Omega|rho_out|Omega> directly.
+excitation sector (the vacuum by its pure phase; kicks by ``kick_step``
+under ``hamiltonian_tau``), partial-traces down to the receiver pair
+(N-1, N) and evaluates <Omega|rho_out|Omega> directly.
 
 ``direct_family_average`` averages that oracle over any of the three input
 families exactly, not by sampling.  An input c0|k0> + c1|k1> reaches the
@@ -241,8 +242,7 @@ def family_score(state: str, amps, vacuum_angles, omega2_convention: str):
 # ---------------------------------------------------------------------------
 
 def _propagation(params: ChainParams, time: float | None = None,
-                 schedule: KickSchedule | None = None,
-                 u0_convention: str = "hamiltonian_tau"):
+                 schedule: KickSchedule | None = None):
     """``(propagator, elapsed)`` for continuous (``time``) or kicked (``schedule``) evolution.
 
     ``propagator(basis)`` is the evolution operator U of that sector;
@@ -259,8 +259,7 @@ def _propagation(params: ChainParams, time: float | None = None,
         return propagator, float(time)
 
     def propagator(basis: ExcitationBasis) -> np.ndarray:
-        step = kick_step(params, schedule, basis, u0_convention=u0_convention)
-        return np.linalg.matrix_power(step, schedule.n_kicks)
+        return np.linalg.matrix_power(kick_step(params, schedule, basis), schedule.n_kicks)
 
     return propagator, schedule.n_kicks * schedule.tau
 
@@ -337,8 +336,7 @@ def _bell_overlap(tables: np.ndarray, bell: BellInput) -> float:
 
 def bell_fidelity_direct(params: ChainParams, bell: BellInput,
                          time: float | None = None,
-                         schedule: KickSchedule | None = None,
-                         u0_convention: str = "hamiltonian_tau") -> float:
+                         schedule: KickSchedule | None = None) -> float:
     """Fidelity <Omega|rho_out|Omega> by explicit reduced-density-matrix construction.
 
     The Bell input lives on sites (1, 2) over the all-down background.
@@ -347,9 +345,9 @@ def bell_fidelity_direct(params: ChainParams, bell: BellInput,
     compared against the same Bell state relabeled onto the receivers.
 
     Pass either ``time`` for continuous evolution or ``schedule`` for
-    ``schedule.n_kicks`` kicks.
+    ``schedule.n_kicks`` kicks under the ``hamiltonian_tau`` convention.
     """
-    evolution = _propagation(params, time, schedule, u0_convention)
+    evolution = _propagation(params, time, schedule)
     return _bell_overlap(_branch_tables(params, bell.family, *evolution), bell)
 
 
@@ -369,8 +367,7 @@ def _family_average(tables: np.ndarray, family: str) -> float:
 
 def direct_family_average(params: ChainParams, family: str,
                           time: float | None = None,
-                          schedule: KickSchedule | None = None,
-                          u0_convention: str = "hamiltonian_tau") -> float:
+                          schedule: KickSchedule | None = None) -> float:
     """Exact mean of the direct fidelity over one input family.
 
     ``omega0`` is the qubit alpha|0> + beta|1> at site 1, read from the
@@ -381,7 +378,7 @@ def direct_family_average(params: ChainParams, family: str,
     partial-trace check on the closed forms.  Pass ``time`` or
     ``schedule`` as for ``bell_fidelity_direct``.
     """
-    evolution = _propagation(params, time, schedule, u0_convention)
+    evolution = _propagation(params, time, schedule)
     return _family_average(_branch_tables(params, family, *evolution), family)
 
 
@@ -390,18 +387,16 @@ def direct_family_average(params: ChainParams, family: str,
 # ---------------------------------------------------------------------------
 
 def conformance_report(n_sites_values: Sequence[int] = (4, 5, 6),
-                       times: Sequence[float] = (0.0, 0.5, 1.0, 2.0, 4.0),
-                       j1: float = 1.0, j2: float = -1.0, e0: float = 0.1,
-                       b_field: float = 0.0) -> list[dict]:
+                       times: Sequence[float] = (0.0, 0.5, 1.0, 2.0, 4.0)) -> list[dict]:
     """Tabulate the Bell closed forms against the partial-trace oracle.
 
+    The chain is the canonical one (J1 = 1, J2 = -1, E0 = 0.1, B = 0).
     The Bell formulas are stated for general coefficients but the
     experiments transport the maximally entangled pair, and their phase
     conventions admit two readings of the final term.  Rather than pick a
     winner, every row records the literal formula value(s), the direct
     oracle at the maximally entangled point, its exact average over the
-    coefficient family, and the deviations of the literal value from
-    both.
+    coefficient family, and the deviations of the literal value from both.
 
     Row keys: n_sites, time, state, literal, literal_alt (the
     abs-amplitude reading; None for omega1), direct_maximal,
@@ -412,7 +407,7 @@ def conformance_report(n_sites_values: Sequence[int] = (4, 5, 6),
     """
     rows = []
     for n in n_sites_values:
-        params = ChainParams(uniform_profile(n, j1, j2), dm_field=e0, b_field=b_field)
+        params = ChainParams(uniform_profile(n, 1.0, -1.0), dm_field=0.1)
         sectors = {state: family_sector(state, n) for state in BELL_FAMILIES}
         hamiltonians = {basis: build_hamiltonian(params, basis) for basis, _, _ in sectors.values()}
         e_vac = vacuum_energy(params)

@@ -54,6 +54,7 @@ from .basis import ExcitationBasis
 from .model import ChainParams, build_hamiltonian, chirality_operator
 
 __all__ = [
+    "FieldError",
     "KickSchedule",
     "eigendecompose",
     "unitary_exp",
@@ -79,6 +80,14 @@ _COMPLEX_BYTES = np.dtype(complex).itemsize
 _HERMITICITY_TOL = 1e-12
 
 
+class FieldError(ValueError):
+    """A value a parameter check rejects; ``field`` names the parameter."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 @dataclass(frozen=True)
 class KickSchedule:
     """Drive parameters: kick interval tau, kick amplitude e1, kick budget.
@@ -92,9 +101,9 @@ class KickSchedule:
 
     def __post_init__(self):
         if self.tau <= 0:
-            raise ValueError(f"kick interval must be positive, got {self.tau}")
+            raise FieldError("tau", f"kick interval must be positive, got {self.tau}")
         if self.n_kicks < 0:
-            raise ValueError(f"kick count must be non-negative, got {self.n_kicks}")
+            raise FieldError("n_kicks", f"kick count must be non-negative, got {self.n_kicks}")
 
 
 def eigendecompose(h: np.ndarray):

@@ -41,7 +41,7 @@ from .model import (
     uniform_profile,
     vacuum_energy,
 )
-from .propagator import U0_CONVENTIONS, KickSchedule, eigendecompose, kick_lattice
+from .propagator import U0_CONVENTIONS, FieldError, KickSchedule, eigendecompose, kick_lattice
 
 __all__ = [
     "SWEEP_AXES",
@@ -91,12 +91,8 @@ CONTINUOUS_TIMES = np.arange(1, 5001, dtype=np.int64)
 CONTINUOUS_TIMES.flags.writeable = False
 
 
-class GridError(ValueError):
+class GridError(FieldError):
     """A grid the search rejects; ``field`` names it (``"grid"`` or ``"tau_grid"``)."""
-
-    def __init__(self, field: str, message: str):
-        super().__init__(message)
-        self.field = field
 
 
 def _check_grid(grid: Sequence[float], name: str, positive: bool = False) -> tuple[float, ...]:

@@ -14,6 +14,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import oracle
 from kickedchain import (
@@ -38,6 +39,7 @@ from kickedchain import (
     kick_step,
     max_fidelity,
     out_of_range,
+    parse_config,
     periodogram,
     single_qubit_fidelity,
     sweep_axis,
@@ -45,7 +47,7 @@ from kickedchain import (
     unitary_exp,
     vacuum_phase,
 )
-from kickedchain.cli import main
+from kickedchain.cli import _sweep_plan, main
 from lattice import amplitude_series
 
 CONFIGS = Path(__file__).parent.parent / "configs"
@@ -315,4 +317,38 @@ def test_trend_stronger_type1_impurity_never_helps_omega2_without_kicks():
     line = "PASS" if passed else "FAIL"
     print(f"\n[ACCEPTANCE] trend check (type1 strength vs omega2 ceiling, kick-free): {line}"
           f"  [slope={slope:.3f} first={values[0]:.3f} last={values[-1]:.3f}]")
+    assert passed
+
+
+# Impurity against pure chain, for the panels with a margin of at least 0.01
+# and the same winner on every lattice probed (README "Impurity against the
+# pure chain"): (recipe, winner, impurity strengths run besides the pure 1.0;
+# None = the whole recipe grid).  Values on the default lattice or the
+# integer probes.
+IMPURITY_VERDICTS = [
+    ("fig7a_nokick", "pure", None),          # 0.8674 vs 0.8359
+    ("fig7c_nokick", "pure", None),          # 0.8755 vs 0.8474
+    ("fig9a_nokick", "pure", None),          # 0.8674 vs 0.8110
+    ("fig9b_nokick", "impurity", None),      # 0.7147 at 1.2 vs 0.6675
+    ("fig9c_nokick", "impurity", None),      # 0.8986 at 1.1 vs 0.8755
+    ("fig7a_kicked", "impurity", (1.3,)),    # 0.8740 at 1.3 vs 0.8544
+    ("fig9b_kicked", "impurity", (1.9,)),    # 0.7471 at 1.9 vs 0.6399
+    ("fig7c_kicked", "pure", None),          # 0.9394 vs 0.9113
+]
+
+
+@pytest.mark.parametrize("recipe,winner,strengths", IMPURITY_VERDICTS,
+                         ids=[row[0] for row in IMPURITY_VERDICTS])
+def test_impurity_vs_pure_verdict_holds_by_a_clear_margin(recipe, winner, strengths):
+    plan = _sweep_plan(parse_config((CONFIGS / f"{recipe}.yaml").read_text(encoding="utf-8")))
+    assert plan.grid[0] == 1.0          # strength 1 is the pure chain
+    if strengths is not None:
+        plan = replace(plan, grid=(1.0, *(g for g in plan.grid if round(g, 9) in strengths)))
+        assert len(plan.grid) == 1 + len(strengths)
+    pure, *impurity = (row.max_fidelity for row in sweep_axis(plan))
+    margin = max(impurity) - pure
+    passed = (margin if winner == "impurity" else -margin) >= 0.01
+    line = "PASS" if passed else "FAIL"
+    print(f"\n[ACCEPTANCE] verdict check ({recipe}: {winner} wins): {line}"
+          f"  [pure={pure:.4f} best impurity={max(impurity):.4f} margin={margin:+.4f}]")
     assert passed

@@ -241,6 +241,19 @@ def test_sweep_grid_errors_name_the_grid_key(text, key_path):
     assert err.value.key_path == key_path
 
 
+@pytest.mark.parametrize("text,key_path", [
+    ("drive: {tau: -1.0}\n", "drive.tau"),
+    ("drive: {n_kicks: -3}\n", "drive.n_kicks"),
+    ("impurity: {kind: type1, strength: 0.9}\n", "impurity.strength"),
+], ids=["negative-tau", "negative-kick-count", "strength-below-one"])
+def test_rejected_values_name_their_exact_key(text, key_path):
+    # the library checks (KickSchedule, impurity_from_strength) decide;
+    # the config reports the one key that carried the bad value
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.key_path == key_path
+
+
 def test_config_error_is_a_value_error_with_key_path():
     err = ConfigError("run.grid", "boom")
     assert isinstance(err, ValueError)
