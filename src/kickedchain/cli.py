@@ -42,19 +42,18 @@ import yaml
 from .fidelity import OMEGA2_CONVENTIONS, classical_threshold, family_sector
 from .model import (
     ChainParams,
-    IMPURITY_KINDS,
+    FieldError,
     ImpuritySpec,
     apply_impurity,
     default_impurity_site,
     impurity_from_strength,
     uniform_profile,
 )
-from .propagator import U0_CONVENTIONS, FieldError, KickSchedule
+from .propagator import U0_CONVENTIONS, KickSchedule
 from .sweep import (
     DEFAULT_M_MAX,
     DEFAULT_TAU_GRID,
     SWEEP_AXES,
-    GridError,
     SweepPlan,
     fidelity_series,
     float_grid,
@@ -256,7 +255,7 @@ def _parse_impurity(raw: dict, chain: ChainBlock) -> ImpuritySpec | None:
     ratios = _read_fields(ImpuritySpec, raw, path)     # kind and site are popped off
     if "kind" not in ratios:
         raise ConfigError(f"{path}.kind", "required when an impurity block is present")
-    kind = _as_choice(ratios.pop("kind"), IMPURITY_KINDS, f"{path}.kind")
+    kind = ratios.pop("kind")
     site = ratios.pop("site", default_impurity_site(chain.n_sites))
     if strength is not None and ratios:
         raise ConfigError(f"{path}.strength", "give either strength or explicit ratios, not both")
@@ -266,14 +265,9 @@ def _parse_impurity(raw: dict, chain: ChainBlock) -> ImpuritySpec | None:
     try:
         spec = (impurity_from_strength(kind, site, strength) if strength is not None
                 else ImpuritySpec(kind, site, **ratios))
-    except ValueError as exc:   # with a strength given, only the strength can be at fault
-        raise ConfigError(path if strength is None else f"{path}.strength", str(exc)) from None
-
-    # re-validate against the chain geometry so bad sites fail at parse time
-    try:
         apply_impurity(uniform_profile(chain.n_sites, chain.j1, chain.j2), spec)
-    except ValueError as exc:
-        raise ConfigError(f"{path}.site", str(exc)) from None
+    except FieldError as exc:     # the spec's own checks, or its site on this chain
+        raise ConfigError(f"{path}.{exc.field}", str(exc)) from None
     return spec
 
 
@@ -372,8 +366,8 @@ def _schedule(drive: DriveBlock) -> KickSchedule:
 def _sweep_plan(config: ExperimentConfig) -> SweepPlan:
     """The sweep plan of a config; a plan the library rejects is a ConfigError.
 
-    A rejected grid is reported on its key (``run.grid`` or ``run.tau_grid``),
-    anything else on ``run``.
+    ``SweepPlan`` names the field it rejects: ``impurity`` is reported on that key
+    and any other field on ``run.<field>``, an impurity_ratio strength on ``run.grid``.
     """
     run_block = config.run
     if run_block.axis is None:
@@ -393,10 +387,9 @@ def _sweep_plan(config: ExperimentConfig) -> SweepPlan:
             u0_convention=config.drive.u0_convention,
             omega2_convention=config.drive.omega2_convention,
         )
-    except GridError as exc:
-        raise ConfigError(f"run.{exc.field}", str(exc)) from None
-    except ValueError as exc:
-        raise ConfigError("run", str(exc)) from None
+    except FieldError as exc:
+        key = "impurity" if exc.field == "impurity" else f"run.{exc.field}"
+        raise ConfigError(key, str(exc)) from None
 
 
 def _kicked_series(config: ExperimentConfig) -> dict[str, np.ndarray]:

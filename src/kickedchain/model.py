@@ -32,6 +32,7 @@ import numpy as np
 from .basis import ExcitationBasis
 
 __all__ = [
+    "FieldError",
     "CouplingProfile",
     "ImpuritySpec",
     "ChainParams",
@@ -49,6 +50,14 @@ __all__ = [
 IMPURITY_KINDS = ("type1", "type2")
 
 
+class FieldError(ValueError):
+    """A value a parameter check rejects; ``field`` names the field or parameter."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 @dataclass(frozen=True)
 class CouplingProfile:
     """Per-bond couplings: ``j1_bonds[i-1]`` is bond (i, i+1), ``j2_bonds[i-1]`` is (i, i+2)."""
@@ -59,11 +68,11 @@ class CouplingProfile:
 
     def __post_init__(self):
         if self.n_sites < 2:
-            raise ValueError(f"need at least 2 sites, got {self.n_sites}")
+            raise FieldError("n_sites", f"need at least 2 sites, got {self.n_sites}")
         if len(self.j1_bonds) != self.n_sites - 1:
-            raise ValueError("j1_bonds must have one entry per nearest-neighbour bond")
+            raise FieldError("j1_bonds", "j1_bonds must have one entry per nearest-neighbour bond")
         if len(self.j2_bonds) != max(self.n_sites - 2, 0):
-            raise ValueError("j2_bonds must have one entry per next-nearest bond")
+            raise FieldError("j2_bonds", "j2_bonds must have one entry per next-nearest bond")
 
 
 @dataclass(frozen=True)
@@ -72,14 +81,14 @@ class ImpuritySpec:
 
     ``ratio_nn`` scales the nearest-neighbour bonds one step away from the
     impurity's own bonds.  ``ratio_nnn_strong`` is the strengthened (>= 1)
-    next-nearest ratio and ``ratio_nnn_weak`` the weakened (<= 1) one;
-    which next-nearest bonds they land on depends on the kind:
+    next-nearest ratio and ``ratio_nnn_weak`` the weakened (0 < r <= 1)
+    one; which next-nearest bonds they land on depends on the kind:
 
     * ``type1`` (compression): the two outer NNN bonds spanning toward the
       impurity are strengthened, the single NNN bond bridging across it is
       weakened, and ratio_nn >= 1.
     * ``type2`` (elongation): the placement is swapped, the bridging bond
-      is strengthened and the outer pair weakened, and ratio_nn <= 1.
+      is strengthened and the outer pair weakened, and 0 < ratio_nn <= 1.
     """
 
     kind: str
@@ -90,15 +99,16 @@ class ImpuritySpec:
 
     def __post_init__(self):
         if self.kind not in IMPURITY_KINDS:
-            raise ValueError(f"unknown impurity kind {self.kind!r}; expected one of {IMPURITY_KINDS}")
-        if self.ratio_nnn_strong < 1.0:
-            raise ValueError("ratio_nnn_strong must be >= 1")
-        if self.ratio_nnn_weak > 1.0:
-            raise ValueError("ratio_nnn_weak must be <= 1")
-        if self.kind == "type1" and self.ratio_nn < 1.0:
-            raise ValueError("type1 impurity requires ratio_nn >= 1 (compressed bonds)")
-        if self.kind == "type2" and self.ratio_nn > 1.0:
-            raise ValueError("type2 impurity requires ratio_nn <= 1 (elongated bonds)")
+            raise FieldError("kind", f"unknown impurity kind {self.kind!r}; "
+                                     f"expected one of {IMPURITY_KINDS}")
+        if not self.ratio_nnn_strong >= 1.0:
+            raise FieldError("ratio_nnn_strong", "ratio_nnn_strong must be >= 1")
+        if not 0.0 < self.ratio_nnn_weak <= 1.0:
+            raise FieldError("ratio_nnn_weak", "ratio_nnn_weak must lie in (0, 1]")
+        if self.kind == "type1" and not self.ratio_nn >= 1.0:
+            raise FieldError("ratio_nn", "type1 impurity requires ratio_nn >= 1 (compressed bonds)")
+        if self.kind == "type2" and not 0.0 < self.ratio_nn <= 1.0:
+            raise FieldError("ratio_nn", "type2 impurity requires 0 < ratio_nn <= 1 (elongated)")
 
 
 @dataclass(frozen=True)
@@ -127,14 +137,14 @@ def default_impurity_site(n_sites: int) -> int:
 def impurity_from_strength(kind: str, site: int, strength: float) -> ImpuritySpec:
     """Single-parameter impurity family used by the strength sweeps.
 
-    ``strength`` is the ratio of the strengthened bonds (>= 1); the
-    weakened bonds co-vary as 1 - (strength - 1)/4.  This linkage
-    reproduces the studied ratio triples: strength 1.7 -> weak 0.825,
-    2.1 -> 0.725, 3.0 -> 0.50.  For type1 the nearest bonds follow the
-    strengthened ratio, for type2 the weakened one.
+    ``strength`` is the ratio of the strengthened bonds, in [1, 5); the
+    weakened bonds co-vary as 1 - (strength - 1)/4, which strength 5 would
+    cut.  This linkage reproduces the studied ratio triples: strength 1.7 ->
+    weak 0.825, 2.1 -> 0.725, 3.0 -> 0.50.  For type1 the nearest bonds
+    follow the strengthened ratio, for type2 the weakened one.
     """
-    if strength < 1.0:
-        raise ValueError("impurity strength must be >= 1 (1 means no impurity)")
+    if not 1.0 <= strength < 5.0:
+        raise FieldError("strength", f"impurity strength must lie in [1, 5), got {strength}")
     weak = 1.0 - (strength - 1.0) / 4.0
     return ImpuritySpec(kind, site, ratio_nn=strength if kind == "type1" else weak,
                         ratio_nnn_strong=strength, ratio_nnn_weak=weak)
@@ -159,7 +169,7 @@ def apply_impurity(profile: CouplingProfile, spec: ImpuritySpec) -> CouplingProf
     n = profile.n_sites
     p = spec.site
     if not 2 <= p <= n - 1:
-        raise ValueError(f"impurity site must lie in [2, {n - 1}], got {p}")
+        raise FieldError("site", f"impurity site must lie in [2, {n - 1}], got {p}")
 
     if spec.kind == "type1":
         outer, bridge = spec.ratio_nnn_strong, spec.ratio_nnn_weak

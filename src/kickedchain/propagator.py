@@ -51,10 +51,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .basis import ExcitationBasis
-from .model import ChainParams, build_hamiltonian, chirality_operator
+from .model import ChainParams, FieldError, build_hamiltonian, chirality_operator
 
 __all__ = [
-    "FieldError",
     "KickSchedule",
     "eigendecompose",
     "unitary_exp",
@@ -78,14 +77,6 @@ _AMPLITUDE_BLOCK_BYTES = 64 * 1024
 _COMPLEX_BYTES = np.dtype(complex).itemsize
 # Largest |H - H^+| entry eigendecompose accepts.
 _HERMITICITY_TOL = 1e-12
-
-
-class FieldError(ValueError):
-    """A value a parameter check rejects; ``field`` names the parameter."""
-
-    def __init__(self, field: str, message: str):
-        super().__init__(message)
-        self.field = field
 
 
 @dataclass(frozen=True)

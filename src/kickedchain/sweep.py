@@ -34,6 +34,7 @@ import numpy as np
 from .fidelity import OMEGA2_CONVENTIONS, family_score, family_sector, out_of_range
 from .model import (
     ChainParams,
+    FieldError,
     ImpuritySpec,
     apply_impurity,
     build_hamiltonian,
@@ -41,7 +42,7 @@ from .model import (
     uniform_profile,
     vacuum_energy,
 )
-from .propagator import U0_CONVENTIONS, FieldError, KickSchedule, eigendecompose, kick_lattice
+from .propagator import U0_CONVENTIONS, KickSchedule, eigendecompose, kick_lattice
 
 __all__ = [
     "SWEEP_AXES",
@@ -49,7 +50,6 @@ __all__ = [
     "DEFAULT_M_MAX",
     "CONTINUOUS_TIMES",
     "float_grid",
-    "GridError",
     "SweepPlan",
     "SweepRow",
     "fidelity_series",
@@ -91,18 +91,14 @@ CONTINUOUS_TIMES = np.arange(1, 5001, dtype=np.int64)
 CONTINUOUS_TIMES.flags.writeable = False
 
 
-class GridError(FieldError):
-    """A grid the search rejects; ``field`` names it (``"grid"`` or ``"tau_grid"``)."""
-
-
 def _check_grid(grid: Sequence[float], name: str, positive: bool = False) -> tuple[float, ...]:
     values = tuple(float(g) for g in grid)
     if not values:
-        raise GridError(name, f"{name} must be nonempty")
+        raise FieldError(name, f"{name} must be nonempty")
     if any(b <= a for a, b in zip(values, values[1:])):
-        raise GridError(name, f"{name} must be strictly increasing")
+        raise FieldError(name, f"{name} must be strictly increasing")
     if positive and values[0] <= 0:
-        raise GridError(name, f"{name} values must be positive")
+        raise FieldError(name, f"{name} values must be positive")
     return values
 
 
@@ -118,8 +114,8 @@ class SweepPlan:
     ``j2_over_j1`` the template profile must be uniform, since the grid
     value replaces the ratio of the two uniform couplings; for axis
     ``impurity_ratio`` the template impurity supplies kind and site while
-    the grid value sets the strength; for ``kick_count`` the grid values
-    are kick counts and the search runs over ``tau_grid`` at that count.
+    the grid value sets the strength, in [1, 5); for ``kick_count`` the grid
+    values are kick counts and the search runs over ``tau_grid`` at that count.
     """
 
     params: ChainParams
@@ -135,35 +131,44 @@ class SweepPlan:
 
     def __post_init__(self):
         if self.axis not in SWEEP_AXES:
-            raise ValueError(f"unknown sweep axis {self.axis!r}; expected one of {SWEEP_AXES}")
+            raise FieldError("axis", f"unknown sweep axis {self.axis!r}; expected {SWEEP_AXES}")
         object.__setattr__(self, "grid", _check_grid(self.grid, "grid",
                                                      positive=self.axis == "tau"))
         object.__setattr__(self, "tau_grid", _check_grid(self.tau_grid, "tau_grid", positive=True))
         states = tuple(self.states)
         if not states:
-            raise ValueError("states must be nonempty")
+            raise FieldError("states", "states must be nonempty")
         for s in states:
-            family_sector(s, self.params.profile.n_sites)
+            try:
+                family_sector(s, self.params.profile.n_sites)
+            except ValueError as exc:
+                raise FieldError("states", str(exc)) from None
         if len(set(states)) != len(states):
-            raise ValueError("duplicate states in plan")
+            raise FieldError("states", "duplicate states in plan")
         object.__setattr__(self, "states", states)
         if self.m_max < 1:
-            raise ValueError(f"m_max must be >= 1, got {self.m_max}")
-        if self.u0_convention not in U0_CONVENTIONS:
-            raise ValueError(f"unknown u0_convention {self.u0_convention!r}")
-        if self.omega2_convention not in OMEGA2_CONVENTIONS:
-            raise ValueError(f"unknown omega2_convention {self.omega2_convention!r}")
-        if self.axis == "impurity_ratio" and self.impurity is None:
-            raise ValueError("impurity_ratio axis needs an impurity template (kind and site)")
+            raise FieldError("m_max", f"m_max must be >= 1, got {self.m_max}")
+        for name, known in (("u0_convention", U0_CONVENTIONS),
+                            ("omega2_convention", OMEGA2_CONVENTIONS)):
+            if getattr(self, name) not in known:
+                raise FieldError(name, f"unknown {name} {getattr(self, name)!r}")
+        if self.axis == "impurity_ratio":
+            if self.impurity is None:
+                raise FieldError("impurity", "impurity_ratio axis needs an impurity template")
+            for g in self.grid:
+                try:
+                    impurity_from_strength(self.impurity.kind, self.impurity.site, g)
+                except FieldError as exc:
+                    raise FieldError("grid", f"impurity_ratio grid value {g}: {exc}") from None
         if self.axis == "kick_count":
             for g in self.grid:
                 if g != int(g) or g < 0:
-                    raise GridError("grid", f"kick_count grid values must be non-negative "
-                                           f"integers, got {g}")
+                    raise FieldError("grid", f"kick_count grid values must be non-negative "
+                                             f"integers, got {g}")
         if self.axis == "j2_over_j1":
             profile = self.params.profile
             if len(set(profile.j1_bonds)) != 1 or len(set(profile.j2_bonds)) > 1:
-                raise ValueError("j2_over_j1 axis requires a uniform coupling template")
+                raise FieldError("params", "j2_over_j1 axis requires a uniform coupling template")
 
 
 @dataclass(frozen=True)

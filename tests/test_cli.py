@@ -191,7 +191,7 @@ def test_unknown_keys_are_rejected_with_their_path(text, key_path):
     ("run: {mode: sweep, axis: tau, grid: []}\n", "run.grid"),
     ("run: {mode: sweep, axis: tau, grid: 5}\n", "run.grid: expected a list of numbers"),
     ("run: {mode: sweep, axis: impurity_ratio, grid: [1.5]}\n",
-     "run: impurity_ratio axis needs an impurity template"),
+     "impurity: impurity_ratio axis needs an impurity template"),
     ("drive: {tau: .nan}\n", "drive.tau"),
     ("drive: {e1: -.inf}\n", "drive.e1"),
     ("run: {mode: sweep, axis: e1, grid: [0, .nan]}\n", "run.grid[1]"),
@@ -241,14 +241,46 @@ def test_sweep_grid_errors_name_the_grid_key(text, key_path):
     assert err.value.key_path == key_path
 
 
+IMPURITY_SWEEP = "impurity: {kind: type1, strength: 1.5}\nrun: {mode: sweep, axis: impurity_ratio, "
+
+
 @pytest.mark.parametrize("text,key_path", [
     ("drive: {tau: -1.0}\n", "drive.tau"),
     ("drive: {n_kicks: -3}\n", "drive.n_kicks"),
     ("impurity: {kind: type1, strength: 0.9}\n", "impurity.strength"),
-], ids=["negative-tau", "negative-kick-count", "strength-below-one"])
+    ("impurity: {kind: type1, strength: 5}\n", "impurity.strength"),
+    ("impurity: {kind: type1, strength: 6}\n", "impurity.strength"),
+    ("impurity: {kind: type2, strength: 5}\n", "impurity.strength"),
+    ("impurity: {kind: type1, ratio_nn: 0.5, ratio_nnn_strong: 1.5, ratio_nnn_weak: 0.8}\n",
+     "impurity.ratio_nn"),
+    ("impurity: {kind: type2, ratio_nn: 1.5, ratio_nnn_strong: 1.5, ratio_nnn_weak: 0.8}\n",
+     "impurity.ratio_nn"),
+    ("impurity: {kind: type1, ratio_nn: 1.5, ratio_nnn_strong: 0.5, ratio_nnn_weak: 0.8}\n",
+     "impurity.ratio_nnn_strong"),
+    ("impurity: {kind: type1, ratio_nn: 1.5, ratio_nnn_strong: 1.5, ratio_nnn_weak: 1.2}\n",
+     "impurity.ratio_nnn_weak"),
+    ("impurity: {kind: type1, ratio_nn: 1.5, ratio_nnn_strong: 1.5, ratio_nnn_weak: -0.8}\n",
+     "impurity.ratio_nnn_weak"),
+    ("impurity: {kind: type2, ratio_nn: 0, ratio_nnn_strong: 1.5, ratio_nnn_weak: 0.8}\n",
+     "impurity.ratio_nn"),
+    ("impurity: {kind: type3, ratio_nn: 1.5, ratio_nnn_strong: 1.5, ratio_nnn_weak: 0.8}\n",
+     "impurity.kind"),
+    ("impurity: {kind: type1, strength: 1.5, site: 1}\n", "impurity.site"),
+    (IMPURITY_SWEEP + "grid: [0.5, 1.0]}\n", "run.grid"),
+    (IMPURITY_SWEEP + "grid: [1.0, 6.0]}\n", "run.grid"),
+    ("run: {mode: sweep, axis: impurity_ratio, grid: [1.5]}\n", "impurity"),
+    ("run: {mode: sweep, axis: kick_count, grid: [10, 20.5]}\n", "run.grid"),
+    ("run: {mode: sweep, axis: e1, grid: [1.0], tau_grid: [2.0, 1.0]}\n", "run.tau_grid"),
+], ids=["negative-tau", "negative-kick-count", "strength-below-one", "strength-five",
+        "strength-six", "type2-strength-five", "type1-ratio-nn-below-one",
+        "type2-ratio-nn-above-one", "strong-ratio-below-one", "weak-ratio-above-one",
+        "negative-weak-ratio", "type2-zero-ratio-nn", "unknown-kind", "site-off-chain",
+        "strength-grid-below-one", "strength-grid-above-five", "strength-grid-without-impurity",
+        "fractional-kick-count", "decreasing-tau-grid"])
 def test_rejected_values_name_their_exact_key(text, key_path):
-    # the library checks (KickSchedule, impurity_from_strength) decide;
-    # the config reports the one key that carried the bad value
+    # the library checks (KickSchedule, ImpuritySpec, impurity_from_strength,
+    # apply_impurity, SweepPlan) decide; the config reports the one key that
+    # carried the bad value
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     assert err.value.key_path == key_path

@@ -8,6 +8,7 @@ import pytest
 
 import oracle
 from kickedchain import (
+    IMPURITY_KINDS,
     ChainParams,
     CouplingProfile,
     ImpuritySpec,
@@ -21,6 +22,7 @@ from kickedchain import (
     vacuum_energy,
     vacuum_phase,
 )
+from kickedchain.model import FieldError
 
 
 def params_for(n, j1, j2, b=0.0, e=0.0):
@@ -256,6 +258,19 @@ def test_impurity_spec_validation():
         impurity_from_strength("type1", 6, 0.9)
     with pytest.raises(ValueError, match="unknown impurity kind"):
         impurity_from_strength("type3", 6, 1.5)
+
+
+def test_impurity_strength_range_keeps_every_bond_positive():
+    # strengths in [1, 5) give a weakened ratio in (0, 1]; 5 would cut bonds,
+    # and more would flip their sign
+    for kind in IMPURITY_KINDS:
+        for strength in (1.0, 3.0, 4.99):
+            spec = impurity_from_strength(kind, 6, strength)
+            assert 0.0 < spec.ratio_nnn_weak <= 1.0 and spec.ratio_nn > 0.0
+        for strength in (0.5, 5.0, 6.0, math.nan):
+            with pytest.raises(FieldError, match="impurity strength must lie in") as err:
+                impurity_from_strength(kind, 6, strength)
+            assert err.value.field == "strength"
 
 
 def test_profile_validation():

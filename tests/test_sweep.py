@@ -1,5 +1,7 @@
 """Grid sweeps, the no-kick branch, tie-breaking, and the periodogram."""
 
+import dataclasses
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -11,6 +13,7 @@ from kickedchain import (
     DEFAULT_TAU_GRID,
     ChainParams,
     CouplingProfile,
+    ImpuritySpec,
     KickSchedule,
     SweepPlan,
     apply_impurity,
@@ -34,6 +37,7 @@ from kickedchain import (
     unitary_exp,
     vacuum_phase,
 )
+from kickedchain.model import FieldError
 from kickedchain.sweep import _block_width, _phase_blocks
 
 
@@ -455,13 +459,29 @@ def test_kick_free_series_is_computed_once_per_point_and_state(monkeypatch):
             max_fidelity(p, row.state, e1=0.0)
 
 
-def test_failing_grid_point_reports_its_position():
+def test_failing_grid_point_reports_its_position(monkeypatch):
+    def fail(*args, **kwargs):
+        raise FloatingPointError("search failed")
+
     template = impurity_from_strength("type2", 4, 1.0)
-    plan = SweepPlan(params=params_for(7), axis="impurity_ratio", grid=(0.5,),
+    plan = SweepPlan(params=params_for(7), axis="impurity_ratio", grid=(1.5,),
                      states=("omega0",), impurity=template,
                      tau_grid=(1.0,), m_max=5)
-    with pytest.raises(RuntimeError, match=r"sweep point 0 \(grid value 0\.5\)"):
+    monkeypatch.setattr(sweep_module, "_maximum", fail)
+    with pytest.raises(RuntimeError, match=r"sweep point 0 \(grid value 1\.5\)"):
         sweep_axis(plan)
+
+
+def test_impurity_strength_grid_is_checked_when_the_plan_is_built():
+    # a strength outside [1, 5) fails here, not at its sweep point
+    template = impurity_from_strength("type2", 4, 1.0)
+    good = dict(params=params_for(7), axis="impurity_ratio", states=("omega0",),
+                impurity=template, tau_grid=(1.0,), m_max=5)
+    SweepPlan(**good, grid=(1.0, 4.5))
+    for grid in ((0.5, 1.0), (1.0, 5.0), (1.0, 6.0)):
+        with pytest.raises(FieldError, match="impurity strength must lie in") as err:
+            SweepPlan(**good, grid=grid)
+        assert err.value.field == "grid"
 
 
 def test_plan_validation_errors():
@@ -502,6 +522,60 @@ def test_plan_validation_errors():
                                          (-1.0, -1.0, -1.0)))
     with pytest.raises(ValueError):
         SweepPlan(params=ragged, axis="j2_over_j1", grid=(1.0,), states=("omega0",))
+
+
+def _names(target) -> set[str]:
+    if dataclasses.is_dataclass(target):
+        return {f.name for f in dataclasses.fields(target)}
+    return set(inspect.signature(target).parameters)
+
+
+def test_every_field_error_names_a_field_or_parameter():
+    # each library check a config value can reach raises FieldError with the
+    # field of its dataclass or the parameter of its function; apply_impurity
+    # checks its spec, so it names a field of ImpuritySpec
+    plan = dict(params=params_for(5), axis="tau", grid=(1.0,), states=("omega0",))
+    imp = dict(kind="type1", site=3, ratio_nn=1.5, ratio_nnn_strong=1.5, ratio_nnn_weak=0.8)
+    template = ImpuritySpec(**imp)
+    ragged = ChainParams(CouplingProfile(5, (1.0, 2.0, 1.0, 1.0), (-1.0, -1.0, -1.0)))
+    cases = [
+        (CouplingProfile, dict(n_sites=1, j1_bonds=(), j2_bonds=()), "n_sites"),
+        (CouplingProfile, dict(n_sites=4, j1_bonds=(1.0,), j2_bonds=(0.0, 0.0)), "j1_bonds"),
+        (CouplingProfile, dict(n_sites=4, j1_bonds=(1.0,) * 3, j2_bonds=(0.0,)), "j2_bonds"),
+        (ImpuritySpec, {**imp, "kind": "type3"}, "kind"),
+        (ImpuritySpec, {**imp, "ratio_nnn_strong": 0.5}, "ratio_nnn_strong"),
+        (ImpuritySpec, {**imp, "ratio_nnn_weak": -0.8}, "ratio_nnn_weak"),
+        (ImpuritySpec, {**imp, "ratio_nn": 0.5}, "ratio_nn"),
+        (ImpuritySpec, {**imp, "kind": "type2", "ratio_nn": 0.0}, "ratio_nn"),
+        (impurity_from_strength, dict(kind="type2", site=3, strength=5.0), "strength"),
+        (impurity_from_strength, dict(kind="type3", site=3, strength=1.5), "kind"),
+        (apply_impurity, dict(profile=uniform_profile(5, 1.0, -1.0),
+                              spec=ImpuritySpec(**{**imp, "site": 5})), "site"),
+        (KickSchedule, dict(tau=0.0), "tau"),
+        (KickSchedule, dict(tau=1.0, n_kicks=-1), "n_kicks"),
+        (SweepPlan, {**plan, "axis": "temperature"}, "axis"),
+        (SweepPlan, {**plan, "grid": ()}, "grid"),
+        (SweepPlan, {**plan, "grid": (2.0, 1.0)}, "grid"),
+        (SweepPlan, {**plan, "grid": (-1.0, 1.0)}, "grid"),
+        (SweepPlan, {**plan, "tau_grid": (0.0, 1.0)}, "tau_grid"),
+        (SweepPlan, {**plan, "states": ()}, "states"),
+        (SweepPlan, {**plan, "states": ("omega3",)}, "states"),
+        (SweepPlan, {**plan, "states": ("omega0", "omega0")}, "states"),
+        (SweepPlan, {**plan, "m_max": 0}, "m_max"),
+        (SweepPlan, {**plan, "u0_convention": "eq5"}, "u0_convention"),
+        (SweepPlan, {**plan, "omega2_convention": "modulus"}, "omega2_convention"),
+        (SweepPlan, {**plan, "axis": "impurity_ratio"}, "impurity"),
+        (SweepPlan, {**plan, "axis": "impurity_ratio", "impurity": template,
+                     "grid": (1.0, 6.0)}, "grid"),
+        (SweepPlan, {**plan, "axis": "kick_count", "grid": (1.5,)}, "grid"),
+        (SweepPlan, {**plan, "axis": "j2_over_j1", "params": ragged}, "params"),
+    ]
+    for target, kwargs, field in cases:
+        with pytest.raises(FieldError) as err:
+            target(**kwargs)
+        names = _names(ImpuritySpec if target is apply_impurity else target)
+        assert err.value.field == field, (target.__name__, kwargs)
+        assert field in names, (target.__name__, field)
 
 
 # -- periodogram ------------------------------------------------------------------
