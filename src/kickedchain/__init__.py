@@ -7,9 +7,11 @@ transports a single qubit or a Bell pair from one end to the other.
 
 Layered bottom-up: ``basis`` (excitation sectors) -> ``model``
 (couplings, impurities, sector Hamiltonians) -> ``propagator`` (exact
-unitary evolution and the Floquet kick step) -> ``fidelity`` (closed-form
-and oracle fidelities) -> ``sweep`` (grid searches, periodograms) ->
-``cli`` (config-driven runs).
+unitary evolution and the Floquet kick step) -> ``sweep`` (grid searches,
+periodograms) -> ``cli`` (config-driven runs).  ``fidelity`` (the family
+table and the closed-form fidelities) sits on ``basis`` alone and feeds
+``sweep``; the partial-trace oracle that checks it is test code, in
+``tests/partial_trace.py``.
 """
 
 from .basis import ExcitationBasis, enumerate_basis, index_of
@@ -38,13 +40,9 @@ from .propagator import (
 from .fidelity import (
     KNOWN_STATES,
     OMEGA2_CONVENTIONS,
-    BellInput,
-    bell_fidelity_direct,
     bell_fidelity_omega1,
     bell_fidelity_omega2,
     classical_threshold,
-    conformance_report,
-    direct_family_average,
     out_of_range,
     single_qubit_fidelity,
 )

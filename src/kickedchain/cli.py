@@ -42,6 +42,7 @@ import yaml
 from .fidelity import OMEGA2_CONVENTIONS, classical_threshold, family_sector
 from .model import (
     ChainParams,
+    CouplingProfile,
     FieldError,
     ImpuritySpec,
     apply_impurity,
@@ -246,7 +247,7 @@ def _read_fields(cls, raw: dict, path: str) -> dict:
     return values
 
 
-def _parse_impurity(raw: dict, chain: ChainBlock) -> ImpuritySpec | None:
+def _parse_impurity(raw: dict, profile: CouplingProfile) -> ImpuritySpec | None:
     """An impurity kind and site (mid-chain by default) with a strength or all three ratios."""
     if not raw:
         return None
@@ -256,7 +257,7 @@ def _parse_impurity(raw: dict, chain: ChainBlock) -> ImpuritySpec | None:
     if "kind" not in ratios:
         raise ConfigError(f"{path}.kind", "required when an impurity block is present")
     kind = ratios.pop("kind")
-    site = ratios.pop("site", default_impurity_site(chain.n_sites))
+    site = ratios.pop("site", default_impurity_site(profile.n_sites))
     if strength is not None and ratios:
         raise ConfigError(f"{path}.strength", "give either strength or explicit ratios, not both")
     if strength is None and len(ratios) < 3:
@@ -265,7 +266,7 @@ def _parse_impurity(raw: dict, chain: ChainBlock) -> ImpuritySpec | None:
     try:
         spec = (impurity_from_strength(kind, site, strength) if strength is not None
                 else ImpuritySpec(kind, site, **ratios))
-        apply_impurity(uniform_profile(chain.n_sites, chain.j1, chain.j2), spec)
+        apply_impurity(profile, spec)
     except FieldError as exc:     # the spec's own checks, or its site on this chain
         raise ConfigError(f"{path}.{exc.field}", str(exc)) from None
     return spec
@@ -298,8 +299,10 @@ def _read_config(text: str, flags: dict) -> ExperimentConfig:
         raw[block][key] = value
 
     chain = ChainBlock(**_read_fields(ChainBlock, raw["chain"], "chain"))
-    if chain.n_sites < 2:
-        raise ConfigError("chain.n_sites", f"need at least 2 sites, got {chain.n_sites}")
+    try:
+        profile = uniform_profile(chain.n_sites, chain.j1, chain.j2)
+    except FieldError as exc:
+        raise ConfigError(f"chain.{exc.field}", str(exc)) from None
 
     drive = DriveBlock(**_read_fields(DriveBlock, raw["drive"], "drive"))
     try:
@@ -307,7 +310,7 @@ def _read_config(text: str, flags: dict) -> ExperimentConfig:
     except FieldError as exc:
         raise ConfigError(f"drive.{exc.field}", str(exc)) from None
 
-    impurity = _parse_impurity(raw["impurity"], chain)
+    impurity = _parse_impurity(raw["impurity"], profile)
 
     run_block = RunBlock(**_read_fields(RunBlock, raw["run"], "run"))
     if run_block.m_max < 1:

@@ -46,6 +46,7 @@ until one tau fits), and one chunk of amplitudes.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -91,8 +92,13 @@ class KickSchedule:
     n_kicks: int = 1
 
     def __post_init__(self):
+        for name in ("tau", "e1"):
+            if not math.isfinite(getattr(self, name)):
+                raise FieldError(name, f"{name} must be finite, got {getattr(self, name)}")
         if self.tau <= 0:
             raise FieldError("tau", f"kick interval must be positive, got {self.tau}")
+        if not isinstance(self.n_kicks, numbers.Integral):
+            raise FieldError("n_kicks", f"kick count must be an integer, got {self.n_kicks!r}")
         if self.n_kicks < 0:
             raise FieldError("n_kicks", f"kick count must be non-negative, got {self.n_kicks}")
 

@@ -95,6 +95,8 @@ def _check_grid(grid: Sequence[float], name: str, positive: bool = False) -> tup
     values = tuple(float(g) for g in grid)
     if not values:
         raise FieldError(name, f"{name} must be nonempty")
+    if not all(map(math.isfinite, values)):
+        raise FieldError(name, f"{name} values must be finite")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise FieldError(name, f"{name} must be strictly increasing")
     if positive and values[0] <= 0:
@@ -106,16 +108,17 @@ def _check_grid(grid: Sequence[float], name: str, positive: bool = False) -> tup
 class SweepPlan:
     """One swept axis over a chain template.
 
-    ``params`` (plus the optional ``impurity``) describes the point every
-    grid value perturbs; its ``dm_field`` is the static field of every
-    point.  Each state is checked through the family table, N >= 4 for the
-    Bell states included (``fidelity.family_sector``).  For axis ``tau`` the
-    grid values are kick intervals and must be positive.  For axis
-    ``j2_over_j1`` the template profile must be uniform, since the grid
-    value replaces the ratio of the two uniform couplings; for axis
-    ``impurity_ratio`` the template impurity supplies kind and site while
-    the grid value sets the strength, in [1, 5); for ``kick_count`` the grid
-    values are kick counts and the search runs over ``tau_grid`` at that count.
+    ``params`` (plus the optional ``impurity``, whose site is checked
+    against the chain here) describes the point every grid value perturbs;
+    its ``dm_field`` is the static field of every point.  Each state is
+    checked through the family table, N >= 4 for the Bell states included
+    (``fidelity.family_sector``).  For axis ``tau`` the grid values are
+    kick intervals and must be positive.  For axis ``j2_over_j1`` the
+    template profile must be uniform, since the grid value replaces the
+    ratio of the two uniform couplings; for axis ``impurity_ratio`` the
+    template impurity supplies kind and site while the grid value sets the
+    strength, in [1, 5); for ``kick_count`` the grid values are kick counts
+    and the search runs over ``tau_grid`` at that count.
     """
 
     params: ChainParams
@@ -148,10 +151,17 @@ class SweepPlan:
         object.__setattr__(self, "states", states)
         if self.m_max < 1:
             raise FieldError("m_max", f"m_max must be >= 1, got {self.m_max}")
+        if not math.isfinite(self.e1):
+            raise FieldError("e1", f"e1 must be finite, got {self.e1}")
         for name, known in (("u0_convention", U0_CONVENTIONS),
                             ("omega2_convention", OMEGA2_CONVENTIONS)):
             if getattr(self, name) not in known:
                 raise FieldError(name, f"unknown {name} {getattr(self, name)!r}")
+        if self.impurity is not None:
+            try:
+                apply_impurity(self.params.profile, self.impurity)
+            except FieldError as exc:     # its site on this chain
+                raise FieldError("impurity", str(exc)) from None
         if self.axis == "impurity_ratio":
             if self.impurity is None:
                 raise FieldError("impurity", "impurity_ratio axis needs an impurity template")

@@ -28,8 +28,6 @@ from kickedchain import (
     bell_fidelity_omega2,
     build_hamiltonian,
     classical_threshold,
-    conformance_report,
-    direct_family_average,
     enumerate_basis,
     eigendecompose,
     fidelity_series,
@@ -49,6 +47,7 @@ from kickedchain import (
 )
 from kickedchain.cli import _sweep_plan, main
 from lattice import amplitude_series
+from partial_trace import conformance_report, direct_family_average
 
 CONFIGS = Path(__file__).parent.parent / "configs"
 

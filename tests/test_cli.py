@@ -229,6 +229,15 @@ def test_invalid_configs_fail_at_parse_time(text, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize("n_sites", [1, 0, -3])
+def test_short_chain_is_rejected_by_the_coupling_profile_on_its_key(n_sites):
+    # the rule is CouplingProfile's, reported on chain.n_sites before the impurity is read
+    text = f"chain: {{n_sites: {n_sites}}}\nimpurity: {{kind: type1, strength: 1.5}}\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert str(err.value) == f"chain.n_sites: need at least 2 sites, got {n_sites}"
+
+
 @pytest.mark.parametrize("text,key_path", [
     ("run: {mode: sweep, axis: e1, grid: [1.0, 0.5]}\n", "run.grid"),
     ("run: {mode: sweep, axis: e1, grid: [1.0], tau_grid: [2.0, 1.0]}\n", "run.tau_grid"),

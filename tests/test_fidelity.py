@@ -7,17 +7,13 @@ import pytest
 
 import oracle
 from kickedchain import (
-    BellInput,
     ChainParams,
     KickSchedule,
-    bell_fidelity_direct,
     bell_fidelity_omega1,
     bell_fidelity_omega2,
     build_hamiltonian,
     classical_threshold,
-    conformance_report,
     continuous_fidelity_series,
-    direct_family_average,
     enumerate_basis,
     index_of,
     out_of_range,
@@ -26,6 +22,7 @@ from kickedchain import (
     unitary_exp,
     vacuum_phase,
 )
+from partial_trace import BellInput, bell_fidelity_direct, conformance_report, direct_family_average
 
 
 def params_for(n, j1=1.0, j2=-1.0, e=0.1, b=0.0):

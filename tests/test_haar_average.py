@@ -9,9 +9,7 @@ from kickedchain import (
     KickSchedule,
     bell_fidelity_omega2,
     build_hamiltonian,
-    conformance_report,
     continuous_fidelity_series,
-    direct_family_average,
     enumerate_basis,
     index_of,
     single_qubit_fidelity,
@@ -20,6 +18,7 @@ from kickedchain import (
     vacuum_phase,
 )
 from lattice import amplitude_series
+from partial_trace import conformance_report, direct_family_average
 
 
 def params_for(n, e=0.1, b=0.0):

@@ -14,13 +14,13 @@ import kickedchain.fidelity as fidelity_module
 import kickedchain.model as model_module
 import kickedchain.propagator as propagator_module
 import kickedchain.sweep as sweep_module
+import partial_trace
 from kickedchain import (
     DEFAULT_TAU_GRID,
     ChainParams,
     KickSchedule,
     bell_fidelity_omega1,
     bell_fidelity_omega2,
-    conformance_report,
     enumerate_basis,
     fidelity_lattice,
     fidelity_series,
@@ -33,6 +33,7 @@ from kickedchain import (
     vacuum_energy,
 )
 from lattice import amplitude_columns
+from partial_trace import conformance_report
 
 N = 6
 TAUS = (0.4, 1.3, 2.0, 2.7, 3.9)
@@ -400,7 +401,7 @@ def test_conformance_report_builds_and_diagonalises_each_sector_once_per_point(m
         sectors.append(basis.n_excitations)
         return original(params, basis)
 
-    for module in (model_module, propagator_module, fidelity_module, sweep_module):
+    for module in (model_module, propagator_module, sweep_module, partial_trace):
         if hasattr(module, "build_hamiltonian"):
             monkeypatch.setattr(module, "build_hamiltonian", recorded)
     eighs = count_calls(monkeypatch, "eigendecompose", propagator_module.eigendecompose)

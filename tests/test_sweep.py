@@ -578,6 +578,42 @@ def test_every_field_error_names_a_field_or_parameter():
         assert field in names, (target.__name__, field)
 
 
+NAN, INF = float("nan"), float("inf")
+PLAN = dict(params=params_for(5), axis="tau", grid=(1.0,), states=("omega0",))
+
+
+@pytest.mark.parametrize("target,kwargs,field", [
+    (KickSchedule, dict(tau=NAN, e1=1.0, n_kicks=5), "tau"),
+    (KickSchedule, dict(tau=INF), "tau"),
+    (KickSchedule, dict(tau=1.0, e1=NAN), "e1"),
+    (KickSchedule, dict(tau=1.0, e1=-INF), "e1"),
+    (KickSchedule, dict(tau=1.0, n_kicks=2.5), "n_kicks"),
+    (SweepPlan, {**PLAN, "grid": (1.0, NAN)}, "grid"),
+    (SweepPlan, {**PLAN, "grid": (1.0, INF)}, "grid"),
+    (SweepPlan, {**PLAN, "axis": "e1", "grid": (NAN,)}, "grid"),
+    (SweepPlan, {**PLAN, "tau_grid": (INF,)}, "tau_grid"),
+    (SweepPlan, {**PLAN, "tau_grid": (0.5, NAN)}, "tau_grid"),
+    (SweepPlan, {**PLAN, "e1": NAN}, "e1"),
+    (SweepPlan, {**PLAN, "e1": INF}, "e1"),
+], ids=["schedule-tau-nan", "schedule-tau-inf", "schedule-e1-nan", "schedule-e1-inf",
+        "schedule-n_kicks-2.5", "plan-grid-nan", "plan-grid-inf", "plan-e1-grid-nan",
+        "plan-tau_grid-inf", "plan-tau_grid-nan", "plan-e1-nan", "plan-e1-inf"])
+def test_non_finite_drive_and_grid_values_and_fractional_kick_counts_fail_on_their_field(
+        target, kwargs, field):
+    # at construction, not as NaN rows or a TypeError inside the kick loop
+    with pytest.raises(FieldError) as err:
+        target(**kwargs)
+    assert err.value.field == field
+    assert field in _names(target)
+
+
+def test_plan_rejects_an_impurity_template_off_its_chain():
+    # site 9 on a 5-site chain: rejected when the plan is built, not at sweep point 0
+    with pytest.raises(FieldError, match=r"\[2, 4\], got 9") as err:
+        SweepPlan(**PLAN, impurity=impurity_from_strength("type1", 9, 1.5))
+    assert err.value.field == "impurity"
+
+
 # -- periodogram ------------------------------------------------------------------
 
 def test_periodogram_of_pure_tone_finds_its_frequency():
