@@ -32,7 +32,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import chain
 from pathlib import Path
 
@@ -42,7 +43,6 @@ import yaml
 from .fidelity import OMEGA2_CONVENTIONS, classical_threshold, family_sector
 from .model import (
     ChainParams,
-    CouplingProfile,
     FieldError,
     ImpuritySpec,
     apply_impurity,
@@ -247,7 +247,7 @@ def _read_fields(cls, raw: dict, path: str) -> dict:
     return values
 
 
-def _parse_impurity(raw: dict, profile: CouplingProfile) -> ImpuritySpec | None:
+def _parse_impurity(raw: dict, n_sites: int) -> ImpuritySpec | None:
     """An impurity kind and site (mid-chain by default) with a strength or all three ratios."""
     if not raw:
         return None
@@ -257,19 +257,15 @@ def _parse_impurity(raw: dict, profile: CouplingProfile) -> ImpuritySpec | None:
     if "kind" not in ratios:
         raise ConfigError(f"{path}.kind", "required when an impurity block is present")
     kind = ratios.pop("kind")
-    site = ratios.pop("site", default_impurity_site(profile.n_sites))
+    site = ratios.pop("site", default_impurity_site(n_sites))
     if strength is not None and ratios:
         raise ConfigError(f"{path}.strength", "give either strength or explicit ratios, not both")
     if strength is None and len(ratios) < 3:
         raise ConfigError(path, "need either strength or all of ratio_nn, "
                                 "ratio_nnn_strong, ratio_nnn_weak")
-    try:
-        spec = (impurity_from_strength(kind, site, strength) if strength is not None
+    with _reported_on(path):      # the spec's own checks; _experiment checks its site
+        return (impurity_from_strength(kind, site, strength) if strength is not None
                 else ImpuritySpec(kind, site, **ratios))
-        apply_impurity(profile, spec)
-    except FieldError as exc:     # the spec's own checks, or its site on this chain
-        raise ConfigError(f"{path}.{exc.field}", str(exc)) from None
-    return spec
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -299,30 +295,13 @@ def _read_config(text: str, flags: dict) -> ExperimentConfig:
         raw[block][key] = value
 
     chain = ChainBlock(**_read_fields(ChainBlock, raw["chain"], "chain"))
-    try:
-        profile = uniform_profile(chain.n_sites, chain.j1, chain.j2)
-    except FieldError as exc:
-        raise ConfigError(f"chain.{exc.field}", str(exc)) from None
-
     drive = DriveBlock(**_read_fields(DriveBlock, raw["drive"], "drive"))
-    try:
-        _schedule(drive)
-    except FieldError as exc:
-        raise ConfigError(f"drive.{exc.field}", str(exc)) from None
-
-    impurity = _parse_impurity(raw["impurity"], profile)
-
+    impurity = _parse_impurity(raw["impurity"], chain.n_sites)
     run_block = RunBlock(**_read_fields(RunBlock, raw["run"], "run"))
     if run_block.m_max < 1:
         raise ConfigError("run.m_max", f"must be >= 1, got {run_block.m_max}")
     if run_block.workers < 1:
         raise ConfigError("run.workers", f"must be >= 1, got {run_block.workers}")
-    for i, state in enumerate(run_block.states):
-        try:
-            family_sector(state, chain.n_sites)
-        except ValueError as exc:
-            raise ConfigError(f"run.states[{i}]", str(exc)) from None
-
     output = OutputBlock(**_read_fields(OutputBlock, raw["output"], "output"))
     # the last component as typed: Path drops a trailing "/" or "/." and would
     # write <dir>.csv next to the directory the path names
@@ -331,11 +310,7 @@ def _read_config(text: str, flags: dict) -> ExperimentConfig:
 
     config = ExperimentConfig(chain=chain, drive=drive, impurity=impurity,
                               run=run_block, output=output)
-    if run_block.mode == "sweep":
-        _sweep_plan(config)
-    if run_block.mode == "periodogram" and drive.n_kicks < 3:
-        raise ConfigError("drive.n_kicks", f"a periodogram needs at least 3 kicks (4 samples), "
-                                           f"got {drive.n_kicks}")
+    _experiment(config)
     return config
 
 
@@ -355,58 +330,70 @@ def serialize_config(config: ExperimentConfig) -> str:
 # Execution
 # ---------------------------------------------------------------------------
 
-def _template_params(config: ExperimentConfig, with_impurity: bool) -> ChainParams:
-    profile = uniform_profile(config.chain.n_sites, config.chain.j1, config.chain.j2)
-    if with_impurity and config.impurity is not None:
-        profile = apply_impurity(profile, config.impurity)
-    return ChainParams(profile, dm_field=config.drive.e0, b_field=config.chain.b_field)
+@contextmanager
+def _reported_on(block: str):
+    """Re-raise a library FieldError as a ConfigError on ``<block>.<field>``; a
+    rejected ``impurity`` (the sweep plan's template) is reported on that key."""
+    try:
+        yield
+    except FieldError as exc:
+        key = exc.field if exc.field == "impurity" else f"{block}.{exc.field}"
+        raise ConfigError(key, str(exc)) from None
 
 
-def _schedule(drive: DriveBlock) -> KickSchedule:
-    return KickSchedule(tau=drive.tau, e1=drive.e1, n_kicks=drive.n_kicks)
+def _experiment(config: ExperimentConfig) -> tuple[ChainParams, KickSchedule, SweepPlan | None]:
+    """(chain with any impurity applied, kick schedule, sweep plan or None outside sweep mode).
 
-
-def _sweep_plan(config: ExperimentConfig) -> SweepPlan:
-    """The sweep plan of a config; a plan the library rejects is a ConfigError.
-
-    ``SweepPlan`` names the field it rejects: ``impurity`` is reported on that key
-    and any other field on ``run.<field>``, an impurity_ratio strength on ``run.grid``.
+    Every rule is the library's, and a value it rejects is a ConfigError on
+    its key, checked in this order: ``chain``, ``drive``, ``impurity`` (its
+    site on this chain), ``run.states``, a periodogram's kick count, and in
+    sweep mode ``run.axis`` and ``run.grid`` and then the plan, whose
+    rejected fields are reported on ``run.<field>``.
     """
-    run_block = config.run
+    chain, drive, run_block = config.chain, config.drive, config.run
+    with _reported_on("chain"):
+        pure = ChainParams(uniform_profile(chain.n_sites, chain.j1, chain.j2),
+                           dm_field=drive.e0, b_field=chain.b_field)
+    with _reported_on("drive"):
+        schedule = KickSchedule(tau=drive.tau, e1=drive.e1, n_kicks=drive.n_kicks)
+    params = pure
+    if config.impurity is not None:
+        with _reported_on("impurity"):
+            params = replace(pure, profile=apply_impurity(pure.profile, config.impurity))
+    for i, state in enumerate(run_block.states):
+        try:
+            family_sector(state, chain.n_sites)
+        except ValueError as exc:
+            raise ConfigError(f"run.states[{i}]", str(exc)) from None
+    if run_block.mode == "periodogram" and drive.n_kicks < 3:
+        raise ConfigError("drive.n_kicks", f"a periodogram needs at least 3 kicks (4 samples), "
+                                           f"got {drive.n_kicks}")
+    if run_block.mode != "sweep":
+        return params, schedule, None
     if run_block.axis is None:
         raise ConfigError("run.axis", "required for sweep mode")
     if run_block.grid is None:
         raise ConfigError("run.grid", "required for sweep mode")
-    try:
-        return SweepPlan(
-            params=_template_params(config, with_impurity=False),
-            axis=run_block.axis,
-            grid=run_block.grid,
-            states=run_block.states,
-            impurity=config.impurity,
-            tau_grid=run_block.tau_grid,
-            m_max=run_block.m_max,
-            e1=config.drive.e1,
-            u0_convention=config.drive.u0_convention,
-            omega2_convention=config.drive.omega2_convention,
-        )
-    except FieldError as exc:
-        key = "impurity" if exc.field == "impurity" else f"run.{exc.field}"
-        raise ConfigError(key, str(exc)) from None
+    with _reported_on("run"):
+        plan = SweepPlan(params=pure, axis=run_block.axis, grid=run_block.grid,
+                         states=run_block.states, impurity=config.impurity,
+                         tau_grid=run_block.tau_grid, m_max=run_block.m_max, e1=drive.e1,
+                         u0_convention=drive.u0_convention,
+                         omega2_convention=drive.omega2_convention)
+    return params, schedule, plan
 
 
-def _kicked_series(config: ExperimentConfig) -> dict[str, np.ndarray]:
+def _kicked_series(config: ExperimentConfig, params: ChainParams,
+                   schedule: KickSchedule) -> dict[str, np.ndarray]:
     """Each configured state's fidelity after kicks 0..n_kicks at the drive's one tau."""
-    params = _template_params(config, with_impurity=True)
     drive = config.drive
-    return {s: fidelity_series(params, _schedule(drive), s,
-                               u0_convention=drive.u0_convention,
+    return {s: fidelity_series(params, schedule, s, u0_convention=drive.u0_convention,
                                omega2_convention=drive.omega2_convention)
             for s in config.run.states}
 
 
-def _evolve_tables(config: ExperimentConfig):
-    series = _kicked_series(config)
+def _evolve_tables(config: ExperimentConfig, params: ChainParams, schedule: KickSchedule):
+    series = _kicked_series(config, params, schedule)
     drive = config.drive
     states = config.run.states
     with_ps = config.output.physical_time_column
@@ -425,17 +412,17 @@ def _evolve_tables(config: ExperimentConfig):
     return names, columns
 
 
-def _sweep_tables(config: ExperimentConfig):
-    rows = sweep_axis(_sweep_plan(config))
+def _sweep_tables(plan: SweepPlan):
+    rows = sweep_axis(plan)
     keys = ("grid_value", "state", "max_fidelity", "argmax_tau", "argmax_kicks", "out_of_range")
     names = [*keys[:-1], "out_of_range_flag"]
     return names, [np.array([getattr(row, key) for row in rows]) for key in keys]
 
 
-def _periodogram_tables(config: ExperimentConfig):
+def _periodogram_tables(config: ExperimentConfig, params: ChainParams, schedule: KickSchedule):
     names = ["state", "frequency", "magnitude", "is_dominant"]
     states, frequencies, magnitudes, dominant = [], [], [], []
-    for state, series in _kicked_series(config).items():
+    for state, series in _kicked_series(config, params, schedule).items():
         f, mag, peak = periodogram(series)
         states.append(np.full(f.size, state))
         frequencies.append(f)
@@ -640,13 +627,14 @@ def write_tables(config: ExperimentConfig, names: list[str], columns: list) -> l
 
 def run(config: ExperimentConfig) -> list[Path]:
     """Execute one experiment; returns the written files, primary format first."""
+    params, schedule, plan = _experiment(config)
     mode = config.run.mode
     if mode == "evolve":
-        names, columns = _evolve_tables(config)
+        names, columns = _evolve_tables(config, params, schedule)
     elif mode == "sweep":
-        names, columns = _sweep_tables(config)
+        names, columns = _sweep_tables(plan)
     elif mode == "periodogram":
-        names, columns = _periodogram_tables(config)
+        names, columns = _periodogram_tables(config, params, schedule)
     else:
         raise ConfigError("run.mode", f"expected one of {MODES}, got {mode!r}")
     return write_tables(config, names, columns)

@@ -97,7 +97,7 @@ class KickSchedule:
                 raise FieldError(name, f"{name} must be finite, got {getattr(self, name)}")
         if self.tau <= 0:
             raise FieldError("tau", f"kick interval must be positive, got {self.tau}")
-        if not isinstance(self.n_kicks, numbers.Integral):
+        if isinstance(self.n_kicks, bool) or not isinstance(self.n_kicks, numbers.Integral):
             raise FieldError("n_kicks", f"kick count must be an integer, got {self.n_kicks!r}")
         if self.n_kicks < 0:
             raise FieldError("n_kicks", f"kick count must be non-negative, got {self.n_kicks}")

@@ -26,6 +26,7 @@ once per (point, state).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -149,6 +150,8 @@ class SweepPlan:
         if len(set(states)) != len(states):
             raise FieldError("states", "duplicate states in plan")
         object.__setattr__(self, "states", states)
+        if isinstance(self.m_max, bool) or not isinstance(self.m_max, numbers.Integral):
+            raise FieldError("m_max", f"m_max must be an integer, got {self.m_max!r}")
         if self.m_max < 1:
             raise FieldError("m_max", f"m_max must be >= 1, got {self.m_max}")
         if not math.isfinite(self.e1):

@@ -45,7 +45,7 @@ from kickedchain import (
     unitary_exp,
     vacuum_phase,
 )
-from kickedchain.cli import _sweep_plan, main
+from kickedchain.cli import _experiment, main
 from lattice import amplitude_series
 from partial_trace import conformance_report, direct_family_average
 
@@ -339,7 +339,7 @@ IMPURITY_VERDICTS = [
 @pytest.mark.parametrize("recipe,winner,strengths", IMPURITY_VERDICTS,
                          ids=[row[0] for row in IMPURITY_VERDICTS])
 def test_impurity_vs_pure_verdict_holds_by_a_clear_margin(recipe, winner, strengths):
-    plan = _sweep_plan(parse_config((CONFIGS / f"{recipe}.yaml").read_text(encoding="utf-8")))
+    plan = _experiment(parse_config((CONFIGS / f"{recipe}.yaml").read_text(encoding="utf-8")))[2]
     assert plan.grid[0] == 1.0          # strength 1 is the pure chain
     if strengths is not None:
         plan = replace(plan, grid=(1.0, *(g for g in plan.grid if round(g, 9) in strengths)))

@@ -21,6 +21,7 @@ import kickedchain.__main__
 from kickedchain import (
     DEFAULT_TAU_GRID,
     ChainParams,
+    ImpuritySpec,
     KickSchedule,
     apply_impurity,
     cli,
@@ -231,7 +232,7 @@ def test_invalid_configs_fail_at_parse_time(text, fragment):
 
 @pytest.mark.parametrize("n_sites", [1, 0, -3])
 def test_short_chain_is_rejected_by_the_coupling_profile_on_its_key(n_sites):
-    # the rule is CouplingProfile's, reported on chain.n_sites before the impurity is read
+    # the rule is CouplingProfile's, reported on chain.n_sites before the impurity is applied
     text = f"chain: {{n_sites: {n_sites}}}\nimpurity: {{kind: type1, strength: 1.5}}\n"
     with pytest.raises(ConfigError) as err:
         parse_config(text)
@@ -293,6 +294,21 @@ def test_rejected_values_name_their_exact_key(text, key_path):
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     assert err.value.key_path == key_path
+
+
+@pytest.mark.parametrize("changes,key_path", [
+    (dict(drive=DriveBlock(tau=-1.0)), "drive.tau"),
+    (dict(impurity=ImpuritySpec("type1", 12, 1.5, 1.5, 0.8)), "impurity.site"),
+    (dict(run=RunBlock(mode="sweep", axis="e1", grid=(1.0, 0.5))), "run.grid"),
+], ids=["negative-tau", "site-off-chain", "decreasing-grid"])
+def test_run_reports_a_hand_built_config_on_the_key_parse_config_names(tmp_path, changes,
+                                                                       key_path):
+    # run builds the chain, schedule and plan through the same checks as parse_config
+    config = replace(ExperimentConfig(output=OutputBlock(path=str(tmp_path / "out"))), **changes)
+    with pytest.raises(ConfigError) as err:
+        run(config)
+    assert err.value.key_path == key_path
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_config_error_is_a_value_error_with_key_path():

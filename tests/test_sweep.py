@@ -588,6 +588,7 @@ PLAN = dict(params=params_for(5), axis="tau", grid=(1.0,), states=("omega0",))
     (KickSchedule, dict(tau=1.0, e1=NAN), "e1"),
     (KickSchedule, dict(tau=1.0, e1=-INF), "e1"),
     (KickSchedule, dict(tau=1.0, n_kicks=2.5), "n_kicks"),
+    (KickSchedule, dict(tau=1.0, n_kicks=True), "n_kicks"),
     (SweepPlan, {**PLAN, "grid": (1.0, NAN)}, "grid"),
     (SweepPlan, {**PLAN, "grid": (1.0, INF)}, "grid"),
     (SweepPlan, {**PLAN, "axis": "e1", "grid": (NAN,)}, "grid"),
@@ -595,9 +596,12 @@ PLAN = dict(params=params_for(5), axis="tau", grid=(1.0,), states=("omega0",))
     (SweepPlan, {**PLAN, "tau_grid": (0.5, NAN)}, "tau_grid"),
     (SweepPlan, {**PLAN, "e1": NAN}, "e1"),
     (SweepPlan, {**PLAN, "e1": INF}, "e1"),
+    (SweepPlan, {**PLAN, "axis": "e1", "m_max": 2.5}, "m_max"),
+    (SweepPlan, {**PLAN, "axis": "e1", "m_max": True}, "m_max"),
 ], ids=["schedule-tau-nan", "schedule-tau-inf", "schedule-e1-nan", "schedule-e1-inf",
-        "schedule-n_kicks-2.5", "plan-grid-nan", "plan-grid-inf", "plan-e1-grid-nan",
-        "plan-tau_grid-inf", "plan-tau_grid-nan", "plan-e1-nan", "plan-e1-inf"])
+        "schedule-n_kicks-2.5", "schedule-n_kicks-true", "plan-grid-nan", "plan-grid-inf",
+        "plan-e1-grid-nan", "plan-tau_grid-inf", "plan-tau_grid-nan", "plan-e1-nan",
+        "plan-e1-inf", "plan-m_max-2.5", "plan-m_max-true"])
 def test_non_finite_drive_and_grid_values_and_fractional_kick_counts_fail_on_their_field(
         target, kwargs, field):
     # at construction, not as NaN rows or a TypeError inside the kick loop
@@ -605,6 +609,11 @@ def test_non_finite_drive_and_grid_values_and_fractional_kick_counts_fail_on_the
         target(**kwargs)
     assert err.value.field == field
     assert field in _names(target)
+
+
+def test_numpy_integer_kick_counts_are_accepted():
+    assert KickSchedule(tau=1.0, n_kicks=np.int64(3)).n_kicks == 3
+    assert SweepPlan(**PLAN, m_max=np.int64(2)).m_max == 2
 
 
 def test_plan_rejects_an_impurity_template_off_its_chain():
