@@ -5,14 +5,14 @@ Experiments are described by a YAML document with five blocks (``chain``,
 sweep mode needs an axis and a grid.  The block dataclasses are the
 schema: each field is a key, its default is what a missing key takes (the
 canonical ten-site point: N=10, J1=1, J2=-1, E0=0.1, E1=1, tau=2), and a
-present value is read by the field's type or, for a choice, checked
-against the choice set in the field's metadata.  The impurity block is a
-``model.ImpuritySpec``, given by a strength or by all three ratios.
-Unknown keys anywhere are rejected with the offending key path.  Command
-line flags are keys too: the subcommand's ``run.mode``, ``--out``
-(``output.path``) and ``--workers`` (``run.workers``) are written into the
-document before it is read, so each is checked like its key and the
-mode-dependent checks see the final mode.
+present value is read by the field's type; every rule on its value, a
+field's choice set included, is applied by ``_experiment``, which ``run``
+calls too.  The impurity block is a ``model.ImpuritySpec``, given by a
+strength or by all three ratios.  Unknown keys anywhere are rejected with
+the offending key path.  Command line flags are keys too: the
+subcommand's ``run.mode``, ``--out`` (``output.path``) and ``--workers``
+(``run.workers``) are written into the document before it is read, so each
+is checked like its key and the mode-dependent checks see the final mode.
 
 Every run writes two files with the same records, a CSV table (the
 plot-ready artifact) and a JSON mirror; reruns of the same config are
@@ -214,14 +214,9 @@ def _read_grid(value, where: str) -> tuple[float, ...]:
 
 
 def _read_states(value, where: str) -> tuple[str, ...]:
-    if not isinstance(value, list) or not value:
-        raise ConfigError(where, "expected a nonempty list of state names")
-    states = []
-    for i, s in enumerate(value):
-        if s in states:
-            raise ConfigError(f"{where}[{i}]", f"duplicate state {s!r}")
-        states.append(s)
-    return tuple(states)
+    if not isinstance(value, list):
+        raise ConfigError(where, f"expected a list of state names, got {value!r}")
+    return tuple(value)
 
 
 # How a present value is read, by its field's annotation with any "| None" dropped.
@@ -230,7 +225,7 @@ _READERS = {"int": _as_int, "float": _as_float, "bool": _as_bool, "str": _as_str
 
 
 def _read_fields(cls, raw: dict, path: str) -> dict:
-    """The keys of ``raw`` that are fields of ``cls``, each read by its type or choice set.
+    """The keys of ``raw`` that are fields of ``cls``, each read by its type.
 
     Any other key is rejected.  A missing field is left out of the result,
     so ``cls(**result)`` gives it its default.
@@ -239,10 +234,7 @@ def _read_fields(cls, raw: dict, path: str) -> dict:
     for f in fields(cls):
         if f.name in raw:
             where = f"{path}.{f.name}"
-            if "choices" in f.metadata:
-                values[f.name] = _as_choice(raw.pop(f.name), f.metadata["choices"], where)
-            else:
-                values[f.name] = _READERS[f.type.removesuffix(" | None")](raw.pop(f.name), where)
+            values[f.name] = _READERS[f.type.removesuffix(" | None")](raw.pop(f.name), where)
     _reject_unknown(raw, path)
     return values
 
@@ -298,16 +290,7 @@ def _read_config(text: str, flags: dict) -> ExperimentConfig:
     drive = DriveBlock(**_read_fields(DriveBlock, raw["drive"], "drive"))
     impurity = _parse_impurity(raw["impurity"], chain.n_sites)
     run_block = RunBlock(**_read_fields(RunBlock, raw["run"], "run"))
-    if run_block.m_max < 1:
-        raise ConfigError("run.m_max", f"must be >= 1, got {run_block.m_max}")
-    if run_block.workers < 1:
-        raise ConfigError("run.workers", f"must be >= 1, got {run_block.workers}")
     output = OutputBlock(**_read_fields(OutputBlock, raw["output"], "output"))
-    # the last component as typed: Path drops a trailing "/" or "/." and would
-    # write <dir>.csv next to the directory the path names
-    if output.path.replace(os.sep, "/").rsplit("/", 1)[-1] in ("", ".", ".."):
-        raise ConfigError("output.path", f"needs a file name, got {output.path!r}")
-
     config = ExperimentConfig(chain=chain, drive=drive, impurity=impurity,
                               run=run_block, output=output)
     _experiment(config)
@@ -344,13 +327,28 @@ def _reported_on(block: str):
 def _experiment(config: ExperimentConfig) -> tuple[ChainParams, KickSchedule, SweepPlan | None]:
     """(chain with any impurity applied, kick schedule, sweep plan or None outside sweep mode).
 
-    Every rule is the library's, and a value it rejects is a ConfigError on
-    its key, checked in this order: ``chain``, ``drive``, ``impurity`` (its
-    site on this chain), ``run.states``, a periodogram's kick count, and in
-    sweep mode ``run.axis`` and ``run.grid`` and then the plan, whose
-    rejected fields are reported on ``run.<field>``.
+    Applies every value rule, for ``parse_config`` and ``run`` alike, and
+    raises a ConfigError on the rejected value's key, in this order: each
+    choice (``run.axis`` when set), ``run.m_max``, ``run.workers``,
+    ``output.path``, the library's rules on ``chain``, ``drive`` and
+    ``impurity`` (its site on this chain), ``run.states``, a periodogram's
+    kick count, and in sweep mode ``run.axis``, ``run.grid`` and the plan.
     """
-    chain, drive, run_block = config.chain, config.drive, config.run
+    for block in fields(config):
+        values = getattr(config, block.name)
+        for f in fields(values) if values is not None else ():
+            value = getattr(values, f.name)
+            if "choices" in f.metadata and (value is not None or f.default is not None):
+                _as_choice(value, f.metadata["choices"], f"{block.name}.{f.name}")
+    chain, drive, run_block, output = config.chain, config.drive, config.run, config.output
+    if run_block.m_max < 1:
+        raise ConfigError("run.m_max", f"must be >= 1, got {run_block.m_max}")
+    if run_block.workers < 1:
+        raise ConfigError("run.workers", f"must be >= 1, got {run_block.workers}")
+    # the last component as typed: Path drops a trailing "/" or "/." and would
+    # write <dir>.csv next to the directory the path names
+    if output.path.replace(os.sep, "/").rsplit("/", 1)[-1] in ("", ".", ".."):
+        raise ConfigError("output.path", f"needs a file name, got {output.path!r}")
     with _reported_on("chain"):
         pure = ChainParams(uniform_profile(chain.n_sites, chain.j1, chain.j2),
                            dm_field=drive.e0, b_field=chain.b_field)
@@ -360,11 +358,15 @@ def _experiment(config: ExperimentConfig) -> tuple[ChainParams, KickSchedule, Sw
     if config.impurity is not None:
         with _reported_on("impurity"):
             params = replace(pure, profile=apply_impurity(pure.profile, config.impurity))
+    if not run_block.states:
+        raise ConfigError("run.states", "expected a nonempty list of state names")
     for i, state in enumerate(run_block.states):
         try:
             family_sector(state, chain.n_sites)
         except ValueError as exc:
             raise ConfigError(f"run.states[{i}]", str(exc)) from None
+        if state in run_block.states[:i]:
+            raise ConfigError(f"run.states[{i}]", f"duplicate state {state!r}")
     if run_block.mode == "periodogram" and drive.n_kicks < 3:
         raise ConfigError("drive.n_kicks", f"a periodogram needs at least 3 kicks (4 samples), "
                                            f"got {drive.n_kicks}")
@@ -628,15 +630,12 @@ def write_tables(config: ExperimentConfig, names: list[str], columns: list) -> l
 def run(config: ExperimentConfig) -> list[Path]:
     """Execute one experiment; returns the written files, primary format first."""
     params, schedule, plan = _experiment(config)
-    mode = config.run.mode
-    if mode == "evolve":
+    if config.run.mode == "evolve":
         names, columns = _evolve_tables(config, params, schedule)
-    elif mode == "sweep":
+    elif config.run.mode == "sweep":
         names, columns = _sweep_tables(plan)
-    elif mode == "periodogram":
-        names, columns = _periodogram_tables(config, params, schedule)
     else:
-        raise ConfigError("run.mode", f"expected one of {MODES}, got {mode!r}")
+        names, columns = _periodogram_tables(config, params, schedule)
     return write_tables(config, names, columns)
 
 

@@ -304,6 +304,8 @@ def kick_lattice(params: ChainParams, basis: ExcitationBasis, taus, e1: float,
         raise ValueError(f"expected a nonempty 1-d tau grid, got shape {taus.shape}")
     if np.any(taus <= 0):
         raise ValueError("kick intervals must be positive")
+    if isinstance(m_max, bool) or not isinstance(m_max, numbers.Integral):
+        raise ValueError(f"m_max must be an integer, got {m_max!r}")
     if m_max < 0:
         raise ValueError(f"m_max must be non-negative, got {m_max}")
     targets = np.asarray(targets, dtype=int)

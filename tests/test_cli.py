@@ -300,11 +300,27 @@ def test_rejected_values_name_their_exact_key(text, key_path):
     (dict(drive=DriveBlock(tau=-1.0)), "drive.tau"),
     (dict(impurity=ImpuritySpec("type1", 12, 1.5, 1.5, 0.8)), "impurity.site"),
     (dict(run=RunBlock(mode="sweep", axis="e1", grid=(1.0, 0.5))), "run.grid"),
-], ids=["negative-tau", "site-off-chain", "decreasing-grid"])
+    (dict(run=RunBlock(states=("omega0", "omega0"))), "run.states[1]"),
+    (dict(run=RunBlock(states=())), "run.states"),
+    (dict(run=RunBlock(m_max=0)), "run.m_max"),
+    (dict(run=RunBlock(workers=0)), "run.workers"),
+    (dict(run=RunBlock(mode="scan")), "run.mode"),
+    (dict(run=RunBlock(axis="temperature")), "run.axis"),
+    (dict(drive=DriveBlock(u0_convention="eq5")), "drive.u0_convention"),
+    (dict(drive=DriveBlock(omega2_convention="modulus")), "drive.omega2_convention"),
+    (dict(output=OutputBlock(format="xml")), "output.format"),
+    (dict(output=OutputBlock(path="res/")), "output.path"),
+], ids=["negative-tau", "site-off-chain", "decreasing-grid", "repeated-state", "no-states",
+        "m_max-zero", "workers-zero", "unknown-mode", "unknown-axis-in-evolve",
+        "unknown-u0-convention", "unknown-omega2-convention", "unknown-format",
+        "path-without-file-name"])
 def test_run_reports_a_hand_built_config_on_the_key_parse_config_names(tmp_path, changes,
                                                                        key_path):
-    # run builds the chain, schedule and plan through the same checks as parse_config
-    config = replace(ExperimentConfig(output=OutputBlock(path=str(tmp_path / "out"))), **changes)
+    # run judges a config through the same checks as parse_config, before opening a file;
+    # output.path is taken under tmp_path, its trailing "/" kept
+    config = replace(ExperimentConfig(), **changes)
+    config = replace(config, output=replace(config.output,
+                                            path=os.path.join(tmp_path, config.output.path)))
     with pytest.raises(ConfigError) as err:
         run(config)
     assert err.value.key_path == key_path

@@ -29,6 +29,7 @@ from kickedchain import (
     float_grid,
     impurity_from_strength,
     index_of,
+    kick_lattice,
     max_fidelity,
     periodogram,
     single_qubit_fidelity,
@@ -614,6 +615,28 @@ def test_non_finite_drive_and_grid_values_and_fractional_kick_counts_fail_on_the
 def test_numpy_integer_kick_counts_are_accepted():
     assert KickSchedule(tau=1.0, n_kicks=np.int64(3)).n_kicks == 3
     assert SweepPlan(**PLAN, m_max=np.int64(2)).m_max == 2
+    assert _lattice_entry("kick_lattice", np.int64(3)).shape == (2, 4)
+    assert _lattice_entry("fidelity_lattice", np.int64(3)).shape == (2, 4)
+    assert _lattice_entry("max_fidelity", np.int64(3))[2] <= 3
+
+
+def _lattice_entry(entry, m_max):
+    """One N = 6 omega0 search on tau (0.5, 1.0) through ``entry``, at kick budget ``m_max``."""
+    p, taus = params_for(6), (0.5, 1.0)
+    if entry == "kick_lattice":
+        return kick_lattice(p, enumerate_basis(6, 1), taus, 1.0, [0], [5], m_max,
+                            lambda amps, taus, ms: abs(amps[..., 0, 0]) ** 2)
+    if entry == "fidelity_lattice":
+        return fidelity_lattice(p, "omega0", taus, m_max)
+    return max_fidelity(p, "omega0", taus, m_max=m_max)
+
+
+@pytest.mark.parametrize("m_max", [2.5, True], ids=["fractional", "bool"])
+@pytest.mark.parametrize("entry", ["kick_lattice", "fidelity_lattice", "max_fidelity"])
+def test_lattice_entries_reject_a_non_integer_kick_budget(entry, m_max):
+    # not run as m_max = 1, nor a TypeError deep in the kick loop
+    with pytest.raises(ValueError, match="m_max must be an integer"):
+        _lattice_entry(entry, m_max)
 
 
 def test_plan_rejects_an_impurity_template_off_its_chain():
