@@ -4,15 +4,16 @@ Experiments are described by a YAML document with five blocks (``chain``,
 ``drive``, ``impurity``, ``run``, ``output``), all optional except that
 sweep mode needs an axis and a grid.  The block dataclasses are the
 schema: each field is a key, its default is what a missing key takes (the
-canonical ten-site point: N=10, J1=1, J2=-1, E0=0.1, E1=1, tau=2), and a
-present value is read by the field's type; every rule on its value, a
-field's choice set included, is applied by ``_experiment``, which ``run``
-calls too.  The impurity block is a ``model.ImpuritySpec``, given by a
-strength or by all three ratios.  Unknown keys anywhere are rejected with
-the offending key path.  Command line flags are keys too: the
-subcommand's ``run.mode``, ``--out`` (``output.path``) and ``--workers``
-(``run.workers``) are written into the document before it is read, so each
-is checked like its key and the mode-dependent checks see the final mode.
+canonical ten-site point: N=10, J1=1, J2=-1, E0=0.1, E1=1, tau=2).
+``_experiment``, which ``run`` calls too, reads each field of a config,
+parsed or built by hand, by its type (a float is finite; a NumPy scalar is
+a number) and choice set, then applies every other rule on a value.  The
+impurity block is a ``model.ImpuritySpec``, given by a strength or by all
+three ratios.  Unknown keys anywhere are rejected with the offending key
+path.  Command line flags are keys too: the subcommand's ``run.mode``,
+``--out`` (``output.path``) and ``--workers`` (``run.workers``) are
+written into the document before it is read, so each is checked like its
+key and the mode-dependent checks see the final mode.
 
 Every run writes two files with the same records, a CSV table (the
 plot-ready artifact) and a JSON mirror; reruns of the same config are
@@ -30,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import os
 import sys
 from contextlib import contextmanager
@@ -160,14 +162,14 @@ def _reject_unknown(block: dict, path: str):
 
 
 def _as_int(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(where, f"expected an integer, got {value!r}")
-    return value
+    return int(value)
 
 
 def _as_float(value, where: str) -> float:
-    """A finite number from a config value; bools, non-numbers, NaN and +-inf are rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """A finite real number, NumPy's too, not a bool; int and float skip the slow ABC check."""
+    if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
         raise ConfigError(where, f"expected a number, got {value!r}")
     if not math.isfinite(value):
         raise ConfigError(where, f"expected a finite number, got {value!r}")
@@ -186,12 +188,6 @@ def _as_str(value, where: str) -> str:
     return value
 
 
-def _as_choice(value, choices: tuple[str, ...], where: str) -> str:
-    if value not in choices:
-        raise ConfigError(where, f"expected one of {choices}, got {value!r}")
-    return value
-
-
 def _read_grid(value, where: str) -> tuple[float, ...]:
     """A grid is either an explicit list of numbers or {start, stop, step}."""
     if isinstance(value, dict):
@@ -205,7 +201,7 @@ def _read_grid(value, where: str) -> tuple[float, ...]:
             return float_grid(*bounds)
         except ValueError as exc:
             raise ConfigError(where, str(exc)) from None
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         out = [_as_float(v, f"{where}[{i}]") for i, v in enumerate(value)]
         if not out:
             raise ConfigError(where, "grid must be nonempty")
@@ -214,7 +210,7 @@ def _read_grid(value, where: str) -> tuple[float, ...]:
 
 
 def _read_states(value, where: str) -> tuple[str, ...]:
-    if not isinstance(value, list):
+    if not isinstance(value, (list, tuple)):
         raise ConfigError(where, f"expected a list of state names, got {value!r}")
     return tuple(value)
 
@@ -225,7 +221,7 @@ _READERS = {"int": _as_int, "float": _as_float, "bool": _as_bool, "str": _as_str
 
 
 def _read_fields(cls, raw: dict, path: str) -> dict:
-    """The keys of ``raw`` that are fields of ``cls``, each read by its type.
+    """The keys of ``raw`` that are fields of ``cls``, each read by its type and choice set.
 
     Any other key is rejected.  A missing field is left out of the result,
     so ``cls(**result)`` gives it its default.
@@ -234,7 +230,10 @@ def _read_fields(cls, raw: dict, path: str) -> dict:
     for f in fields(cls):
         if f.name in raw:
             where = f"{path}.{f.name}"
-            values[f.name] = _READERS[f.type.removesuffix(" | None")](raw.pop(f.name), where)
+            value = _READERS[f.type.removesuffix(" | None")](raw.pop(f.name), where)
+            if value not in f.metadata.get("choices", (value,)):
+                raise ConfigError(where, f"expected one of {f.metadata['choices']}, got {value!r}")
+            values[f.name] = value
     _reject_unknown(raw, path)
     return values
 
@@ -263,9 +262,8 @@ def _parse_impurity(raw: dict, n_sites: int) -> ImpuritySpec | None:
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a YAML experiment description.
 
-    Empty or missing blocks take the canonical defaults; every upstream
-    numeric constraint is re-checked here so invalid configs fail before
-    any computation starts.
+    Empty or missing blocks take the canonical defaults; every rule is
+    checked here, by ``_experiment`` as in ``run``, before any computation.
     """
     return _read_config(text, {})
 
@@ -327,19 +325,21 @@ def _reported_on(block: str):
 def _experiment(config: ExperimentConfig) -> tuple[ChainParams, KickSchedule, SweepPlan | None]:
     """(chain with any impurity applied, kick schedule, sweep plan or None outside sweep mode).
 
-    Applies every value rule, for ``parse_config`` and ``run`` alike, and
-    raises a ConfigError on the rejected value's key, in this order: each
-    choice (``run.axis`` when set), ``run.m_max``, ``run.workers``,
-    ``output.path``, the library's rules on ``chain``, ``drive`` and
-    ``impurity`` (its site on this chain), ``run.states``, a periodogram's
-    kick count, and in sweep mode ``run.axis``, ``run.grid`` and the plan.
+    Applies every rule on a config value, for ``parse_config`` and ``run``
+    alike, and raises a ConfigError on the rejected value's key, in this
+    order: each field of each block, read back by ``_read_fields`` (type,
+    finiteness, choice set), ``run.m_max``, ``run.workers``, ``output.path``,
+    the library's rules on ``chain``, ``drive`` and ``impurity`` (its site on
+    this chain), ``run.states``, a periodogram's kick count, and in sweep
+    mode ``run.axis``, ``run.grid`` and the plan, all from the values read.
     """
     for block in fields(config):
         values = getattr(config, block.name)
-        for f in fields(values) if values is not None else ():
-            value = getattr(values, f.name)
-            if "choices" in f.metadata and (value is not None or f.default is not None):
-                _as_choice(value, f.metadata["choices"], f"{block.name}.{f.name}")
+        if values is not None:      # None: no impurity; a field at a None default is not given
+            given = {f.name: getattr(values, f.name) for f in fields(values)
+                     if getattr(values, f.name) is not None or f.default is not None}
+            read = replace(values, **_read_fields(type(values), given, block.name))
+            config = replace(config, **{block.name: read})
     chain, drive, run_block, output = config.chain, config.drive, config.run, config.output
     if run_block.m_max < 1:
         raise ConfigError("run.m_max", f"must be >= 1, got {run_block.m_max}")

@@ -25,6 +25,7 @@ the impurity's own couplings stay untouched.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,13 @@ class FieldError(ValueError):
         self.field = field
 
 
+def _require_finite(obj, *names: str):
+    """Raise FieldError on the first of ``obj``'s fields ``names`` that is NaN or +-inf."""
+    for name in names:
+        if not math.isfinite(getattr(obj, name)):
+            raise FieldError(name, f"{name} must be finite, got {getattr(obj, name)}")
+
+
 @dataclass(frozen=True)
 class CouplingProfile:
     """Per-bond couplings: ``j1_bonds[i-1]`` is bond (i, i+1), ``j2_bonds[i-1]`` is (i, i+2)."""
@@ -73,6 +81,9 @@ class CouplingProfile:
             raise FieldError("j1_bonds", "j1_bonds must have one entry per nearest-neighbour bond")
         if len(self.j2_bonds) != max(self.n_sites - 2, 0):
             raise FieldError("j2_bonds", "j2_bonds must have one entry per next-nearest bond")
+        for name in ("j1_bonds", "j2_bonds"):
+            if not all(map(math.isfinite, getattr(self, name))):
+                raise FieldError(name, f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -101,6 +112,7 @@ class ImpuritySpec:
         if self.kind not in IMPURITY_KINDS:
             raise FieldError("kind", f"unknown impurity kind {self.kind!r}; "
                                      f"expected one of {IMPURITY_KINDS}")
+        _require_finite(self, "ratio_nn", "ratio_nnn_strong", "ratio_nnn_weak")
         if not self.ratio_nnn_strong >= 1.0:
             raise FieldError("ratio_nnn_strong", "ratio_nnn_strong must be >= 1")
         if not 0.0 < self.ratio_nnn_weak <= 1.0:
@@ -118,6 +130,9 @@ class ChainParams:
     profile: CouplingProfile
     dm_field: float = 0.0
     b_field: float = 0.0
+
+    def __post_init__(self):
+        _require_finite(self, "dm_field", "b_field")
 
 
 def uniform_profile(n_sites: int, j1: float, j2: float) -> CouplingProfile:

@@ -52,7 +52,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .basis import ExcitationBasis
-from .model import ChainParams, FieldError, build_hamiltonian, chirality_operator
+from .model import (ChainParams, FieldError, _require_finite, build_hamiltonian,
+                    chirality_operator)
 
 __all__ = [
     "KickSchedule",
@@ -92,9 +93,7 @@ class KickSchedule:
     n_kicks: int = 1
 
     def __post_init__(self):
-        for name in ("tau", "e1"):
-            if not math.isfinite(getattr(self, name)):
-                raise FieldError(name, f"{name} must be finite, got {getattr(self, name)}")
+        _require_finite(self, "tau", "e1")
         if self.tau <= 0:
             raise FieldError("tau", f"kick interval must be positive, got {self.tau}")
         if isinstance(self.n_kicks, bool) or not isinstance(self.n_kicks, numbers.Integral):
@@ -106,14 +105,14 @@ class KickSchedule:
 def eigendecompose(h: np.ndarray):
     """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix.
 
-    Rejects matrices whose Hermiticity defect exceeds _HERMITICITY_TOL
-    rather than silently symmetrizing them.
+    Rejects matrices whose Hermiticity defect exceeds _HERMITICITY_TOL or
+    is NaN rather than silently symmetrizing them.
     """
     h = np.asarray(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
     defect = np.max(np.abs(h - h.conj().T)) if h.size else 0.0
-    if defect > _HERMITICITY_TOL:
+    if not defect <= _HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian (max|H - H^+| = {defect:.3e})")
     return np.linalg.eigh(h)
 

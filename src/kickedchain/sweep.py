@@ -37,6 +37,7 @@ from .model import (
     ChainParams,
     FieldError,
     ImpuritySpec,
+    _require_finite,
     apply_impurity,
     build_hamiltonian,
     impurity_from_strength,
@@ -154,8 +155,7 @@ class SweepPlan:
             raise FieldError("m_max", f"m_max must be an integer, got {self.m_max!r}")
         if self.m_max < 1:
             raise FieldError("m_max", f"m_max must be >= 1, got {self.m_max}")
-        if not math.isfinite(self.e1):
-            raise FieldError("e1", f"e1 must be finite, got {self.e1}")
+        _require_finite(self, "e1")
         for name, known in (("u0_convention", U0_CONVENTIONS),
                             ("omega2_convention", OMEGA2_CONVENTIONS)):
             if getattr(self, name) not in known:

@@ -10,11 +10,12 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import kickedchain
 import kickedchain.__main__
@@ -325,6 +326,49 @@ def test_run_reports_a_hand_built_config_on_the_key_parse_config_names(tmp_path,
         run(config)
     assert err.value.key_path == key_path
     assert list(tmp_path.iterdir()) == []
+
+
+# One wrong-typed value for each field annotation, with "| None" dropped; a float
+# field also takes NaN and inf.
+WRONG_VALUES = {"int": [6.0], "float": ["one", float("nan"), float("inf")], "str": [3],
+                "bool": ["yes"], "tuple[float, ...]": ["one"], "tuple[str, ...]": ["omega0"]}
+
+
+@pytest.mark.parametrize("block,name,value", [
+    pytest.param(block, f.name, value, id=f"{block}.{f.name}={value!r}")
+    for block, cls in (("chain", ChainBlock), ("drive", DriveBlock), ("run", RunBlock),
+                       ("output", OutputBlock))
+    for f in fields(cls)
+    for value in WRONG_VALUES[f.type.removesuffix(" | None")]])
+def test_parse_config_and_run_reject_a_value_on_the_same_key(tmp_path, monkeypatch, block,
+                                                             name, value):
+    # the value goes in once as YAML and once into a hand-built config; run runs in
+    # tmp_path, so a file it wrote, even under output.path 3, would be seen
+    with pytest.raises(ConfigError) as parsed_err:
+        parse_config(yaml.safe_dump({block: {name: value}}))
+    config = ExperimentConfig()
+    config = replace(config, **{block: replace(getattr(config, block), **{name: value})})
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ConfigError) as run_err:
+        run(config)
+    assert parsed_err.value.key_path == run_err.value.key_path == f"{block}.{name}"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("mode", ["evolve", "sweep"])
+def test_numpy_scalars_in_a_hand_built_config_write_the_plain_bytes(tmp_path, mode):
+    # run reads a NumPy integer or float as the number it holds
+    def config(num_int, num_float, path):
+        return ExperimentConfig(
+            chain=ChainBlock(n_sites=num_int(6), j1=num_float(1.5), b_field=num_float(0.25)),
+            drive=DriveBlock(e0=num_float(0.5), tau=num_float(0.75), n_kicks=num_int(12)),
+            run=RunBlock(mode=mode, states=("omega0", "omega2"), axis="e1",
+                         grid=(num_float(0.0), num_float(0.5)), tau_grid=(num_float(0.5), 1.0),
+                         m_max=num_int(4), workers=num_int(1)),
+            output=OutputBlock(path=str(tmp_path / path)))
+    plain = run(config(int, float, "plain"))
+    numpy = run(config(np.int64, np.float64, "numpy"))
+    assert [p.read_bytes() for p in numpy] == [p.read_bytes() for p in plain]
 
 
 def test_config_error_is_a_value_error_with_key_path():

@@ -46,6 +46,9 @@ def test_eigendecompose_rejects_bad_input():
         eigendecompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         eigendecompose(np.zeros((2, 3)))
+    # a NaN entry makes the Hermiticity defect NaN, which the tolerance check must not pass
+    with pytest.raises(ValueError, match="not Hermitian"):
+        eigendecompose(np.array([[0.0, np.nan], [np.nan, 0.0]]))
 
 
 def test_zero_time_propagator_is_exact_identity():

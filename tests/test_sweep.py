@@ -525,6 +525,9 @@ def test_plan_validation_errors():
         SweepPlan(params=ragged, axis="j2_over_j1", grid=(1.0,), states=("omega0",))
 
 
+NAN, INF = float("nan"), float("inf")
+
+
 def _names(target) -> set[str]:
     if dataclasses.is_dataclass(target):
         return {f.name for f in dataclasses.fields(target)}
@@ -548,6 +551,14 @@ def test_every_field_error_names_a_field_or_parameter():
         (ImpuritySpec, {**imp, "ratio_nnn_weak": -0.8}, "ratio_nnn_weak"),
         (ImpuritySpec, {**imp, "ratio_nn": 0.5}, "ratio_nn"),
         (ImpuritySpec, {**imp, "kind": "type2", "ratio_nn": 0.0}, "ratio_nn"),
+        (CouplingProfile, dict(n_sites=4, j1_bonds=(1.0, NAN, 1.0), j2_bonds=(0.0, 0.0)),
+         "j1_bonds"),
+        (CouplingProfile, dict(n_sites=4, j1_bonds=(1.0,) * 3, j2_bonds=(0.0, -INF)), "j2_bonds"),
+        (ChainParams, dict(profile=uniform_profile(5, 1.0, -1.0), dm_field=NAN), "dm_field"),
+        (ChainParams, dict(profile=uniform_profile(5, 1.0, -1.0), b_field=INF), "b_field"),
+        (ImpuritySpec, {**imp, "ratio_nn": INF}, "ratio_nn"),
+        (ImpuritySpec, {**imp, "ratio_nnn_strong": INF}, "ratio_nnn_strong"),
+        (ImpuritySpec, {**imp, "ratio_nnn_weak": NAN}, "ratio_nnn_weak"),
         (impurity_from_strength, dict(kind="type2", site=3, strength=5.0), "strength"),
         (impurity_from_strength, dict(kind="type3", site=3, strength=1.5), "kind"),
         (apply_impurity, dict(profile=uniform_profile(5, 1.0, -1.0),
@@ -579,7 +590,6 @@ def test_every_field_error_names_a_field_or_parameter():
         assert field in names, (target.__name__, field)
 
 
-NAN, INF = float("nan"), float("inf")
 PLAN = dict(params=params_for(5), axis="tau", grid=(1.0,), states=("omega0",))
 
 
