@@ -171,9 +171,13 @@ def _as_float(value, where: str) -> float:
     """A finite real number, NumPy's too, not a bool; int and float skip the slow ABC check."""
     if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
         raise ConfigError(where, f"expected a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:     # an integer too large for a float
+        number = math.inf
+    if not math.isfinite(number):
         raise ConfigError(where, f"expected a finite number, got {value!r}")
-    return float(value)
+    return number
 
 
 def _as_bool(value, where: str) -> bool:
@@ -299,10 +303,15 @@ def serialize_config(config: ExperimentConfig) -> str:
     """Normalized YAML for a config; parse_config(serialize_config(c)) == c.
 
     Blocks and keys follow the dataclass field order, tuples are written as
-    lists, and ``None`` fields and an absent impurity are left out.
+    lists, a NumPy scalar as the plain number it holds (in a list too), and
+    ``None`` fields and an absent impurity are left out.
     """
-    doc = {name: {key: list(value) if isinstance(value, tuple) else value
-                  for key, value in block.items() if value is not None}
+    def plain(value):
+        if isinstance(value, (tuple, list)):
+            return [plain(v) for v in value]
+        return value.item() if isinstance(value, np.generic) else value
+
+    doc = {name: {key: plain(value) for key, value in block.items() if value is not None}
            for name, block in asdict(config).items() if block is not None}
     return yaml.safe_dump(doc, sort_keys=False)
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import ExcitationBasis
+from .basis import ExcitationBasis, enumerate_basis
 
 __all__ = [
     "FieldError",
@@ -212,8 +212,8 @@ def build_hamiltonian(params: ChainParams, basis: ExcitationBasis) -> np.ndarray
     where exactly one end is up it hops the excitation across with
     amplitude -J/2 + iE/2 down the chain (hi -> lo) or -J/2 - iE/2 up it.
     The diagonal starts from B*(k - N/2), takes the bonds in table order
-    and is then added to the zero entry (see ``vacuum_energy``).  The
-    result is exactly Hermitian by construction.
+    and is then added to the zero entry.  The result is exactly Hermitian
+    by construction.
     """
     profile = params.profile
     n = profile.n_sites
@@ -256,15 +256,10 @@ def chirality_operator(basis: ExcitationBasis) -> np.ndarray:
 def vacuum_energy(params: ChainParams) -> float:
     """Energy of the all-down state: B*(0 - N/2) - sum(J1)/4 - sum(J2)/4.
 
-    This is the diagonal of the k=0 block of ``build_hamiltonian``, summed
-    in the same order and added to a zero as the block entry is, so the two
-    agree bit for bit.  No hopping term reaches the vacuum.
+    This is the k=0 block of ``build_hamiltonian``, its only entry; no
+    hopping term reaches the vacuum.
     """
-    profile = params.profile
-    energy = params.b_field * (0 - profile.n_sites / 2.0)
-    for j in profile.j1_bonds + profile.j2_bonds:
-        energy += -j * 0.25
-    return 0.0 + energy
+    return float(build_hamiltonian(params, enumerate_basis(params.profile.n_sites, 0))[0, 0].real)
 
 
 def vacuum_phase(params: ChainParams, t: float) -> complex:

@@ -301,6 +301,8 @@ def kick_lattice(params: ChainParams, basis: ExcitationBasis, taus, e1: float,
     taus = np.asarray(taus, dtype=float)
     if taus.ndim != 1 or taus.size == 0:
         raise ValueError(f"expected a nonempty 1-d tau grid, got shape {taus.shape}")
+    if not np.all(np.isfinite(taus)):
+        raise ValueError("kick intervals must be finite")
     if np.any(taus <= 0):
         raise ValueError("kick intervals must be positive")
     if isinstance(m_max, bool) or not isinstance(m_max, numbers.Integral):

@@ -110,17 +110,17 @@ def _check_grid(grid: Sequence[float], name: str, positive: bool = False) -> tup
 class SweepPlan:
     """One swept axis over a chain template.
 
-    ``params`` (plus the optional ``impurity``, whose site is checked
-    against the chain here) describes the point every grid value perturbs;
-    its ``dm_field`` is the static field of every point.  Each state is
-    checked through the family table, N >= 4 for the Bell states included
-    (``fidelity.family_sector``).  For axis ``tau`` the grid values are
-    kick intervals and must be positive.  For axis ``j2_over_j1`` the
-    template profile must be uniform, since the grid value replaces the
-    ratio of the two uniform couplings; for axis ``impurity_ratio`` the
-    template impurity supplies kind and site while the grid value sets the
-    strength, in [1, 5); for ``kick_count`` the grid values are kick counts
-    and the search runs over ``tau_grid`` at that count.
+    ``params`` (plus the optional ``impurity``) describes the point every
+    grid value perturbs; its ``dm_field`` is the static field of every
+    point.  Each state is checked through the family table, N >= 4 for the
+    Bell states included (``fidelity.family_sector``).  For axis ``tau`` the
+    grid values are kick intervals and must be positive.  For axis
+    ``j2_over_j1`` the grid value replaces the ratio of the two uniform
+    couplings of the template; for axis ``impurity_ratio`` the template
+    impurity supplies kind and site while the grid value sets the strength;
+    for ``kick_count`` the grid values are kick counts and the search runs
+    over ``tau_grid`` at that count.  Each grid value is judged by building
+    its point (``_point_setup``), so a plan that is made can be swept.
     """
 
     params: ChainParams
@@ -160,28 +160,10 @@ class SweepPlan:
                             ("omega2_convention", OMEGA2_CONVENTIONS)):
             if getattr(self, name) not in known:
                 raise FieldError(name, f"unknown {name} {getattr(self, name)!r}")
-        if self.impurity is not None:
-            try:
-                apply_impurity(self.params.profile, self.impurity)
-            except FieldError as exc:     # its site on this chain
-                raise FieldError("impurity", str(exc)) from None
-        if self.axis == "impurity_ratio":
-            if self.impurity is None:
-                raise FieldError("impurity", "impurity_ratio axis needs an impurity template")
-            for g in self.grid:
-                try:
-                    impurity_from_strength(self.impurity.kind, self.impurity.site, g)
-                except FieldError as exc:
-                    raise FieldError("grid", f"impurity_ratio grid value {g}: {exc}") from None
-        if self.axis == "kick_count":
-            for g in self.grid:
-                if g != int(g) or g < 0:
-                    raise FieldError("grid", f"kick_count grid values must be non-negative "
-                                             f"integers, got {g}")
-        if self.axis == "j2_over_j1":
-            profile = self.params.profile
-            if len(set(profile.j1_bonds)) != 1 or len(set(profile.j2_bonds)) > 1:
-                raise FieldError("params", "j2_over_j1 axis requires a uniform coupling template")
+        if self.axis == "impurity_ratio" and self.impurity is None:
+            raise FieldError("impurity", "impurity_ratio axis needs an impurity template")
+        for value in self.grid:
+            _point_setup(self, value)
 
 
 @dataclass(frozen=True)
@@ -289,11 +271,13 @@ def continuous_fidelity_series(params: ChainParams, times: Sequence[float], stat
     and the times are scored one fixed-width block at a time, so long
     integer-time grids are cheap in time and in memory.
     """
+    t_arr = np.asarray(times, dtype=float)
+    if not np.all(np.isfinite(t_arr)):
+        raise ValueError("times must be finite")
     basis, sources, targets = family_sector(state, params.profile.n_sites)
     w, v = eigendecompose(build_hamiltonian(params, basis))
     # <t|e^{-iHt}|s> = sum_a v[t,a] conj(v[s,a]) e^{-i w_a t}, one weight row per (t, s)
     weights = np.stack([v[ti, :] * v[si, :].conj() for ti in targets for si in sources])
-    t_arr = np.asarray(times, dtype=float)
     e_vac = vacuum_energy(params)
     series = np.empty(t_arr.size)
     for k0, phases in _phase_blocks(w, t_arr, _block_width(w.size)):
@@ -347,54 +331,51 @@ def max_fidelity(params: ChainParams, state: str,
 
 
 def _point_setup(plan: SweepPlan, value: float):
-    """Chain parameters, kick amplitude, tau lattice, and fixed kick count for one grid value."""
-    params = plan.params
-    impurity = plan.impurity
-    e1 = plan.e1
-    taus = plan.tau_grid
-    fixed_kicks = None
-    if plan.axis == "tau":
-        taus = (float(value),)
-    elif plan.axis == "e1":
-        e1 = float(value)
-    elif plan.axis == "j2_over_j1":
-        j1 = params.profile.j1_bonds[0]
-        profile = uniform_profile(params.profile.n_sites, j1, j1 * float(value))
-        params = replace(params, profile=profile)
-    elif plan.axis == "impurity_ratio":
-        impurity = impurity_from_strength(impurity.kind, impurity.site, float(value))
-    elif plan.axis == "kick_count":
-        fixed_kicks = int(value)
+    """(params, e1, tau lattice, kick count, endpoint_only) of one grid value.
+
+    Building the point judges the value: a FieldError on ``params`` for a
+    non-uniform j2_over_j1 template, on ``impurity`` for a site off the
+    chain, and on ``grid`` for a bad kick count or impurity strength.
+    """
+    params, impurity, e1, taus = plan.params, plan.impurity, plan.e1, plan.tau_grid
+    profile, m_max, endpoint_only = params.profile, plan.m_max, False
+    if plan.axis == "j2_over_j1" and (len(set(profile.j1_bonds)) != 1
+                                      or len(set(profile.j2_bonds)) > 1):
+        raise FieldError("params", "j2_over_j1 axis requires a uniform coupling template")
+    if plan.axis == "kick_count" and (value != int(value) or value < 0):
+        raise FieldError("grid", f"kick_count grid values must be non-negative integers, got {value}")
+    try:
+        if plan.axis == "tau":
+            taus = (value,)
+        elif plan.axis == "e1":
+            e1 = value
+        elif plan.axis == "j2_over_j1":
+            j1 = profile.j1_bonds[0]
+            params = replace(params, profile=uniform_profile(profile.n_sites, j1, j1 * value))
+        elif plan.axis == "impurity_ratio":
+            impurity = impurity_from_strength(impurity.kind, impurity.site, value)
+        elif plan.axis == "kick_count":
+            m_max, endpoint_only = int(value), True
+    except FieldError as exc:
+        raise FieldError("grid", f"{plan.axis} grid value {value}: {exc}") from None
     if impurity is not None:
-        params = replace(params, profile=apply_impurity(params.profile, impurity))
-    return params, e1, taus, fixed_kicks
-
-
-def _evaluate_point(plan: SweepPlan, idx: int) -> list[SweepRow]:
-    value = plan.grid[idx]
-    params, e1, taus, fixed_kicks = _point_setup(plan, value)
-    rows = []
-    for state in plan.states:
-        val, atau, am = _maximum(
-            params, state, taus, plan.m_max if fixed_kicks is None else fixed_kicks, e1,
-            plan.u0_convention, plan.omega2_convention, endpoint_only=fixed_kicks is not None)
-        rows.append(SweepRow(
-            grid_index=idx, grid_value=float(value), state=state,
-            max_fidelity=val, argmax_tau=atau, argmax_kicks=am,
-            out_of_range=out_of_range(val),
-        ))
-    return rows
+        try:
+            params = replace(params, profile=apply_impurity(params.profile, impurity))
+        except FieldError as exc:     # its site on this chain
+            raise FieldError("impurity", str(exc)) from None
+    return params, e1, taus, m_max, endpoint_only
 
 
 def sweep_axis(plan: SweepPlan) -> tuple[SweepRow, ...]:
-    """Rows for every (grid value, state) pair, ordered by grid index then plan state order.
-
-    The plan is evaluated at every grid value, in grid order, in the caller's thread.
-    """
+    """Rows for every (grid value, state) pair, ordered by grid index then plan state order."""
     rows = []
     for idx, value in enumerate(plan.grid):
         try:
-            rows += _evaluate_point(plan, idx)
+            params, e1, taus, m_max, endpoint_only = _point_setup(plan, value)
+            for state in plan.states:
+                val, atau, am = _maximum(params, state, taus, m_max, e1, plan.u0_convention,
+                                         plan.omega2_convention, endpoint_only)
+                rows.append(SweepRow(idx, value, state, val, atau, am, out_of_range(val)))
         except Exception as exc:
             raise RuntimeError(f"sweep point {idx} (grid value {value!r}) failed: {exc}") from exc
     return tuple(rows)

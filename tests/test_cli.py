@@ -329,8 +329,8 @@ def test_run_reports_a_hand_built_config_on_the_key_parse_config_names(tmp_path,
 
 
 # One wrong-typed value for each field annotation, with "| None" dropped; a float
-# field also takes NaN and inf.
-WRONG_VALUES = {"int": [6.0], "float": ["one", float("nan"), float("inf")], "str": [3],
+# field also takes NaN, inf and an integer too large for a float.
+WRONG_VALUES = {"int": [6.0], "float": ["one", float("nan"), float("inf"), 10 ** 400], "str": [3],
                 "bool": ["yes"], "tuple[float, ...]": ["one"], "tuple[str, ...]": ["omega0"]}
 
 
@@ -369,6 +369,13 @@ def test_numpy_scalars_in_a_hand_built_config_write_the_plain_bytes(tmp_path, mo
     plain = run(config(int, float, "plain"))
     numpy = run(config(np.int64, np.float64, "numpy"))
     assert [p.read_bytes() for p in numpy] == [p.read_bytes() for p in plain]
+    # and serialize_config writes the plain number, not a NumPy object it cannot represent,
+    # in a tuple or a list
+    want = serialize_config(config(int, float, "c"))
+    numpy_config = config(np.int64, np.float64, "c")
+    assert serialize_config(numpy_config) == want
+    listed = replace(numpy_config, run=replace(numpy_config.run, grid=list(numpy_config.run.grid)))
+    assert serialize_config(listed) == want
 
 
 def test_config_error_is_a_value_error_with_key_path():

@@ -393,7 +393,9 @@ def test_hamiltonian_and_eigendecompositions_do_not_scale_with_the_tau_grid(monk
 def test_conformance_report_builds_and_diagonalises_each_sector_once_per_point(monkeypatch):
     # one (N, t) point: the k=1 and k=2 sector blocks are built and exponentiated
     # once and shared by the literal values, the direct oracle and the family
-    # average; the vacuum phase of the omega2 branch needs no k=0 block
+    # average; the vacuum energy is read off the 1x1 k=0 block, for the sweeps'
+    # vacuum gauge and for the vacuum phase of the omega2 branch, and never
+    # diagonalised
     sectors = []
     original = model_module.build_hamiltonian
 
@@ -406,5 +408,5 @@ def test_conformance_report_builds_and_diagonalises_each_sector_once_per_point(m
             monkeypatch.setattr(module, "build_hamiltonian", recorded)
     eighs = count_calls(monkeypatch, "eigendecompose", propagator_module.eigendecompose)
     conformance_report((5,), (1.0,))
-    assert sorted(sectors) == [1, 2]
+    assert sorted(sectors) == [0, 0, 1, 2]
     assert eighs[0] == 2

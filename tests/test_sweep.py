@@ -151,6 +151,19 @@ def test_bell_states_need_four_sites():
         continuous_fidelity_series(p, [1.0], "omega2")
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_non_finite_intervals_and_times_are_rejected(bad):
+    # a ValueError, not rows of NaN with a RuntimeWarning
+    p = params_for(5)
+    with pytest.raises(ValueError, match="kick intervals must be finite"):
+        fidelity_lattice(p, "omega0", [bad], 5)
+    with pytest.raises(ValueError, match="kick intervals must be finite"):
+        kick_lattice(p, enumerate_basis(5, 1), (1.0, bad), 1.0, [0], [4], 5,
+                     lambda amps, taus, ms: abs(amps[..., 0, 0]) ** 2)
+    with pytest.raises(ValueError, match="times must be finite"):
+        continuous_fidelity_series(p, [bad, 1.0], "omega0")
+
+
 def test_continuous_series_matches_per_time_amplitudes():
     from kickedchain import build_hamiltonian, enumerate_basis, index_of
     from kickedchain import single_qubit_fidelity, unitary_exp, vacuum_phase
@@ -483,6 +496,20 @@ def test_impurity_strength_grid_is_checked_when_the_plan_is_built():
         with pytest.raises(FieldError, match="impurity strength must lie in") as err:
             SweepPlan(**good, grid=grid)
         assert err.value.field == "grid"
+
+
+def test_each_grid_value_is_judged_by_building_its_point():
+    # a J2 = J1 * value that overflows fails on grid when the plan is built, not
+    # at its sweep point and not on a field the plan does not have
+    with pytest.raises(FieldError, match="j2_bonds must be finite") as err:
+        SweepPlan(params=params_for(5, j1=1e300), axis="j2_over_j1", grid=(0.5, 1e10))
+    assert err.value.field == "grid"
+    assert str(err.value).startswith("j2_over_j1 grid value 1")
+    # the grid value is judged first, then the template's site
+    template = impurity_from_strength("type2", 9, 1.0)
+    with pytest.raises(FieldError, match="impurity strength") as err:
+        SweepPlan(params=params_for(5), axis="impurity_ratio", grid=(6.0,), impurity=template)
+    assert err.value.field == "grid"
 
 
 def test_plan_validation_errors():
