@@ -27,7 +27,6 @@ from .model import (
     impurity_from_strength,
     uniform_profile,
     vacuum_energy,
-    vacuum_phase,
 )
 from .propagator import (
     U0_CONVENTIONS,

@@ -18,12 +18,10 @@ key and the mode-dependent checks see the final mode.
 Every run writes two files with the same records, a CSV table (the
 plot-ready artifact) and a JSON mirror; reruns of the same config are
 byte-identical.  Each mode hands the writer numpy columns, typed by dtype
-kind alone.  A table longer than one 2048-row block (a long evolve or
-periodogram) has its JSON written by a forked child while the CSV is
-written here, so the two use both cores; every sweep and recipe table is
-shorter and is written in-process, as on a platform without os.fork.
-Failures, the child's included, print a one-line machine-readable JSON
-error record to stderr and exit nonzero.
+kind alone.  Both files are written in this process, CSV first, in blocks
+of 2048 rows, so the writer's memory does not grow with the table.
+Failures print a one-line machine-readable JSON error record to stderr and
+exit nonzero.
 """
 
 from __future__ import annotations
@@ -445,9 +443,6 @@ def _periodogram_tables(config: ExperimentConfig, params: ChainParams, schedule:
 
 # Rows per block: each block is one %-format pass per file, so a writer
 # holds one block's cells and text at a time, however long the table is.
-# Only a table longer than one block forks its JSON writer: fork and wait cost
-# about 3 ms in a process that has imported numpy, twice what the JSON of a
-# 501-row recipe table takes to write.
 _BLOCK_ROWS = 2048
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -555,50 +550,6 @@ def _write_json(file, table: _Table):
     file.write("\n]\n" if table.n_rows else "]\n")
 
 
-def _write_forked(csv_file, json_file, json_path: Path, table: _Table):
-    """Write the JSON in a forked child while this process writes the CSV.
-
-    Returns once both files are written.  The child reports a failure
-    through a pipe, so stderr keeps the command line's one error record, and
-    leaves through os._exit, so it runs no atexit handler and flushes no
-    buffer it shares with this process.  An exception here kills the child;
-    either way the child is reaped before this returns or raises.
-    """
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:            # e.g. out of processes
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            _write_json(json_file, table)
-            json_file.flush()
-            status = 0
-        except BaseException as exc:   # the child must never unwind into its caller
-            with open(write_fd, "w", encoding="utf-8") as pipe:
-                pipe.write(f"{type(exc).__name__}: {exc}")
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    try:
-        _write_csv(csv_file, table)
-    except BaseException:
-        import signal    # here, not at the top: it adds about 1 ms to every start-up
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        with open(read_fd, encoding="utf-8", errors="replace") as pipe:
-            message = pipe.read()
-        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if status:
-        raise RuntimeError(f"writing {json_path} failed: "
-                           f"{message or f'the writer exited with status {status}'}")
-
-
 def write_tables(config: ExperimentConfig, names: list[str], columns: list) -> list[Path]:
     """Emit the CSV table and its JSON mirror; returns paths, primary first.
 
@@ -613,26 +564,17 @@ def write_tables(config: ExperimentConfig, names: list[str], columns: list) -> l
     %.17g and %s, and the JSON as json.dumps(records, indent=2) of one
     record per row.
 
-    Both files are opened (and so created) before either is written.  A
-    table of at most one block, which covers every sweep and recipe, is
-    then written here, CSV first: forking costs more than its JSON takes.
-    A longer one, where os.fork exists, has its JSON written by a forked
-    child while this process writes the CSV; a failure in the child raises
-    RuntimeError naming the JSON path and carrying the child's error, and
-    no child outlives the call.  The child only formats text and makes no
-    BLAS call; on Python >= 3.12 a process whose BLAS runs threads gets a
-    DeprecationWarning from the fork.
+    Both files are opened (and so created) before either is written, then
+    written in this process, CSV first.  A failure in either writer raises
+    its own exception; the CSV is complete when the JSON writer fails.
     """
     table = _typed_table(names, columns)
     csv_path, json_path = _output_paths(config)
     csv_path.parent.mkdir(parents=True, exist_ok=True)
     with (open(csv_path, "w", encoding="utf-8") as csv_file,
           open(json_path, "w", encoding="utf-8") as json_file):
-        if table.n_rows > _BLOCK_ROWS and hasattr(os, "fork"):
-            _write_forked(csv_file, json_file, json_path, table)
-        else:
-            _write_csv(csv_file, table)
-            _write_json(json_file, table)
+        _write_csv(csv_file, table)
+        _write_json(json_file, table)
     return [json_path, csv_path] if config.output.format == "json" else [csv_path, json_path]
 
 

@@ -24,7 +24,6 @@ the impurity's own couplings stay untouched.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -44,7 +43,6 @@ __all__ = [
     "build_hamiltonian",
     "chirality_operator",
     "vacuum_energy",
-    "vacuum_phase",
     "IMPURITY_KINDS",
 ]
 
@@ -261,12 +259,3 @@ def vacuum_energy(params: ChainParams) -> float:
     """
     return float(build_hamiltonian(params, enumerate_basis(params.profile.n_sites, 0))[0, 0].real)
 
-
-def vacuum_phase(params: ChainParams, t: float) -> complex:
-    """Phase e^{-i E_vac t} acquired by the all-down state after time t.
-
-    The DM term never contributes to the vacuum energy (it is purely
-    off-diagonal in the excitation picture), so this phase is shared by
-    continuous and kicked evolution alike.
-    """
-    return cmath.exp(-1j * vacuum_energy(params) * t)

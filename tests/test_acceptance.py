@@ -43,11 +43,10 @@ from kickedchain import (
     sweep_axis,
     uniform_profile,
     unitary_exp,
-    vacuum_phase,
 )
 from kickedchain.cli import _experiment, main
 from lattice import amplitude_series
-from partial_trace import conformance_report, direct_family_average
+from partial_trace import conformance_report, direct_family_average, vacuum_phase
 
 CONFIGS = Path(__file__).parent.parent / "configs"
 

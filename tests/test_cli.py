@@ -8,7 +8,6 @@ import os
 import re
 import subprocess
 import sys
-import time
 import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
@@ -34,9 +33,6 @@ from kickedchain import (
 )
 from kickedchain.cli import (
     _BLOCK_ROWS,
-    _typed_table,
-    _write_csv,
-    _write_json,
     ChainBlock,
     ConfigError,
     DriveBlock,
@@ -588,45 +584,26 @@ def test_write_tables_rejects_columns_of_unequal_length(tmp_path):
 
 
 def test_write_tables_memory_does_not_grow_with_the_table(tmp_path):
-    # a long table's JSON is written by a forked child, which tracemalloc cannot
-    # see from here, so each file's writer is also measured in this process
+    # both files are written in this process, so one peak covers both writers
     cfg = parse_config(f"output: {{path: {tmp_path / 't'}}}")
 
-    def peak(write):
+    def peak(n_rows):
+        column = np.arange(n_rows) % 100       # small ints: no cell objects to allocate
         tracemalloc.start()
         try:
-            write()
+            write_tables(cfg, ["i"], [column])
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    def peaks(n_rows):
-        column = np.arange(n_rows) % 100       # small ints: no cell objects to allocate
-        table = _typed_table(["i"], [column])
-        with open(tmp_path / "one_file", "w", encoding="utf-8") as file:
-            return [peak(lambda: write_tables(cfg, ["i"], [column])),
-                    peak(lambda: _write_csv(file, table)),
-                    peak(lambda: _write_json(file, table))]
-
-    for short, long in zip(peaks(_BLOCK_ROWS), peaks(8 * _BLOCK_ROWS)):
-        assert long <= 1.5 * short, (short, long)
+    short, long = peak(_BLOCK_ROWS), peak(8 * _BLOCK_ROWS)
+    assert long <= 1.5 * short, (short, long)
 
 
 LONG_LABELS = np.array([f"s{i % 5}" for i in range(2 * _BLOCK_ROWS + 1)])
 
 
-def assert_no_child_is_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_write_tables_without_fork_writes_a_long_table_in_process(tmp_path, monkeypatch):
-    monkeypatch.delattr(os, "fork")
-    assert_written_as_reference(tmp_path, ["index", "label"],
-                                [np.arange(len(LONG_LABELS)), LONG_LABELS])
-
-
-def test_write_tables_reports_a_failed_json_child(tmp_path, monkeypatch, capfd):
+def test_write_tables_reports_a_failed_json_writer(tmp_path, monkeypatch, capfd):
     csv_spec, json_spec, encode = cli._FORMATS["U"]
     calls = []
 
@@ -638,15 +615,13 @@ def test_write_tables_reports_a_failed_json_child(tmp_path, monkeypatch, capfd):
 
     monkeypatch.setitem(cli._FORMATS, "U", (csv_spec, json_spec, second_block_fails))
     cfg = parse_config(f"output: {{path: {tmp_path / 't'}}}")
-    with pytest.raises(RuntimeError) as failure:
+    with pytest.raises(ValueError, match="^no room for block 2$"):
         write_tables(cfg, ["label"], [LONG_LABELS])
-    assert str(tmp_path / "t.json") in str(failure.value)
-    assert "ValueError: no room for block 2" in str(failure.value)
-    assert not calls                              # the JSON was formatted in the child only
+    assert calls == [_BLOCK_ROWS, _BLOCK_ROWS]    # failed on block 2, in this process
     assert (tmp_path / "t.csv").read_text(encoding="utf-8").count("\n") == 1 + len(LONG_LABELS)
-    assert_no_child_is_left()
 
-    # the command line reports the child's failure as its one JSON error line
+    # the command line reports the writer's own exception as its one JSON error line
+    calls.clear()
     capfd.readouterr()
     cfg_file = tmp_path / "cfg.yaml"
     cfg_file.write_text(f"chain: {{n_sites: 5}}\ndrive: {{n_kicks: {_BLOCK_ROWS}}}\n"
@@ -656,48 +631,7 @@ def test_write_tables_reports_a_failed_json_child(tmp_path, monkeypatch, capfd):
     out, err = capfd.readouterr()
     assert out == ""
     [line] = err.splitlines()
-    record = json.loads(line)
-    assert record["error"] == "RuntimeError"
-    assert str(tmp_path / "p.json") in record["message"]
-    assert "ValueError: no room for block 2" in record["message"]
-    assert_no_child_is_left()
-
-
-def test_write_tables_raises_a_failed_fork_and_closes_its_pipe(tmp_path, monkeypatch):
-    real_pipe, pipes = os.pipe, []
-
-    def recorded_pipe():
-        pipes.append(real_pipe())
-        return pipes[-1]
-
-    def fork_fails():
-        raise BlockingIOError("out of processes")
-
-    monkeypatch.setattr(os, "pipe", recorded_pipe)
-    monkeypatch.setattr(os, "fork", fork_fails)
-    cfg = parse_config(f"output: {{path: {tmp_path / 't'}}}")
-    with pytest.raises(BlockingIOError, match="out of processes"):
-        write_tables(cfg, ["label"], [LONG_LABELS])
-    for fd in pipes[0]:
-        with pytest.raises(OSError):
-            os.fstat(fd)
-
-
-def test_write_tables_kills_and_reaps_the_json_child_when_the_csv_fails(tmp_path, monkeypatch):
-    csv_spec, json_spec, _ = cli._FORMATS["U"]
-    monkeypatch.setitem(cli._FORMATS, "U",                  # a stuck child
-                        (csv_spec, json_spec, lambda cells: time.sleep(60)))
-
-    def csv_fails(file, table):
-        raise OSError("csv disk full")
-
-    monkeypatch.setattr(cli, "_write_csv", csv_fails)
-    cfg = parse_config(f"output: {{path: {tmp_path / 't'}}}")
-    start = time.monotonic()
-    with pytest.raises(OSError, match="csv disk full"):
-        write_tables(cfg, ["label"], [LONG_LABELS])
-    assert time.monotonic() - start < 30          # the child was killed, not waited out
-    assert_no_child_is_left()
+    assert json.loads(line) == {"error": "ValueError", "message": "no room for block 2"}
 
 
 SWEEP_TEXT = (
@@ -953,23 +887,3 @@ def test_library_main_never_freezes_the_collector(capsys):
     assert main(["validate"]) == 0
     assert gc.get_freeze_count() == before
     assert capsys.readouterr().out.startswith("chain:")
-
-
-def test_forked_writer_duplicates_no_output(tmp_path):
-    # stdout is a pipe, so block-buffered: a child that returned into main, or
-    # flushed a buffer it shares with the parent, would print the lines twice.
-    # One BLAS thread keeps Python >= 3.12 from warning about the fork on stderr.
-    src = str(Path(kickedchain.__file__).resolve().parent.parent)
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env.update(PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    cfg_file = tmp_path / "cfg.yaml"
-    cfg_file.write_text(f"drive: {{n_kicks: {2 * _BLOCK_ROWS}}}\n", encoding="utf-8")
-    proc = subprocess.run(
-        [sys.executable, "-m", "kickedchain", "evolve", "--config", str(cfg_file),
-         "--out", str(tmp_path / "long")],
-        capture_output=True, text=True, cwd=tmp_path, env=env,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == f"wrote {tmp_path / 'long.csv'}\nwrote {tmp_path / 'long.json'}\n"
-    assert proc.stderr == ""
-    assert len(json.loads((tmp_path / "long.json").read_text(encoding="utf-8"))) == 2 * _BLOCK_ROWS + 1

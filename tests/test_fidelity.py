@@ -20,9 +20,14 @@ from kickedchain import (
     single_qubit_fidelity,
     uniform_profile,
     unitary_exp,
+)
+from partial_trace import (
+    BellInput,
+    bell_fidelity_direct,
+    conformance_report,
+    direct_family_average,
     vacuum_phase,
 )
-from partial_trace import BellInput, bell_fidelity_direct, conformance_report, direct_family_average
 
 
 def params_for(n, j1=1.0, j2=-1.0, e=0.1, b=0.0):

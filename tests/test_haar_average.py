@@ -15,10 +15,9 @@ from kickedchain import (
     single_qubit_fidelity,
     uniform_profile,
     unitary_exp,
-    vacuum_phase,
 )
 from lattice import amplitude_series
-from partial_trace import conformance_report, direct_family_average
+from partial_trace import conformance_report, direct_family_average, vacuum_phase
 
 
 def params_for(n, e=0.1, b=0.0):

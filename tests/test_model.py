@@ -20,9 +20,9 @@ from kickedchain import (
     impurity_from_strength,
     uniform_profile,
     vacuum_energy,
-    vacuum_phase,
 )
 from kickedchain.model import FieldError
+from partial_trace import vacuum_phase
 
 
 def params_for(n, j1, j2, b=0.0, e=0.0):

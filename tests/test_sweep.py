@@ -36,10 +36,10 @@ from kickedchain import (
     sweep_axis,
     uniform_profile,
     unitary_exp,
-    vacuum_phase,
 )
 from kickedchain.model import FieldError
 from kickedchain.sweep import _block_width, _phase_blocks
+from partial_trace import vacuum_phase
 
 
 def params_for(n, j1=1.0, j2=-1.0, e=0.1, b=0.0):
@@ -166,7 +166,7 @@ def test_non_finite_intervals_and_times_are_rejected(bad):
 
 def test_continuous_series_matches_per_time_amplitudes():
     from kickedchain import build_hamiltonian, enumerate_basis, index_of
-    from kickedchain import single_qubit_fidelity, unitary_exp, vacuum_phase
+    from kickedchain import single_qubit_fidelity, unitary_exp
     p = params_for(5)
     times = [0.9, 3.7, 11.0]
     series = continuous_fidelity_series(p, times, "omega0")
