@@ -634,6 +634,64 @@ def test_write_tables_reports_a_failed_json_writer(tmp_path, monkeypatch, capfd)
     assert json.loads(line) == {"error": "ValueError", "message": "no room for block 2"}
 
 
+def test_write_tables_writes_a_long_table_without_starting_a_process(tmp_path, monkeypatch):
+    def no_process(*args, **kwargs):
+        raise AssertionError("write_tables started a process")
+
+    for name in ("fork", "pipe", "posix_spawn"):
+        monkeypatch.setattr(os, name, no_process, raising=False)
+    monkeypatch.setattr(subprocess, "Popen", no_process)
+    assert_written_as_reference(tmp_path, ["index", "label"],
+                                [np.arange(len(LONG_LABELS)), LONG_LABELS])
+
+
+@pytest.mark.parametrize("failing", ["_write_csv", "_write_json"])
+def test_write_tables_closes_both_files_when_a_writer_fails(tmp_path, monkeypatch, failing):
+    opened, written = [], []
+
+    def recorded_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    def writer(name):
+        def write(file, table):
+            written.append(name)
+            if name == failing:
+                raise OSError(f"{name} disk full")
+            file.write(name)
+        return write
+
+    monkeypatch.setattr(cli, "open", recorded_open, raising=False)
+    for name in ("_write_csv", "_write_json"):
+        monkeypatch.setattr(cli, name, writer(name))
+    cfg = parse_config(f"output: {{path: {tmp_path / 't'}}}")
+    with pytest.raises(OSError, match=f"^{failing} disk full$"):
+        write_tables(cfg, ["label"], [LONG_LABELS])
+    assert [Path(file.name).name for file in opened] == ["t.csv", "t.json"]
+    assert all(file.closed for file in opened)
+    # CSV first: a failed CSV writer leaves the JSON created but never written
+    if failing == "_write_csv":
+        assert written == ["_write_csv"]
+        assert (tmp_path / "t.json").read_text(encoding="utf-8") == ""
+    else:
+        assert written == ["_write_csv", "_write_json"]
+        assert (tmp_path / "t.csv").read_text(encoding="utf-8") == "_write_csv"
+
+
+def test_command_line_prints_each_path_of_a_long_table_once(tmp_path):
+    # stdout is a pipe, so block-buffered: every line must reach it exactly once
+    cfg_file = tmp_path / "cfg.yaml"
+    cfg_file.write_text(f"drive: {{n_kicks: {2 * _BLOCK_ROWS}}}\n", encoding="utf-8")
+    proc = _run_python(["-m", "kickedchain", "evolve", "--config", str(cfg_file),
+                        "--out", str(tmp_path / "long")], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"wrote {tmp_path / 'long.csv'}\nwrote {tmp_path / 'long.json'}\n"
+    assert proc.stderr == ""
+    records = json.loads((tmp_path / "long.json").read_text(encoding="utf-8"))
+    assert len(records) == 2 * _BLOCK_ROWS + 1
+    assert (tmp_path / "long.csv").read_text(encoding="utf-8").count("\n") == 2 * _BLOCK_ROWS + 2
+
+
 SWEEP_TEXT = (
     "chain: {n_sites: 6}\n"
     "drive: {e1: 1.0}\n"
