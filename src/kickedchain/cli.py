@@ -18,10 +18,11 @@ key and the mode-dependent checks see the final mode.
 Every run writes two files with the same records, a CSV table (the
 plot-ready artifact) and a JSON mirror; reruns of the same config are
 byte-identical.  Each mode hands the writer numpy columns, typed by dtype
-kind alone.  Both files are written in this process, CSV first, in blocks
-of 2048 rows, so the writer's memory does not grow with the table.
-Failures print a one-line machine-readable JSON error record to stderr and
-exit nonzero.
+kind alone.  Both files are written in one pass over blocks of 2048 rows,
+so the writer's memory does not grow with the table; a failed write removes
+the files it opened, so it leaves no half-written pair (a killed process
+still can).  Failures print a one-line machine-readable JSON error record to
+stderr and exit nonzero.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import math
 import numbers
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import chain
 from pathlib import Path
@@ -441,7 +442,7 @@ def _periodogram_tables(config: ExperimentConfig, params: ChainParams, schedule:
                    np.concatenate(magnitudes), np.concatenate(dominant)]
 
 
-# Rows per block: each block is one %-format pass per file, so a writer
+# Rows per block: each block is one %-format pass per file, so the writer
 # holds one block's cells and text at a time, however long the table is.
 _BLOCK_ROWS = 2048
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -495,61 +496,6 @@ def _output_paths(config: ExperimentConfig) -> tuple[Path, Path]:
     return base.parent / (base.name + ".csv"), base.parent / (base.name + ".json")
 
 
-@dataclass(frozen=True)
-class _Table:
-    """A typed table: row templates with its constant columns baked in as text,
-    and the varying columns as (cells, JSON token function or None)."""
-    names: list[str]
-    n_rows: int
-    csv_row: str
-    json_record: str
-    varying: list
-
-
-def _typed_table(names: list[str], columns: list) -> _Table:
-    """Check and type every column and build the row templates of both files."""
-    lengths = {len(cells) for cells in columns}
-    if len(columns) != len(names) or len(lengths) > 1:
-        raise ValueError(f"need one column per name, all of one length; got {len(names)} "
-                         f"names and columns of lengths {[len(c) for c in columns]}")
-    csv_row, json_fields, varying = [], [], []
-    for name, cells in zip(names, columns):
-        csv_spec, json_spec, to_json = _column_format(name, cells)
-        if _is_constant(cells):
-            value = cells[:1].tolist()
-            csv_spec = (csv_spec % tuple(value)).replace("%", "%%")
-            json_spec = (json_spec % tuple(to_json(value) if to_json else value)).replace("%", "%%")
-        else:
-            varying.append((cells, to_json))
-        csv_row.append(csv_spec)
-        json_fields.append(f'\n    {json.dumps(name).replace("%", "%%")}: {json_spec}')
-    return _Table(names=names, n_rows=lengths.pop() if lengths else 0,
-                  csv_row=",".join(csv_row) + "\n",
-                  json_record="  {" + ",".join(json_fields) + "\n  }", varying=varying)
-
-
-def _blocks(table: _Table):
-    """(first row, row count, varying cells as Python lists) for each block of the table."""
-    for start in range(0, table.n_rows, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, table.n_rows)
-        yield start, stop - start, [cells[start:stop].tolist() for cells, _ in table.varying]
-
-
-def _write_csv(file, table: _Table):
-    file.write(",".join(table.names) + "\n")
-    for _, n, block in _blocks(table):
-        file.write(table.csv_row * n % tuple(chain.from_iterable(zip(*block))))
-
-
-def _write_json(file, table: _Table):
-    file.write("[")
-    for start, n, block in _blocks(table):
-        tokens = [to_json(b) if to_json else b for b, (_, to_json) in zip(block, table.varying)]
-        records = ("," if start else "") + "\n" + ",\n".join([table.json_record] * n)
-        file.write(records % tuple(chain.from_iterable(zip(*tokens))))
-    file.write("\n]\n" if table.n_rows else "]\n")
-
-
 def write_tables(config: ExperimentConfig, names: list[str], columns: list) -> list[Path]:
     """Emit the CSV table and its JSON mirror; returns paths, primary first.
 
@@ -558,23 +504,59 @@ def write_tables(config: ExperimentConfig, names: list[str], columns: list) -> l
     _FORMATS before either file is opened: any other column (a list, an
     object or complex array) raises TypeError naming it and writes nothing.
     A column whose cells are bit-identical is formatted once into the row
-    templates.
-    Each file is written in blocks of _BLOCK_ROWS rows, one %-format pass per
-    block.  The bytes equal a cell-by-cell rendering: CSV cells as 1/0, %d,
-    %.17g and %s, and the JSON as json.dumps(records, indent=2) of one
+    templates.  The bytes equal a cell-by-cell rendering: CSV cells as 1/0,
+    %d, %.17g and %s, and the JSON as json.dumps(records, indent=2) of one
     record per row.
 
-    Both files are opened (and so created) before either is written, then
-    written in this process, CSV first.  A failure in either writer raises
-    its own exception; the CSV is complete when the JSON writer fails.
+    Both files are written in one pass over blocks of _BLOCK_ROWS rows: a
+    block's varying cells become Python objects once, then each file gets one
+    %-format pass of the block.  If anything raises from the first open to
+    the last close, the paths this call opened (created or truncated) are
+    removed, a symlink and not its target, and the exception is re-raised; a
+    path it could not open is left as it was.  A process killed mid-write can
+    still leave partial files.
     """
-    table = _typed_table(names, columns)
+    lengths = {len(cells) for cells in columns}
+    if len(columns) != len(names) or len(lengths) > 1:
+        raise ValueError(f"need one column per name, all of one length; got {len(names)} "
+                         f"names and columns of lengths {[len(c) for c in columns]}")
+    n_rows = lengths.pop() if lengths else 0
+    csv_specs, json_fields, varying = [], [], []
+    for name, cells in zip(names, columns):
+        csv_spec, json_spec, to_json = _column_format(name, cells)
+        if _is_constant(cells):
+            value = cells[:1].tolist()
+            csv_spec = (csv_spec % tuple(value)).replace("%", "%%")
+            json_spec = (json_spec % tuple(to_json(value) if to_json else value)).replace("%", "%%")
+        else:
+            varying.append((cells, to_json))
+        csv_specs.append(csv_spec)
+        json_fields.append(f'\n    {json.dumps(name).replace("%", "%%")}: {json_spec}')
+    csv_row = ",".join(csv_specs) + "\n"
+    json_record = "  {" + ",".join(json_fields) + "\n  }"
+
     csv_path, json_path = _output_paths(config)
     csv_path.parent.mkdir(parents=True, exist_ok=True)
-    with (open(csv_path, "w", encoding="utf-8") as csv_file,
-          open(json_path, "w", encoding="utf-8") as json_file):
-        _write_csv(csv_file, table)
-        _write_json(json_file, table)
+    opened = []
+    try:
+        with ExitStack() as stack:
+            for path in (csv_path, json_path):
+                opened.append(stack.enter_context(open(path, "w", encoding="utf-8")))
+            csv_file, json_file = opened
+            csv_file.write(",".join(names) + "\n")
+            json_file.write("[")
+            for start in range(0, n_rows, _BLOCK_ROWS):
+                n = min(_BLOCK_ROWS, n_rows - start)
+                block = [cells[start:start + n].tolist() for cells, _ in varying]
+                tokens = [to_json(b) if to_json else b for b, (_, to_json) in zip(block, varying)]
+                csv_file.write(csv_row * n % tuple(chain.from_iterable(zip(*block))))
+                records = ("," if start else "") + "\n" + ",\n".join([json_record] * n)
+                json_file.write(records % tuple(chain.from_iterable(zip(*tokens))))
+            json_file.write("\n]\n" if n_rows else "]\n")
+    except BaseException:
+        for file in opened:
+            os.unlink(file.name)
+        raise
     return [json_path, csv_path] if config.output.format == "json" else [csv_path, json_path]
 
 

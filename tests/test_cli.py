@@ -618,7 +618,7 @@ def test_write_tables_reports_a_failed_json_writer(tmp_path, monkeypatch, capfd)
     with pytest.raises(ValueError, match="^no room for block 2$"):
         write_tables(cfg, ["label"], [LONG_LABELS])
     assert calls == [_BLOCK_ROWS, _BLOCK_ROWS]    # failed on block 2, in this process
-    assert (tmp_path / "t.csv").read_text(encoding="utf-8").count("\n") == 1 + len(LONG_LABELS)
+    assert not list(tmp_path.iterdir())           # no half-written pair: t.csv and t.json gone
 
     # the command line reports the writer's own exception as its one JSON error line
     calls.clear()
@@ -632,6 +632,7 @@ def test_write_tables_reports_a_failed_json_writer(tmp_path, monkeypatch, capfd)
     assert out == ""
     [line] = err.splitlines()
     assert json.loads(line) == {"error": "ValueError", "message": "no room for block 2"}
+    assert [path.name for path in tmp_path.iterdir()] == ["cfg.yaml"]    # no p.csv, no p.json
 
 
 def test_write_tables_writes_a_long_table_without_starting_a_process(tmp_path, monkeypatch):
@@ -645,37 +646,58 @@ def test_write_tables_writes_a_long_table_without_starting_a_process(tmp_path, m
                                 [np.arange(len(LONG_LABELS)), LONG_LABELS])
 
 
-@pytest.mark.parametrize("failing", ["_write_csv", "_write_json"])
-def test_write_tables_closes_both_files_when_a_writer_fails(tmp_path, monkeypatch, failing):
-    opened, written = [], []
+@pytest.mark.parametrize("failing", ["t.csv", "t.json"])
+def test_write_tables_removes_both_files_when_a_write_fails(tmp_path, monkeypatch, failing):
+    opened = []
 
     def recorded_open(*args, **kwargs):
-        opened.append(open(*args, **kwargs))
-        return opened[-1]
+        file = open(*args, **kwargs)
+        opened.append(file)
+        if Path(file.name).name == failing:
+            write, calls = file.write, []
 
-    def writer(name):
-        def write(file, table):
-            written.append(name)
-            if name == failing:
-                raise OSError(f"{name} disk full")
-            file.write(name)
-        return write
+            def block_2_fails(text):       # the header or "[", block 1, then block 2
+                calls.append(text)
+                if len(calls) == 3:
+                    raise OSError(f"{failing} disk full")
+                return write(text)
+            file.write = block_2_fails
+        return file
 
     monkeypatch.setattr(cli, "open", recorded_open, raising=False)
-    for name in ("_write_csv", "_write_json"):
-        monkeypatch.setattr(cli, name, writer(name))
     cfg = parse_config(f"output: {{path: {tmp_path / 't'}}}")
     with pytest.raises(OSError, match=f"^{failing} disk full$"):
         write_tables(cfg, ["label"], [LONG_LABELS])
     assert [Path(file.name).name for file in opened] == ["t.csv", "t.json"]
     assert all(file.closed for file in opened)
-    # CSV first: a failed CSV writer leaves the JSON created but never written
-    if failing == "_write_csv":
-        assert written == ["_write_csv"]
-        assert (tmp_path / "t.json").read_text(encoding="utf-8") == ""
-    else:
-        assert written == ["_write_csv", "_write_json"]
-        assert (tmp_path / "t.csv").read_text(encoding="utf-8") == "_write_csv"
+    assert not list(tmp_path.iterdir())
+
+
+def test_write_tables_removes_only_the_files_it_opened(tmp_path):
+    (tmp_path / "t.json").mkdir()            # t.csv opens, then t.json cannot
+    (tmp_path / "t.json" / "kept").write_text("kept", encoding="utf-8")
+    cfg = parse_config(f"output: {{path: {tmp_path / 't'}}}")
+    with pytest.raises(IsADirectoryError):
+        write_tables(cfg, ["label"], [LONG_LABELS])
+    assert [path.name for path in tmp_path.iterdir()] == ["t.json"]
+    assert (tmp_path / "t.json" / "kept").read_text(encoding="utf-8") == "kept"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+@pytest.mark.parametrize("full", ["csv", "json"])
+def test_command_line_leaves_no_output_when_a_file_is_full(tmp_path, capfd, full):
+    # the link is removed, not the device it points to
+    (tmp_path / f"t.{full}").symlink_to("/dev/full")
+    cfg_file = tmp_path / "cfg.yaml"
+    cfg_file.write_text(f"drive: {{n_kicks: {2 * _BLOCK_ROWS}}}\n", encoding="utf-8")
+    capfd.readouterr()
+    assert main(["evolve", "--config", str(cfg_file), "--out", str(tmp_path / "t")]) == 1
+    out, err = capfd.readouterr()
+    assert out == ""
+    [line] = err.splitlines()
+    assert json.loads(line)["error"] == "OSError"
+    assert [path.name for path in tmp_path.iterdir()] == ["cfg.yaml"]
+    assert Path("/dev/full").is_char_device()
 
 
 def test_command_line_prints_each_path_of_a_long_table_once(tmp_path):
