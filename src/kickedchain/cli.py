@@ -5,15 +5,16 @@ Experiments are described by a YAML document with five blocks (``chain``,
 sweep mode needs an axis and a grid.  The block dataclasses are the
 schema: each field is a key, its default is what a missing key takes (the
 canonical ten-site point: N=10, J1=1, J2=-1, E0=0.1, E1=1, tau=2).
-``_experiment``, which ``run`` calls too, reads each field of a config,
-parsed or built by hand, by its type (a float is finite; a NumPy scalar is
-a number) and choice set, then applies every other rule on a value.  The
-impurity block is a ``model.ImpuritySpec``, given by a strength or by all
-three ratios.  Unknown keys anywhere are rejected with the offending key
-path.  Command line flags are keys too: the subcommand's ``run.mode``,
-``--out`` (``output.path``) and ``--workers`` (``run.workers``) are
-written into the document before it is read, so each is checked like its
-key and the mode-dependent checks see the final mode.
+``_read_config`` reads a config and ``_experiment`` judges it, once per
+command: it reads each field, parsed or built by hand, by its type (a float
+is finite; a NumPy scalar is a number) and choice set, then applies every
+other rule on a value.  The impurity block is a ``model.ImpuritySpec``,
+given by a strength or by all three ratios.  Unknown keys anywhere, and a
+key given twice, are rejected with the offending key path.  Command line
+flags are keys too: the subcommand's ``run.mode``, ``--out``
+(``output.path``) and ``--workers`` (``run.workers``) are written into the
+document before it is read, so each is checked like its key and the
+mode-dependent checks see the final mode.
 
 Every run writes two files with the same records, a CSV table (the
 plot-ready artifact) and a JSON mirror; reruns of the same config are
@@ -46,6 +47,7 @@ from .model import (
     ChainParams,
     FieldError,
     ImpuritySpec,
+    _require_count,
     apply_impurity,
     default_impurity_site,
     impurity_from_strength,
@@ -262,19 +264,53 @@ def _parse_impurity(raw: dict, n_sites: int) -> ImpuritySpec | None:
                 else ImpuritySpec(kind, site, **ratios))
 
 
+def _reject_repeated_keys(node, path: str, seen: set):
+    """Raise a ConfigError on a key given twice in one mapping under ``node``; a ``<<``
+    merge is not a key, and ``seen`` stops an alias cycle."""
+    if id(node) in seen:
+        return
+    seen.add(id(node))
+    if isinstance(node, yaml.SequenceNode):
+        for i, item in enumerate(node.value):
+            _reject_repeated_keys(item, f"{path}[{i}]", seen)
+    elif isinstance(node, yaml.MappingNode):
+        keys = set()
+        for key, value in node.value:
+            where = path
+            if isinstance(key, yaml.ScalarNode) and key.tag != "tag:yaml.org,2002:merge":
+                where = f"{path}.{key.value}" if path else key.value
+                if (key.tag, key.value) in keys:
+                    raise ConfigError(where, f"given twice (line {key.start_mark.line + 1})")
+                keys.add((key.tag, key.value))
+            _reject_repeated_keys(value, where, seen)
+
+
+def _load_yaml(text: str):
+    """``yaml.safe_load``, but a key given twice is rejected instead of losing its first value."""
+    loader = yaml.SafeLoader(text)
+    try:
+        node = loader.get_single_node()
+        _reject_repeated_keys(node, "", set())
+        return loader.construct_document(node) if node is not None else None
+    finally:
+        loader.dispose()
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a YAML experiment description.
 
     Empty or missing blocks take the canonical defaults; every rule is
     checked here, by ``_experiment`` as in ``run``, before any computation.
     """
-    return _read_config(text, {})
+    config = _read_config(text, {})
+    _experiment(config)
+    return config
 
 
 def _read_config(text: str, flags: dict) -> ExperimentConfig:
-    """``parse_config`` with ``flags`` ({"block.key": value}) written into the document first."""
+    """Read a config with ``flags`` ({"block.key": value}) written in; ``_experiment`` judges it."""
     try:
-        doc = yaml.safe_load(text)
+        doc = _load_yaml(text)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f"line {mark.line + 1}" if mark is not None else "document"
@@ -292,10 +328,8 @@ def _read_config(text: str, flags: dict) -> ExperimentConfig:
     impurity = _parse_impurity(raw["impurity"], chain.n_sites)
     run_block = RunBlock(**_read_fields(RunBlock, raw["run"], "run"))
     output = OutputBlock(**_read_fields(OutputBlock, raw["output"], "output"))
-    config = ExperimentConfig(chain=chain, drive=drive, impurity=impurity,
-                              run=run_block, output=output)
-    _experiment(config)
-    return config
+    return ExperimentConfig(chain=chain, drive=drive, impurity=impurity,
+                            run=run_block, output=output)
 
 
 def serialize_config(config: ExperimentConfig) -> str:
@@ -333,13 +367,13 @@ def _reported_on(block: str):
 def _experiment(config: ExperimentConfig) -> tuple[ChainParams, KickSchedule, SweepPlan | None]:
     """(chain with any impurity applied, kick schedule, sweep plan or None outside sweep mode).
 
-    Applies every rule on a config value, for ``parse_config`` and ``run``
-    alike, and raises a ConfigError on the rejected value's key, in this
-    order: each field of each block, read back by ``_read_fields`` (type,
-    finiteness, choice set), ``run.m_max``, ``run.workers``, ``output.path``,
-    the library's rules on ``chain``, ``drive`` and ``impurity`` (its site on
-    this chain), ``run.states``, a periodogram's kick count, and in sweep
-    mode ``run.axis``, ``run.grid`` and the plan, all from the values read.
+    Applies every rule on a config value, once per command (``parse_config``,
+    ``validate`` and ``run``), and raises a ConfigError on the rejected value's
+    key, in this order: each field of each block, read back by ``_read_fields``
+    (type, finiteness, choice set), ``run.m_max``, ``run.workers``,
+    ``output.path``, the library's rules on ``chain``, ``drive`` and ``impurity``
+    (its site on this chain), ``run.states``, a periodogram's kick count, and in
+    sweep mode ``run.axis``, ``run.grid`` and the plan, all from the values read.
     """
     for block in fields(config):
         values = getattr(config, block.name)
@@ -349,10 +383,9 @@ def _experiment(config: ExperimentConfig) -> tuple[ChainParams, KickSchedule, Sw
             read = replace(values, **_read_fields(type(values), given, block.name))
             config = replace(config, **{block.name: read})
     chain, drive, run_block, output = config.chain, config.drive, config.run, config.output
-    if run_block.m_max < 1:
-        raise ConfigError("run.m_max", f"must be >= 1, got {run_block.m_max}")
-    if run_block.workers < 1:
-        raise ConfigError("run.workers", f"must be >= 1, got {run_block.workers}")
+    with _reported_on("run"):
+        _require_count("m_max", run_block.m_max, least=1)
+        _require_count("workers", run_block.workers, least=1)
     # the last component as typed: Path drops a trailing "/" or "/." and would
     # write <dir>.csv next to the directory the path names
     if output.path.replace(os.sep, "/").rsplit("/", 1)[-1] in ("", ".", ".."):
@@ -609,6 +642,7 @@ def main(argv=None) -> int:
         flags = {k: v for k, v in vars(args).items() if "." in k and v is not None}
         config = _read_config(text, flags)
         if args.command == "validate":
+            _experiment(config)
             sys.stdout.write(serialize_config(config))
             return 0
         for path in run(config):

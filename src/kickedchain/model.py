@@ -25,6 +25,7 @@ the impurity's own couplings stay untouched.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +63,14 @@ def _require_finite(obj, *names: str):
     for name in names:
         if not math.isfinite(getattr(obj, name)):
             raise FieldError(name, f"{name} must be finite, got {getattr(obj, name)}")
+
+
+def _require_count(name: str, value, least: int = 0):
+    """Raise FieldError on ``name`` unless ``value`` is an integer >= ``least``, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise FieldError(name, f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise FieldError(name, f"{name} must be >= {least}, got {value}")
 
 
 @dataclass(frozen=True)

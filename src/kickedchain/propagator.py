@@ -46,14 +46,13 @@ until one tau fits), and one chunk of amplitudes.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .basis import ExcitationBasis
-from .model import (ChainParams, FieldError, _require_finite, build_hamiltonian,
-                    chirality_operator)
+from .model import (ChainParams, FieldError, _require_count, _require_finite,
+                    build_hamiltonian, chirality_operator)
 
 __all__ = [
     "KickSchedule",
@@ -96,10 +95,7 @@ class KickSchedule:
         _require_finite(self, "tau", "e1")
         if self.tau <= 0:
             raise FieldError("tau", f"kick interval must be positive, got {self.tau}")
-        if isinstance(self.n_kicks, bool) or not isinstance(self.n_kicks, numbers.Integral):
-            raise FieldError("n_kicks", f"kick count must be an integer, got {self.n_kicks!r}")
-        if self.n_kicks < 0:
-            raise FieldError("n_kicks", f"kick count must be non-negative, got {self.n_kicks}")
+        _require_count("n_kicks", self.n_kicks)
 
 
 def eigendecompose(h: np.ndarray):
@@ -305,10 +301,7 @@ def kick_lattice(params: ChainParams, basis: ExcitationBasis, taus, e1: float,
         raise ValueError("kick intervals must be finite")
     if np.any(taus <= 0):
         raise ValueError("kick intervals must be positive")
-    if isinstance(m_max, bool) or not isinstance(m_max, numbers.Integral):
-        raise ValueError(f"m_max must be an integer, got {m_max!r}")
-    if m_max < 0:
-        raise ValueError(f"m_max must be non-negative, got {m_max}")
+    _require_count("m_max", m_max)
     targets = np.asarray(targets, dtype=int)
     b = _kicks_per_iteration(m_max, basis.size, targets.size)
     tau_chunk = max(1, _STEP_STACK_BYTES // _interval_bytes(basis.size, targets.size, b))

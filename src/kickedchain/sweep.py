@@ -26,7 +26,6 @@ once per (point, state).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -37,6 +36,7 @@ from .model import (
     ChainParams,
     FieldError,
     ImpuritySpec,
+    _require_count,
     _require_finite,
     apply_impurity,
     build_hamiltonian,
@@ -151,10 +151,7 @@ class SweepPlan:
         if len(set(states)) != len(states):
             raise FieldError("states", "duplicate states in plan")
         object.__setattr__(self, "states", states)
-        if isinstance(self.m_max, bool) or not isinstance(self.m_max, numbers.Integral):
-            raise FieldError("m_max", f"m_max must be an integer, got {self.m_max!r}")
-        if self.m_max < 1:
-            raise FieldError("m_max", f"m_max must be >= 1, got {self.m_max}")
+        _require_count("m_max", self.m_max, least=1)
         _require_finite(self, "e1")
         for name, known in (("u0_convention", U0_CONVENTIONS),
                             ("omega2_convention", OMEGA2_CONVENTIONS)):
@@ -288,7 +285,7 @@ def continuous_fidelity_series(params: ChainParams, times: Sequence[float], stat
     return series
 
 
-def _maximum(params: ChainParams, state: str, tau_grid: Sequence[float], m_max: int,
+def _maximum(params: ChainParams, state: str, taus: tuple[float, ...], m_max: int,
              e1: float, u0_convention: str, omega2_convention: str,
              endpoint_only: bool = False):
     """(max value, argmax tau, argmax kick count) of one exhaustive search.
@@ -297,11 +294,10 @@ def _maximum(params: ChainParams, state: str, tau_grid: Sequence[float], m_max: 
     first maximum in row-major order: the smallest tau, then the smallest
     kick count.  With ``endpoint_only`` only the kick count m_max is
     scored, so the search runs over tau alone.  With e1 = 0 there is no
-    kick, and the search runs over ``CONTINUOUS_TIMES`` instead (the tau
-    grid is still validated); it reports tau 1.0 and the argmax time in the
-    kick-count slot (ties to the earliest).
+    kick, and the search runs over ``CONTINUOUS_TIMES`` instead; it reports
+    tau 1.0 and the argmax time in the kick-count slot (ties to the
+    earliest).  ``taus`` is checked: by ``max_fidelity`` or by the plan.
     """
-    taus = _check_grid(tau_grid, "tau_grid", positive=True)
     if e1 == 0.0:
         series = continuous_fidelity_series(params, CONTINUOUS_TIMES, state,
                                             omega2_convention=omega2_convention)
@@ -327,7 +323,8 @@ def max_fidelity(params: ChainParams, state: str,
     (the integer times 1..5000); the row then reports the equivalent
     stroboscopic interval 1.0 and the argmax time in the kick-count slot.
     """
-    return _maximum(params, state, tau_grid, m_max, e1, u0_convention, omega2_convention)
+    return _maximum(params, state, _check_grid(tau_grid, "tau_grid", positive=True), m_max, e1,
+                    u0_convention, omega2_convention)
 
 
 def _point_setup(plan: SweepPlan, value: float):

@@ -18,6 +18,7 @@ import yaml
 
 import kickedchain
 import kickedchain.__main__
+import kickedchain.sweep as sweep_module
 from kickedchain import (
     DEFAULT_TAU_GRID,
     ChainParams,
@@ -165,6 +166,24 @@ def test_unknown_keys_are_rejected_with_their_path(text, key_path):
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     assert err.value.key_path == key_path
+
+
+@pytest.mark.parametrize("text,message", [
+    ("chain:\n  n_sites: 6\n  j1: 1.0\n  j1: 2.0\n", "chain.j1: given twice (line 4)"),
+    ("drive: {tau: 3.0}\ndrive: {e1: 0.5}\n", "drive: given twice (line 2)"),
+    ("run: {mode: sweep, axis: tau, grid: {start: 1, stop: 2, step: 1, 'step': 2}}\n",
+     "run.grid.step: given twice (line 1)"),
+], ids=["key-in-a-block", "block", "quoted-grid-key"])
+def test_a_key_given_twice_is_rejected_on_its_path(text, message):
+    # YAML would keep the last value and drop the first without a word
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert str(err.value) == message
+
+
+def test_a_merged_key_may_be_overridden():
+    cfg = parse_config("chain:\n  <<: {j1: 3.0, j2: 1.0}\n  j1: 2.0\n")
+    assert (cfg.chain.j1, cfg.chain.j2) == (2.0, 1.0)
 
 
 @pytest.mark.parametrize("text,fragment", [
@@ -888,6 +907,27 @@ def test_main_rejects_an_out_flag_naming_a_directory(tmp_path, capsys):
     assert code == 1
     assert json.loads(capsys.readouterr().err)["key_path"] == "output.path"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["res"]
+
+
+@pytest.mark.parametrize("command", ["validate", "evolve", "sweep", "periodogram"])
+def test_each_command_judges_its_config_once(tmp_path, monkeypatch, command):
+    # one judgement per command; a sweep's plan builds each grid point, and the sweep again
+    judged, points = [], []
+
+    def counted(target, calls):
+        def wrapper(*args):
+            calls.append(args)
+            return target(*args)
+        return wrapper
+
+    monkeypatch.setattr(cli, "_experiment", counted(cli._experiment, judged))
+    monkeypatch.setattr(sweep_module, "_point_setup", counted(sweep_module._point_setup, points))
+    cfg_file = tmp_path / "cfg.yaml"
+    cfg_file.write_text("chain: {n_sites: 5}\ndrive: {n_kicks: 7}\n"
+                        "run: {axis: tau, grid: [1.0, 2.0], m_max: 5}\n", encoding="utf-8")
+    assert main([command, "--config", str(cfg_file), "--out", str(tmp_path / "t")]) == 0
+    assert len(judged) == 1
+    assert len(points) == (4 if command == "sweep" else 0)
 
 
 def test_main_validate_prints_normalized_config(capsys):

@@ -618,6 +618,8 @@ def test_every_field_error_names_a_field_or_parameter():
 
 
 PLAN = dict(params=params_for(5), axis="tau", grid=(1.0,), states=("omega0",))
+LATTICE = dict(params=params_for(5), basis=enumerate_basis(5, 1), taus=(1.0,), e1=1.0,
+               sources=[0], targets=[4], score=lambda amps, taus, ms: abs(amps[..., 0, 0]) ** 2)
 
 
 @pytest.mark.parametrize("target,kwargs,field", [
@@ -636,10 +638,14 @@ PLAN = dict(params=params_for(5), axis="tau", grid=(1.0,), states=("omega0",))
     (SweepPlan, {**PLAN, "e1": INF}, "e1"),
     (SweepPlan, {**PLAN, "axis": "e1", "m_max": 2.5}, "m_max"),
     (SweepPlan, {**PLAN, "axis": "e1", "m_max": True}, "m_max"),
+    (kick_lattice, dict(LATTICE, m_max=True), "m_max"),
+    (kick_lattice, dict(LATTICE, m_max=2.5), "m_max"),
+    (kick_lattice, dict(LATTICE, m_max=-1), "m_max"),
 ], ids=["schedule-tau-nan", "schedule-tau-inf", "schedule-e1-nan", "schedule-e1-inf",
         "schedule-n_kicks-2.5", "schedule-n_kicks-true", "plan-grid-nan", "plan-grid-inf",
         "plan-e1-grid-nan", "plan-tau_grid-inf", "plan-tau_grid-nan", "plan-e1-nan",
-        "plan-e1-inf", "plan-m_max-2.5", "plan-m_max-true"])
+        "plan-e1-inf", "plan-m_max-2.5", "plan-m_max-true", "lattice-m_max-true",
+        "lattice-m_max-2.5", "lattice-m_max-negative"])
 def test_non_finite_drive_and_grid_values_and_fractional_kick_counts_fail_on_their_field(
         target, kwargs, field):
     # at construction, not as NaN rows or a TypeError inside the kick loop
