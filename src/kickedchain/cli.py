@@ -18,12 +18,12 @@ mode-dependent checks see the final mode.
 
 Every run writes two files with the same records, a CSV table (the
 plot-ready artifact) and a JSON mirror; reruns of the same config are
-byte-identical.  Each mode hands the writer numpy columns, typed by dtype
-kind alone.  Both files are written in one pass over blocks of 2048 rows,
-so the writer's memory does not grow with the table; a failed write removes
-the files it opened, so it leaves no half-written pair (a killed process
-still can).  Failures print a one-line machine-readable JSON error record to
-stderr and exit nonzero.
+byte-identical.  Each mode hands the writer one name -> column mapping in
+output order, of numpy arrays typed by dtype kind alone.  Both files are
+written in one pass over blocks of 2048 rows, so the writer's memory does
+not grow with the table; a failed write removes the files it opened, so it
+leaves no half-written pair (a killed process still can).  Failures print a
+one-line machine-readable JSON error record to stderr and exit nonzero.
 """
 
 from __future__ import annotations
@@ -437,33 +437,24 @@ def _kicked_series(config: ExperimentConfig, params: ChainParams,
 
 def _evolve_tables(config: ExperimentConfig, params: ChainParams, schedule: KickSchedule):
     series = _kicked_series(config, params, schedule)
-    drive = config.drive
-    states = config.run.states
-    with_ps = config.output.physical_time_column
-    names = ["kick_index", "time"]
-    if with_ps:
-        names.append("physical_time_ps")   # tau = 1 corresponds to 0.5 ps
-    names += [f"fidelity_{s}" for s in states]
-    names.append("classical_threshold")
-    kicks = np.arange(drive.n_kicks + 1)
-    times = kicks * drive.tau
-    columns = [kicks, times]
-    if with_ps:
-        columns.append(0.5 * times)
-    columns += [series[s] for s in states]
-    columns.append(np.full(kicks.size, classical_threshold()))
-    return names, columns
+    kicks = np.arange(config.drive.n_kicks + 1)
+    table = {"kick_index": kicks, "time": kicks * config.drive.tau}
+    if config.output.physical_time_column:
+        table["physical_time_ps"] = 0.5 * table["time"]   # tau = 1 corresponds to 0.5 ps
+    table.update({f"fidelity_{s}": cells for s, cells in series.items()})
+    table["classical_threshold"] = np.full(kicks.size, classical_threshold())
+    return table
 
 
 def _sweep_tables(plan: SweepPlan):
     rows = sweep_axis(plan)
-    keys = ("grid_value", "state", "max_fidelity", "argmax_tau", "argmax_kicks", "out_of_range")
-    names = [*keys[:-1], "out_of_range_flag"]
-    return names, [np.array([getattr(row, key) for row in rows]) for key in keys]
+    keys = ("grid_value", "state", "max_fidelity", "argmax_tau", "argmax_kicks")
+    table = {key: np.array([getattr(row, key) for row in rows]) for key in keys}
+    table["out_of_range_flag"] = np.array([row.out_of_range for row in rows])
+    return table
 
 
 def _periodogram_tables(config: ExperimentConfig, params: ChainParams, schedule: KickSchedule):
-    names = ["state", "frequency", "magnitude", "is_dominant"]
     states, frequencies, magnitudes, dominant = [], [], [], []
     for state, series in _kicked_series(config, params, schedule).items():
         f, mag, peak = periodogram(series)
@@ -471,8 +462,8 @@ def _periodogram_tables(config: ExperimentConfig, params: ChainParams, schedule:
         frequencies.append(f)
         magnitudes.append(mag)
         dominant.append(f == peak if peak is not None else np.zeros(f.size, dtype=bool))
-    return names, [np.concatenate(states), np.concatenate(frequencies),
-                   np.concatenate(magnitudes), np.concatenate(dominant)]
+    return {"state": np.concatenate(states), "frequency": np.concatenate(frequencies),
+            "magnitude": np.concatenate(magnitudes), "is_dominant": np.concatenate(dominant)}
 
 
 # Rows per block: each block is one %-format pass per file, so the writer
@@ -529,13 +520,13 @@ def _output_paths(config: ExperimentConfig) -> tuple[Path, Path]:
     return base.parent / (base.name + ".csv"), base.parent / (base.name + ".json")
 
 
-def write_tables(config: ExperimentConfig, names: list[str], columns: list) -> list[Path]:
+def write_tables(config: ExperimentConfig, table: dict[str, np.ndarray]) -> list[Path]:
     """Emit the CSV table and its JSON mirror; returns paths, primary first.
 
-    ``columns`` holds one column per name, all of one length, each a numpy
-    bool, int, uint, float or str array, typed by its dtype kind through
-    _FORMATS before either file is opened: any other column (a list, an
-    object or complex array) raises TypeError naming it and writes nothing.
+    ``table`` maps each name, in column order, to its column, all of one
+    length: a numpy bool, int, uint, float or str array, typed by dtype kind
+    through _FORMATS before either file is opened.  Any other column (a list,
+    an object or complex array) raises TypeError naming it and writes nothing.
     A column whose cells are bit-identical is formatted once into the row
     templates.  The bytes equal a cell-by-cell rendering: CSV cells as 1/0,
     %d, %.17g and %s, and the JSON as json.dumps(records, indent=2) of one
@@ -549,13 +540,13 @@ def write_tables(config: ExperimentConfig, names: list[str], columns: list) -> l
     path it could not open is left as it was.  A process killed mid-write can
     still leave partial files.
     """
-    lengths = {len(cells) for cells in columns}
-    if len(columns) != len(names) or len(lengths) > 1:
-        raise ValueError(f"need one column per name, all of one length; got {len(names)} "
-                         f"names and columns of lengths {[len(c) for c in columns]}")
+    lengths = {len(cells) for cells in table.values()}
+    if len(lengths) > 1:
+        raise ValueError(f"need columns of one length, got lengths "
+                         f"{ {name: len(cells) for name, cells in table.items()} }")
     n_rows = lengths.pop() if lengths else 0
     csv_specs, json_fields, varying = [], [], []
-    for name, cells in zip(names, columns):
+    for name, cells in table.items():
         csv_spec, json_spec, to_json = _column_format(name, cells)
         if _is_constant(cells):
             value = cells[:1].tolist()
@@ -576,7 +567,7 @@ def write_tables(config: ExperimentConfig, names: list[str], columns: list) -> l
             for path in (csv_path, json_path):
                 opened.append(stack.enter_context(open(path, "w", encoding="utf-8")))
             csv_file, json_file = opened
-            csv_file.write(",".join(names) + "\n")
+            csv_file.write(",".join(table) + "\n")
             json_file.write("[")
             for start in range(0, n_rows, _BLOCK_ROWS):
                 n = min(_BLOCK_ROWS, n_rows - start)
@@ -596,13 +587,10 @@ def write_tables(config: ExperimentConfig, names: list[str], columns: list) -> l
 def run(config: ExperimentConfig) -> list[Path]:
     """Execute one experiment; returns the written files, primary format first."""
     params, schedule, plan = _experiment(config)
-    if config.run.mode == "evolve":
-        names, columns = _evolve_tables(config, params, schedule)
-    elif config.run.mode == "sweep":
-        names, columns = _sweep_tables(plan)
-    else:
-        names, columns = _periodogram_tables(config, params, schedule)
-    return write_tables(config, names, columns)
+    if config.run.mode == "sweep":
+        return write_tables(config, _sweep_tables(plan))
+    tables = _evolve_tables if config.run.mode == "evolve" else _periodogram_tables
+    return write_tables(config, tables(config, params, schedule))
 
 
 # ---------------------------------------------------------------------------

@@ -457,6 +457,18 @@ def test_physical_time_column_can_be_dropped(tmp_path):
     assert "physical_time_ps" not in header
 
 
+def test_dropped_physical_time_column_keeps_the_column_order(tmp_path):
+    cfg = parse_config("chain: {n_sites: 6}\ndrive: {n_kicks: 3}\n"
+                       "run: {states: [omega0, omega1, omega2]}\n"
+                       f"output: {{path: {tmp_path / 'plain'}, physical_time_column: false}}\n")
+    csv_path, json_path = run(cfg)
+    names = ["kick_index", "time", "fidelity_omega0", "fidelity_omega1", "fidelity_omega2",
+             "classical_threshold"]
+    assert csv_path.read_text(encoding="utf-8").splitlines()[0] == ",".join(names)
+    records = json.loads(json_path.read_text(encoding="utf-8"))
+    assert len(records) == 4 and all(list(record) == names for record in records)
+
+
 def test_output_suffix_is_normalized(tmp_path):
     cfg = parse_config("chain: {n_sites: 4}\ndrive: {n_kicks: 3}\n")
     cfg = replace(cfg, output=replace(cfg.output, path=str(tmp_path / "table.csv")))
@@ -520,7 +532,7 @@ def rows_of(columns):
 def assert_written_as_reference(tmp_path, names, columns):
     """Write a column-major table and compare it with the cell-by-cell rendering."""
     cfg = parse_config(f"output: {{path: {tmp_path / 't'}}}")
-    csv_path, json_path = write_tables(cfg, names, columns)
+    csv_path, json_path = write_tables(cfg, dict(zip(names, columns)))
     want_csv, want_json = reference_rendering(names, rows_of(columns))
     assert csv_path.read_text(encoding="utf-8") == want_csv
     assert json_path.read_text(encoding="utf-8") == want_json
@@ -531,7 +543,8 @@ def assert_written_as_reference(tmp_path, names, columns):
                          ids=["typed", "one_row", "zero_rows"])
 def test_write_tables_equals_the_cell_by_cell_rendering(tmp_path, rows):
     cfg = parse_config(f"output: {{path: {tmp_path / 't'}}}")
-    csv_path, json_path = write_tables(cfg, TYPED_COLUMNS, columns_of(TYPED_DTYPES, rows))
+    table = dict(zip(TYPED_COLUMNS, columns_of(TYPED_DTYPES, rows)))
+    csv_path, json_path = write_tables(cfg, table)
     want_csv, want_json = reference_rendering(TYPED_COLUMNS, rows)
     assert csv_path.read_text(encoding="utf-8") == want_csv
     assert json_path.read_text(encoding="utf-8") == want_json
@@ -589,16 +602,14 @@ def test_write_tables_rejects_a_column_that_is_not_a_typed_array(tmp_path):
                 np.full(n_rows, b"bytes")):
         # the bad column comes after a good one and is found before either file is opened
         with pytest.raises(TypeError, match="'late'"):
-            write_tables(cfg, ["index", "late"], [np.arange(n_rows), bad])
+            write_tables(cfg, {"index": np.arange(n_rows), "late": bad})
         assert not list(tmp_path.iterdir())
 
 
 def test_write_tables_rejects_columns_of_unequal_length(tmp_path):
     cfg = parse_config(f"output: {{path: {tmp_path / 't'}}}")
     with pytest.raises(ValueError, match="one length"):
-        write_tables(cfg, ["a", "b"], [np.arange(3), np.arange(2)])
-    with pytest.raises(ValueError, match="one column per name"):
-        write_tables(cfg, ["a", "b"], [np.arange(3)])
+        write_tables(cfg, {"a": np.arange(3), "b": np.arange(2)})
     assert not list(tmp_path.iterdir())
 
 
@@ -610,7 +621,7 @@ def test_write_tables_memory_does_not_grow_with_the_table(tmp_path):
         column = np.arange(n_rows) % 100       # small ints: no cell objects to allocate
         tracemalloc.start()
         try:
-            write_tables(cfg, ["i"], [column])
+            write_tables(cfg, {"i": column})
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -635,7 +646,7 @@ def test_write_tables_reports_a_failed_json_writer(tmp_path, monkeypatch, capfd)
     monkeypatch.setitem(cli._FORMATS, "U", (csv_spec, json_spec, second_block_fails))
     cfg = parse_config(f"output: {{path: {tmp_path / 't'}}}")
     with pytest.raises(ValueError, match="^no room for block 2$"):
-        write_tables(cfg, ["label"], [LONG_LABELS])
+        write_tables(cfg, {"label": LONG_LABELS})
     assert calls == [_BLOCK_ROWS, _BLOCK_ROWS]    # failed on block 2, in this process
     assert not list(tmp_path.iterdir())           # no half-written pair: t.csv and t.json gone
 
@@ -686,7 +697,7 @@ def test_write_tables_removes_both_files_when_a_write_fails(tmp_path, monkeypatc
     monkeypatch.setattr(cli, "open", recorded_open, raising=False)
     cfg = parse_config(f"output: {{path: {tmp_path / 't'}}}")
     with pytest.raises(OSError, match=f"^{failing} disk full$"):
-        write_tables(cfg, ["label"], [LONG_LABELS])
+        write_tables(cfg, {"label": LONG_LABELS})
     assert [Path(file.name).name for file in opened] == ["t.csv", "t.json"]
     assert all(file.closed for file in opened)
     assert not list(tmp_path.iterdir())
@@ -697,7 +708,7 @@ def test_write_tables_removes_only_the_files_it_opened(tmp_path):
     (tmp_path / "t.json" / "kept").write_text("kept", encoding="utf-8")
     cfg = parse_config(f"output: {{path: {tmp_path / 't'}}}")
     with pytest.raises(IsADirectoryError):
-        write_tables(cfg, ["label"], [LONG_LABELS])
+        write_tables(cfg, {"label": LONG_LABELS})
     assert [path.name for path in tmp_path.iterdir()] == ["t.json"]
     assert (tmp_path / "t.json" / "kept").read_text(encoding="utf-8") == "kept"
 
