@@ -42,20 +42,11 @@ class ExcitationBasis:
 
 
 def enumerate_basis(n_sites: int, n_excitations: int) -> ExcitationBasis:
-    """Enumerate all k-excitation configurations in lexicographic order.
+    """All k-excitation configurations of an N-site chain (N >= 2), in lexicographic order.
 
-    Parameters
-    ----------
-    n_sites : int
-        Chain length N, at least 2.
-    n_excitations : int
-        Sector label k; only 0, 1 and 2 are supported (larger sectors are
-        never reached from the prepared states and are rejected to keep
-        the dense-matrix cost model explicit).
-
-    Returns
-    -------
-    ExcitationBasis
+    Only k = 0, 1 and 2 are supported: larger sectors are never reached from
+    the prepared states, and rejecting them keeps the dense-matrix cost
+    model explicit.
     """
     if n_sites < 2:
         raise ValueError(f"need at least 2 sites, got {n_sites}")

@@ -34,7 +34,7 @@ import math
 import numbers
 import os
 import sys
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import chain
 from pathlib import Path
@@ -42,7 +42,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .fidelity import OMEGA2_CONVENTIONS, classical_threshold, family_sector
+from .fidelity import OMEGA2_CONVENTIONS, _state_list_error, classical_threshold
 from .model import (
     ChainParams,
     FieldError,
@@ -57,6 +57,7 @@ from .propagator import U0_CONVENTIONS, KickSchedule
 from .sweep import (
     DEFAULT_M_MAX,
     DEFAULT_TAU_GRID,
+    PERIODOGRAM_MIN_SAMPLES,
     SWEEP_AXES,
     SweepPlan,
     fidelity_series,
@@ -171,7 +172,13 @@ def _as_int(value, where: str) -> int:
 def _as_float(value, where: str) -> float:
     """A finite real number, NumPy's too, not a bool; int and float skip the slow ABC check."""
     if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
-        raise ConfigError(where, f"expected a number, got {value!r}")
+        hint = ""
+        if isinstance(value, str) and "e" in value.lower():
+            with suppress(ValueError):      # PyYAML reads 1e-3 and 1.0e3 as strings
+                float(value)
+                hint = ("; YAML reads a number with an exponent only with a decimal point "
+                        "and a signed exponent (1.0e-3, 1.0e+3)")
+        raise ConfigError(where, f"expected a number, got {value!r}{hint}")
     try:
         number = float(value)
     except OverflowError:     # an integer too large for a float
@@ -399,18 +406,13 @@ def _experiment(config: ExperimentConfig) -> tuple[ChainParams, KickSchedule, Sw
     if config.impurity is not None:
         with _reported_on("impurity"):
             params = replace(pure, profile=apply_impurity(pure.profile, config.impurity))
-    if not run_block.states:
-        raise ConfigError("run.states", "expected a nonempty list of state names")
-    for i, state in enumerate(run_block.states):
-        try:
-            family_sector(state, chain.n_sites)
-        except ValueError as exc:
-            raise ConfigError(f"run.states[{i}]", str(exc)) from None
-        if state in run_block.states[:i]:
-            raise ConfigError(f"run.states[{i}]", f"duplicate state {state!r}")
-    if run_block.mode == "periodogram" and drive.n_kicks < 3:
-        raise ConfigError("drive.n_kicks", f"a periodogram needs at least 3 kicks (4 samples), "
-                                           f"got {drive.n_kicks}")
+    if (error := _state_list_error(run_block.states, chain.n_sites)) is not None:
+        i, reason = error
+        raise ConfigError("run.states" if i is None else f"run.states[{i}]", reason)
+    if run_block.mode == "periodogram" and drive.n_kicks + 1 < PERIODOGRAM_MIN_SAMPLES:
+        least = PERIODOGRAM_MIN_SAMPLES
+        raise ConfigError("drive.n_kicks", f"a periodogram needs at least {least - 1} kicks "
+                                           f"({least} samples), got {drive.n_kicks}")
     if run_block.mode != "sweep":
         return params, schedule, None
     if run_block.axis is None:

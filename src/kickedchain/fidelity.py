@@ -17,8 +17,8 @@ Three input families are scored:
 Each family reads one block of sector amplitudes <target|U|source> into
 its closed form.  The family table below is stated once, in
 ``family_sector`` (sector, sources, targets) and ``family_score`` (which
-amplitude feeds which argument), and the sweeps and the state checks of
-``SweepPlan`` and the config read it from there:
+amplitude feeds which argument), and the sweeps and the state-list rule
+``_state_list_error`` (of ``SweepPlan`` and the config) read it from there:
 
     family  sector  sources    targets                                  closed form
     omega0  k=1     (1)        (N)                                      single_qubit_fidelity
@@ -154,6 +154,20 @@ def family_sector(state: str, n_sites: int):
         targets = [(m, r) for r in (n - 1, n) for m in range(1, n - 1)] + [(n - 1, n)]
     basis = enumerate_basis(n, k)
     return basis, [index_of(basis, s) for s in sources], [index_of(basis, t) for t in targets]
+
+
+def _state_list_error(states, n_sites: int):
+    """(index or None, reason) of the first rule a list of state names breaks, or None."""
+    if not states:
+        return None, "expected a nonempty list of state names"
+    for i, state in enumerate(states):
+        try:
+            family_sector(state, n_sites)
+        except ValueError as exc:
+            return i, str(exc)
+        if state in states[:i]:
+            return i, f"duplicate state {state!r}"
+    return None
 
 
 def family_score(state: str, amps, vacuum_angles, omega2_convention: str):

@@ -31,7 +31,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .fidelity import OMEGA2_CONVENTIONS, family_score, family_sector, out_of_range
+from .fidelity import (OMEGA2_CONVENTIONS, _state_list_error, family_score, family_sector,
+                       out_of_range)
 from .model import (
     ChainParams,
     FieldError,
@@ -88,6 +89,7 @@ def float_grid(start: float, stop: float, step: float) -> tuple[float, ...]:
 
 DEFAULT_TAU_GRID = float_grid(0.1, 10.0, 0.1)
 DEFAULT_M_MAX = 500
+PERIODOGRAM_MIN_SAMPLES = 4       # the shortest series: kicks 0..3 of an evolve run
 # read-only int64, so a series converts it to float with one C cast
 CONTINUOUS_TIMES = np.arange(1, 5001, dtype=np.int64)
 CONTINUOUS_TIMES.flags.writeable = False
@@ -112,9 +114,9 @@ class SweepPlan:
 
     ``params`` (plus the optional ``impurity``) describes the point every
     grid value perturbs; its ``dm_field`` is the static field of every
-    point.  Each state is checked through the family table, N >= 4 for the
-    Bell states included (``fidelity.family_sector``).  For axis ``tau`` the
-    grid values are kick intervals and must be positive.  For axis
+    point.  The states are checked by the one state-list rule, N >= 4 for
+    the Bell states included (``fidelity._state_list_error``).  For axis
+    ``tau`` the grid values are kick intervals and must be positive.  For axis
     ``j2_over_j1`` the grid value replaces the ratio of the two uniform
     couplings of the template; for axis ``impurity_ratio`` the template
     impurity supplies kind and site while the grid value sets the strength;
@@ -140,17 +142,9 @@ class SweepPlan:
         object.__setattr__(self, "grid", _check_grid(self.grid, "grid",
                                                      positive=self.axis == "tau"))
         object.__setattr__(self, "tau_grid", _check_grid(self.tau_grid, "tau_grid", positive=True))
-        states = tuple(self.states)
-        if not states:
-            raise FieldError("states", "states must be nonempty")
-        for s in states:
-            try:
-                family_sector(s, self.params.profile.n_sites)
-            except ValueError as exc:
-                raise FieldError("states", str(exc)) from None
-        if len(set(states)) != len(states):
-            raise FieldError("states", "duplicate states in plan")
-        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "states", tuple(self.states))
+        if (error := _state_list_error(self.states, self.params.profile.n_sites)) is not None:
+            raise FieldError("states", error[1])
         _require_count("m_max", self.m_max, least=1)
         _require_finite(self, "e1")
         for name, known in (("u0_convention", U0_CONVENTIONS),
@@ -391,8 +385,9 @@ def periodogram(series: Sequence[float]):
     x = np.asarray(series, dtype=float)
     if x.ndim != 1:
         raise ValueError(f"expected a 1-d series, got shape {x.shape}")
-    if x.size < 4:
-        raise ValueError(f"series too short for a periodogram: {x.size} < 4")
+    if x.size < PERIODOGRAM_MIN_SAMPLES:
+        raise ValueError("series too short for a periodogram: "
+                         f"{x.size} < {PERIODOGRAM_MIN_SAMPLES}")
     y = x - x.mean()
     spectrum = np.fft.fft(y)
     magnitudes = np.abs(spectrum)

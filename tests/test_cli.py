@@ -24,6 +24,7 @@ from kickedchain import (
     ChainParams,
     ImpuritySpec,
     KickSchedule,
+    SweepPlan,
     apply_impurity,
     cli,
     fidelity_series,
@@ -46,6 +47,7 @@ from kickedchain.cli import (
     serialize_config,
     write_tables,
 )
+from kickedchain.model import FieldError
 
 DATA = Path(__file__).parent / "data"
 CONFIGS = Path(__file__).parent.parent / "configs"
@@ -398,6 +400,72 @@ def test_config_error_is_a_value_error_with_key_path():
     assert isinstance(err, ValueError)
     assert err.key_path == "run.grid"
     assert str(err) == "run.grid: boom"
+
+
+@pytest.mark.parametrize("states,n_sites,key_path", [
+    ([], 10, "run.states"),
+    (["omega9"], 10, "run.states[0]"),
+    (["omega1"], 3, "run.states[0]"),
+    (["omega0", "omega0"], 10, "run.states[1]"),
+    (["omega0", "omega0", "omega9"], 10, "run.states[1]"),
+], ids=["empty", "unknown", "bell-on-three-sites", "repeated", "repeat-before-unknown"])
+@pytest.mark.parametrize("mode", ["evolve", "sweep"])
+def test_a_bad_state_list_gets_one_reason_from_plan_and_config(mode, states, n_sites, key_path):
+    # fidelity._state_list_error states the list rules once and judges in list order,
+    # so the last list reports its repeat before its unknown name, in both callers
+    run_block = {"mode": mode, "states": states}
+    if mode == "sweep":
+        run_block.update(axis="e1", grid=[1.0])
+    with pytest.raises(ConfigError) as config_err:
+        parse_config(yaml.safe_dump({"chain": {"n_sites": n_sites}, "run": run_block}))
+    with pytest.raises(FieldError) as plan_err:
+        SweepPlan(params=ChainParams(uniform_profile(n_sites, 1.0, -1.0), dm_field=0.1),
+                  axis="e1", grid=(1.0,), states=tuple(states))
+    assert plan_err.value.field == "states"
+    assert config_err.value.key_path == key_path
+    assert str(config_err.value) == f"{key_path}: {plan_err.value}"
+
+
+def test_both_periodogram_length_checks_name_the_same_minimum():
+    # one constant, read by the config's drive.n_kicks check and by periodogram itself
+    assert sweep_module.PERIODOGRAM_MIN_SAMPLES == 4
+    with pytest.raises(ConfigError) as config_err:
+        parse_config("drive: {n_kicks: 2}\nrun: {mode: periodogram}\n")
+    with pytest.raises(ValueError) as series_err:
+        periodogram(np.zeros(3))
+    assert str(config_err.value) == ("drive.n_kicks: a periodogram needs at least 3 kicks "
+                                     "(4 samples), got 2")
+    assert str(series_err.value) == "series too short for a periodogram: 3 < 4"
+    parse_config("drive: {n_kicks: 3}\nrun: {mode: periodogram}\n")
+    periodogram(np.zeros(4))
+
+
+EXPONENT_HINT = ("; YAML reads a number with an exponent only with a decimal point and a "
+                 "signed exponent (1.0e-3, 1.0e+3)")
+
+
+@pytest.mark.parametrize("text,key_path,value", [
+    ("drive: {tau: 1e-3}\n", "drive.tau", "1e-3"),
+    ("drive: {tau: 1.0e3}\n", "drive.tau", "1.0e3"),
+    ("chain: {j2: 1.0e308}\n", "chain.j2", "1.0e308"),
+    ("run: {mode: sweep, axis: e1, grid: [0.5, 2E0]}\n", "run.grid[1]", "2E0"),
+    ("run: {tau_grid: {start: 1e-1, stop: 1.0, step: 0.1}}\n", "run.tau_grid.start", "1e-1"),
+])
+def test_an_exponent_yaml_reads_as_a_string_is_rejected_with_a_hint(text, key_path, value):
+    # PyYAML (YAML 1.1) reads a float only with a decimal point and a signed exponent
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.key_path == key_path
+    assert str(err.value) == f"{key_path}: expected a number, got {value!r}{EXPONENT_HINT}"
+
+
+def test_only_a_string_float_reads_with_an_exponent_gets_the_hint():
+    assert parse_config("drive: {tau: 1.0e-3}\n").drive.tau == 1e-3
+    assert parse_config("drive: {tau: 1.0e+3}\n").drive.tau == 1e3
+    for text, value in (("one", "one"), ("'2.0'", "2.0"), ("e", "e"), ("1e", "1e")):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"chain: {{j1: {text}}}\n")
+        assert str(err.value) == f"chain.j1: expected a number, got {value!r}"
 
 
 # -- table output --------------------------------------------------------------------
