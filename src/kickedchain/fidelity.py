@@ -187,7 +187,9 @@ def family_score(state: str, amps, vacuum_angles, omega2_convention: str):
     depend on the gauge.
     """
     if state == "omega0":
-        return single_qubit_fidelity(amps[..., 0, 0] * np.exp(1j * vacuum_angles))
+        # a ufunc call, not ``*``: numpy's temporary elision would compute a large
+        # product as exp * amps, whose imaginary part rounds differently
+        return single_qubit_fidelity(np.multiply(amps[..., 0, 0], np.exp(1j * vacuum_angles)))
     if state == "omega1":
         return bell_fidelity_omega1(amps[..., 0, 0], amps[..., 1, 1],
                                     amps[..., 0, 1], amps[..., 1, 0])

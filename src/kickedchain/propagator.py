@@ -40,7 +40,9 @@ single-tau series (82 at 500 kicks, 2 520 at 20 000 for omega2) and
 "literal_eq5" stay on the blocked loop.  Amplitudes
 are scored a chunk of kicks at a time.  Two fixed byte budgets bound the
 memory: one stack of taus with their steps and row stacks (B is halved
-until one tau fits), and one chunk of amplitudes.
+until one tau fits), and one chunk (``_per_chunk``), the same for every
+scored loop, the kick-free series of ``sweep`` included.  Chunk size
+changes no output bit.
 """
 
 from __future__ import annotations
@@ -70,11 +72,12 @@ __all__ = [
 #       the dm_field chirality term enters with unit weight, for comparison.
 U0_CONVENTIONS = ("hamiltonian_tau", "literal_eq5")
 
-# Memory budgets of the kick loop: a tau chunk holds as many Floquet steps,
-# each with its stack of target rows, as fit in the first, and a chunk of
-# gathered target amplitudes spans as many kicks as fit in the second.
+# Memory budgets: a tau stack holds as many Floquet steps, each with its
+# stack of target rows, as fit in the first (so it sets B, and with it the
+# rounding), and every scored loop takes as many items per chunk as fit in
+# the second (``_per_chunk``).
 _STEP_STACK_BYTES = 256 * 1024
-_AMPLITUDE_BLOCK_BYTES = 64 * 1024
+_CHUNK_BYTES = 384 * 1024
 _COMPLEX_BYTES = np.dtype(complex).itemsize
 # Largest |H - H^+| entry eigendecompose accepts.
 _HERMITICITY_TOL = 1e-12
@@ -174,6 +177,11 @@ def kick_step(params: ChainParams, schedule: KickSchedule, basis: ExcitationBasi
         np.array([schedule.tau]))[0]
 
 
+def _per_chunk(item_bytes: int, multiple: int = 1) -> int:
+    """Items per chunk: whole groups of ``multiple`` items that fit in _CHUNK_BYTES, at least one."""
+    return multiple * max(1, _CHUNK_BYTES // (item_bytes * multiple))
+
+
 def _interval_bytes(dim: int, n_targets: int, b: int) -> int:
     """Bytes the kick loop holds per kick interval: its step and its B target rows."""
     return _COMPLEX_BYTES * dim * (dim + b * n_targets)
@@ -202,9 +210,9 @@ def _stroboscopic_blocks(steps: np.ndarray, sources, targets, m_max: int, b: int
     The target rows of steps^r for r < B are built once, by repeated
     multiplication, and steps^B by squaring.  Each iteration then gives
     kicks m..m+B-1 as one product of that row stack with x = steps^m @ cols,
-    and advances x by steps^B.  A block spans as many whole iterations as
-    fit in _AMPLITUDE_BLOCK_BYTES, and at least one.  The block buffer is
-    reused: a consumer must be done with one block before taking the next.
+    and advances x by steps^B.  A block spans as many whole iterations of
+    kick amplitudes as fit in one chunk, and at least one.  The block buffer
+    is reused: a consumer must be done with one block before taking the next.
     """
     n_tau, dim = steps.shape[:2]
     n_src, n_tgt = len(sources), len(targets)
@@ -218,7 +226,7 @@ def _stroboscopic_blocks(steps: np.ndarray, sources, targets, m_max: int, b: int
     leap = steps
     for _ in range(b.bit_length() - 1):
         leap = np.matmul(leap, leap)
-    per_block = b * max(1, _AMPLITUDE_BLOCK_BYTES // (_COMPLEX_BYTES * n_tau * b * n_tgt * n_src))
+    per_block = _per_chunk(_COMPLEX_BYTES * n_tau * n_tgt * n_src, b)
     block = np.empty((n_tau, min(per_block, m_max + 1), n_tgt, n_src), dtype=complex)
     m0 = 0
     for m in range(0, m_max + 1, b):
@@ -240,11 +248,11 @@ def _eigenbasis_blocks(params: ChainParams, basis: ExcitationBasis, taus: np.nda
     tau.  All taus advance together as the rows of one (n_tau * n_src, dim)
     matrix, so a kick is one phase multiply and one product with K^T.  The
     target amplitudes are read as rows @ V[targets]^T, one product per chunk
-    of kicks that fits _AMPLITUDE_BLOCK_BYTES.  Yields ``(m0, block)`` with
-    block[t, j] the rows ``targets`` of (U1 U0(taus[t]))^(m0 + j) applied to
-    the columns ``sources``, covering m = 0..m_max; column m = 0 is the
-    exact untouched input.  The block buffer is reused, as in
-    ``_stroboscopic_blocks``.
+    of kicks, a kick holding its rows and their amplitudes.  Yields
+    ``(m0, block)`` with block[t, j] the rows ``targets`` of
+    (U1 U0(taus[t]))^(m0 + j) applied to the columns ``sources``, covering
+    m = 0..m_max; column m = 0 is the exact untouched input.  The block
+    buffer is reused, as in ``_stroboscopic_blocks``.
     """
     w, v, u1 = _hamiltonian_tau_factors(params, basis, e1)
     vh = v.conj().T
@@ -252,8 +260,7 @@ def _eigenbasis_blocks(params: ChainParams, basis: ExcitationBasis, taus: np.nda
     n_tau, n_src, n_tgt = taus.size, len(sources), len(targets)
     phases = np.repeat(np.exp(-1j * np.multiply.outer(taus, w)), n_src, axis=0)
     read = v[targets].T
-    width = min(m_max + 1,
-                max(1, _AMPLITUDE_BLOCK_BYTES // (_COMPLEX_BYTES * n_tau * n_tgt * n_src)))
+    width = min(m_max + 1, _per_chunk(_COMPLEX_BYTES * n_tau * n_src * (basis.size + n_tgt)))
     ys = np.empty((width, n_tau * n_src, basis.size), dtype=complex)
     ys[0] = np.tile(vh[:, sources].T, (n_tau, 1))      # row (tau, s) holds V+ e_s
     y = ys[0]

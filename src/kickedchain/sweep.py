@@ -17,10 +17,10 @@ e^{-i w_a t}.  On an evenly spaced grid (the integer probe times are one)
 the table is factorized into a coarse and a fine table of about sqrt(n)
 columns each, so it costs about 2*sqrt(n) complex exponentials per
 eigenvalue instead of n.  The table is never held whole: it is made, multiplied
-and scored one column block at a time (``_phase_blocks``), each block
-_PHASE_BLOCK_BYTES (384 KiB) of table rounded down to a multiple of 64 probe
-times, so memory does not grow with the probe count.  The series is computed
-once per (point, state).
+and scored one column block at a time (``_phase_blocks``), each block one
+chunk of table columns (``propagator._per_chunk``, 384 KiB) rounded down to a
+multiple of 64 probe times, so memory does not grow with the probe count.
+The series is computed once per (point, state).
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .model import (
     uniform_profile,
     vacuum_energy,
 )
-from .propagator import U0_CONVENTIONS, KickSchedule, eigendecompose, kick_lattice
+from .propagator import U0_CONVENTIONS, KickSchedule, _per_chunk, eigendecompose, kick_lattice
 
 __all__ = [
     "SWEEP_AXES",
@@ -204,22 +204,6 @@ def fidelity_series(params: ChainParams, schedule: KickSchedule, state: str,
                             omega2_convention=omega2_convention)[0]
 
 
-# Bytes of one column block of the kick-free phase table (see _block_width).
-_PHASE_BLOCK_BYTES = 384 * 1024
-
-
-def _block_width(dim: int) -> int:
-    """Probe times per block: _PHASE_BLOCK_BYTES of a (dim, width) complex table.
-
-    The width is rounded down to a multiple of 64 columns, and is at least
-    64.  Blocks then start where the matrix product's column panels start,
-    so each block's amplitudes are bit-identical to the same columns of one
-    product over the whole grid (on OpenBLAS 0.3.31, widths that are a
-    multiple of 4 kept every bit, and widths of 71, 91, 142 and 213 did not).
-    """
-    return max(64, _PHASE_BLOCK_BYTES // (16 * dim) // 64 * 64)
-
-
 def _phase_blocks(w: np.ndarray, t: np.ndarray, width: int):
     """The (len(w), len(t)) table e^{-i w_a t_k}, yielded as ``(k0, block)`` of ``width`` columns.
 
@@ -271,7 +255,11 @@ def continuous_fidelity_series(params: ChainParams, times: Sequence[float], stat
     weights = np.stack([v[ti, :] * v[si, :].conj() for ti in targets for si in sources])
     e_vac = vacuum_energy(params)
     series = np.empty(t_arr.size)
-    for k0, phases in _phase_blocks(w, t_arr, _block_width(w.size)):
+    # Blocks of whole 64-column panels start where the matrix product's column
+    # panels start, so each block's amplitudes are bit-identical to the same
+    # columns of one product over the whole grid (on OpenBLAS 0.3.31, widths
+    # that are a multiple of 4 kept every bit; 71, 91, 142 and 213 did not).
+    for k0, phases in _phase_blocks(w, t_arr, _per_chunk(16 * w.size, 64)):
         k1 = k0 + phases.shape[1]
         # (targets * sources, times) -> a (times, targets, sources) view
         amps = np.moveaxis((weights @ phases).reshape(len(targets), len(sources), k1 - k0), -1, 0)

@@ -16,11 +16,13 @@ import kickedchain.propagator as propagator_module
 import kickedchain.sweep as sweep_module
 import partial_trace
 from kickedchain import (
+    CONTINUOUS_TIMES,
     DEFAULT_TAU_GRID,
     ChainParams,
     KickSchedule,
     bell_fidelity_omega1,
     bell_fidelity_omega2,
+    continuous_fidelity_series,
     enumerate_basis,
     fidelity_lattice,
     fidelity_series,
@@ -118,10 +120,32 @@ def test_kernel_chunking_does_not_change_the_lattice(monkeypatch):
     b = propagator_module._kicks_per_iteration(M_MAX, dim, 9)
     step_bytes = 2 * 16 * dim * (dim + b * 9)                  # two taus per stack
     monkeypatch.setattr(propagator_module, "_STEP_STACK_BYTES", step_bytes)
-    monkeypatch.setattr(propagator_module, "_AMPLITUDE_BLOCK_BYTES", 2 * 7 * 9 * 16)
+    monkeypatch.setattr(propagator_module, "_CHUNK_BYTES", 2 * 7 * 9 * 16)
     assert propagator_module._kicks_per_iteration(M_MAX, dim, 9) == b > 1
     chunked = fidelity_lattice(params, "omega2", TAUS, M_MAX, e1=E1)
     assert np.array_equal(chunked, whole)
+
+
+@pytest.mark.parametrize("state", ["omega0", "omega1", "omega2"])
+def test_chunk_budget_changes_no_bit_at_the_canonical_point(monkeypatch, state):
+    """Every scored loop, at chunks from 16 KiB to 4 MiB, gives the same bits.
+
+    At N = 10 the 100-tau lattice runs blocked for omega0 and omega1 and in
+    the eigenbasis for omega2; 4 MiB holds a whole omega0 tau stack.  The
+    kick-free series is 64-column blocks at 16 KiB and one block at 4 MiB.
+    With ``*`` for omega0's vacuum-gauge product, numpy's temporary elision
+    moved 516 omega0 cells at 4 MiB, by up to 2.2e-16.
+    """
+    params = ChainParams(uniform_profile(10, 1.0, -1.0), dm_field=0.1)
+    results = []
+    for chunk_bytes in (16 * 1024, 4 * 1024 * 1024):
+        monkeypatch.setattr(propagator_module, "_CHUNK_BYTES", chunk_bytes)
+        results.append((fidelity_lattice(params, state, DEFAULT_TAU_GRID, 500),
+                        continuous_fidelity_series(params, CONTINUOUS_TIMES, state)))
+    (small_lattice, small_series), (large_lattice, large_series) = results
+    assert small_lattice.shape == (100, 501) and small_series.shape == (5000,)
+    assert np.array_equal(small_lattice, large_lattice)
+    assert np.array_equal(small_series, large_series)
 
 
 def test_ties_go_to_the_smallest_tau_then_the_smallest_kick_count():
@@ -201,7 +225,8 @@ def test_each_kick_loop_column_zero_is_the_untouched_input(state, loop):
 def test_eigenbasis_loop_chunking_does_not_change_the_lattice(monkeypatch):
     params = params_for()
     whole = eigenbasis_lattice(params, "omega2", TAUS, M_MAX)
-    monkeypatch.setattr(propagator_module, "_AMPLITUDE_BLOCK_BYTES", 3 * len(TAUS) * 9 * 16 - 1)
+    dim = enumerate_basis(N, 2).size                   # two kicks of rows and amplitudes per chunk
+    monkeypatch.setattr(propagator_module, "_CHUNK_BYTES", 3 * 16 * len(TAUS) * (dim + 9) - 1)
     chunked = eigenbasis_lattice(params, "omega2", TAUS, M_MAX)
     assert np.array_equal(chunked, whole)
 

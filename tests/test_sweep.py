@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import kickedchain.propagator as propagator_module
 import kickedchain.sweep as sweep_module
 from kickedchain import (
     CONTINUOUS_TIMES,
@@ -38,7 +39,8 @@ from kickedchain import (
     unitary_exp,
 )
 from kickedchain.model import FieldError
-from kickedchain.sweep import _block_width, _phase_blocks
+from kickedchain.propagator import _per_chunk
+from kickedchain.sweep import _phase_blocks
 from partial_trace import vacuum_phase
 
 
@@ -201,7 +203,7 @@ def test_factorized_phase_table_matches_direct_exponentials(t0, dt, n):
     w = sector_eigenvalues(10, 2)
     t = t0 + dt * np.arange(n)
     want = np.exp(-1j * np.outer(w, t))
-    default = phase_table(w, t, _block_width(w.size))
+    default = phase_table(w, t, _per_chunk(16 * w.size, 64))
     assert default.shape == want.shape == (45, n)
     assert np.all(np.abs(default - want) <= phase_bound(w, t))
     # 64-column blocks cut coarse rows apart, and hold the same products
@@ -232,13 +234,15 @@ def test_unevenly_spaced_grid_keeps_the_direct_exponentials():
     assert np.array_equal(phase_table(w, t, 64), np.exp(-1j * np.outer(w, t)))
 
 
-def test_block_width_is_a_multiple_of_64_within_the_byte_budget():
-    assert _block_width(45) == 512                      # omega2 at N = 10
-    assert _block_width(10) == 2432                     # omega0 and omega1 at N = 10
-    for dim in (2, 10, 45, 120, 5000):
-        width = _block_width(dim)
-        assert width % 64 == 0 and width >= 64
-        assert width == 64 or 16 * dim * width <= sweep_module._PHASE_BLOCK_BYTES
+# B of the blocked loop at N = 10 and 500 kicks, the eigenbasis loop, the kick-free blocks
+@pytest.mark.parametrize("multiple", [16, 1, 64])
+def test_a_chunk_is_whole_groups_of_items_within_the_byte_budget(multiple):
+    assert _per_chunk(16 * 45, 64) == 512               # kick-free omega2 at N = 10
+    assert _per_chunk(16 * 10, 64) == 2432              # kick-free omega0 and omega1 at N = 10
+    for item in (16, 32, 160, 720, 16 * 120, 16 * 5000, 10 ** 7):
+        n = _per_chunk(item, multiple)
+        assert n % multiple == 0 and n >= multiple
+        assert n == multiple or item * n <= propagator_module._CHUNK_BYTES
 
 
 @pytest.mark.parametrize("times", [
@@ -251,8 +255,8 @@ def test_block_width_is_a_multiple_of_64_within_the_byte_budget():
 def test_narrow_blocks_give_the_same_series_bit_for_bit(monkeypatch, state, times):
     p = params_for(10)
     default = continuous_fidelity_series(p, times, state)
-    monkeypatch.setattr(sweep_module, "_PHASE_BLOCK_BYTES", 1)      # every block 64 columns
-    assert _block_width(45) == _block_width(10) == 64
+    monkeypatch.setattr(propagator_module, "_CHUNK_BYTES", 1)       # every block 64 columns
+    assert _per_chunk(16 * 45, 64) == _per_chunk(16 * 10, 64) == 64
     narrow = continuous_fidelity_series(p, times, state)
     assert default.shape == narrow.shape == (len(times),)
     assert np.array_equal(narrow, default)
