@@ -9,9 +9,9 @@ Layered bottom-up: ``basis`` (excitation sectors) -> ``model``
 (couplings, impurities, sector Hamiltonians) -> ``propagator`` (exact
 unitary evolution and the Floquet kick step) -> ``sweep`` (grid searches,
 periodograms) -> ``cli`` (config-driven runs).  ``fidelity`` (the family
-table and the closed-form fidelities) sits on ``basis`` alone and feeds
-``sweep``; the partial-trace oracle that checks it is test code, in
-``tests/partial_trace.py``.
+table and the closed-form fidelities) sits on ``basis`` and on ``model``'s
+choice rule and feeds ``sweep``; the partial-trace oracle that checks it is
+test code, in ``tests/partial_trace.py``.
 """
 
 from .basis import ExcitationBasis, enumerate_basis, index_of

@@ -11,7 +11,7 @@ is finite; a NumPy scalar is a number) and choice set, then applies every
 other rule on a value.  The impurity block is a ``model.ImpuritySpec``,
 given by a strength or by all three ratios.  Unknown keys anywhere, and a
 key given twice, are rejected with the offending key path.  Command line
-flags are keys too: the subcommand's ``run.mode``, ``--out``
+flags are keys too: the command's ``run.mode``, ``--out``
 (``output.path``) and ``--workers`` (``run.workers``) are written into the
 document before it is read, so each is checked like its key and the
 mode-dependent checks see the final mode.
@@ -42,11 +42,12 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .fidelity import OMEGA2_CONVENTIONS, _state_list_error, classical_threshold
+from .fidelity import KNOWN_STATES, OMEGA2_CONVENTIONS, _state_list_error, classical_threshold
 from .model import (
     ChainParams,
     FieldError,
     ImpuritySpec,
+    _require_choice,
     _require_count,
     apply_impurity,
     default_impurity_site,
@@ -95,9 +96,10 @@ class ConfigError(ValueError):
 # Config blocks
 # ---------------------------------------------------------------------------
 
-def _choice(default: str | None, choices: tuple[str, ...]):
-    """A field whose value, when given, must be one of ``choices``."""
-    return field(default=default, metadata={"choices": choices})
+def _choice(choices: tuple[str, ...], optional: bool = False):
+    """A field whose value, when given, must be one of ``choices``; its default is
+    the first, or None when ``optional``."""
+    return field(default=None if optional else choices[0], metadata={"choices": choices})
 
 
 @dataclass(frozen=True)
@@ -114,15 +116,15 @@ class DriveBlock:
     e1: float = 1.0
     tau: float = 2.0
     n_kicks: int = 500
-    u0_convention: str = _choice("hamiltonian_tau", U0_CONVENTIONS)
-    omega2_convention: str = _choice("re_amplitude", OMEGA2_CONVENTIONS)
+    u0_convention: str = _choice(U0_CONVENTIONS)
+    omega2_convention: str = _choice(OMEGA2_CONVENTIONS)
 
 
 @dataclass(frozen=True)
 class RunBlock:
-    mode: str = _choice("evolve", MODES)
-    states: tuple[str, ...] = ("omega0",)
-    axis: str | None = _choice(None, SWEEP_AXES)
+    mode: str = _choice(MODES)
+    states: tuple[str, ...] = KNOWN_STATES[:1]
+    axis: str | None = _choice(SWEEP_AXES, optional=True)
     grid: tuple[float, ...] | None = None
     tau_grid: tuple[float, ...] = DEFAULT_TAU_GRID
     m_max: int = DEFAULT_M_MAX
@@ -132,7 +134,7 @@ class RunBlock:
 @dataclass(frozen=True)
 class OutputBlock:
     path: str = "results"
-    format: str = _choice("csv", OUTPUT_FORMATS)
+    format: str = _choice(OUTPUT_FORMATS)
     physical_time_column: bool = True
 
 
@@ -243,8 +245,8 @@ def _read_fields(cls, raw: dict, path: str) -> dict:
         if f.name in raw:
             where = f"{path}.{f.name}"
             value = _READERS[f.type.removesuffix(" | None")](raw.pop(f.name), where)
-            if value not in f.metadata.get("choices", (value,)):
-                raise ConfigError(where, f"expected one of {f.metadata['choices']}, got {value!r}")
+            with _reported_on(path):
+                _require_choice(f.name, value, f.metadata.get("choices", (value,)))
             values[f.name] = value
     _reject_unknown(raw, path)
     return values
@@ -604,24 +606,14 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="kickedchain",
         description="Quantum state transfer through a periodically kicked spin chain.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    help_text = {
-        "evolve": "fidelity after each kick at one parameter point",
-        "sweep": "maximum fidelity along a parameter grid",
-        "periodogram": "discrete Fourier spectrum of the fidelity series",
-        "validate": "parse a config and print its normalized form",
-    }
-    # a flag's dest is the key path it sets; the subcommand sets run.mode
-    for name, text in help_text.items():
-        sp = sub.add_parser(name, help=text)
-        sp.add_argument("--config", type=Path, default=None,
+    # a flag's dest is the key path it sets; main writes a mode command into run.mode
+    parser.add_argument("command", choices=(*MODES, "validate"),
+                        help="run that mode, or validate: print the config's normalized form")
+    parser.add_argument("--config", type=Path, default=None,
                         help="YAML experiment file (defaults apply when omitted)")
-        sp.add_argument("--out", dest="output.path", metavar="OUT",
-                        help="override output.path")
-        sp.add_argument("--workers", dest="run.workers", metavar="WORKERS", type=int,
+    parser.add_argument("--out", dest="output.path", metavar="OUT", help="override output.path")
+    parser.add_argument("--workers", dest="run.workers", metavar="WORKERS", type=int,
                         help="override run.workers (does not change scheduling or results)")
-        if name in MODES:
-            sp.set_defaults(**{"run.mode": name})
     return parser
 
 
@@ -630,6 +622,8 @@ def main(argv=None) -> int:
     try:
         text = args.config.read_text(encoding="utf-8") if args.config else ""
         flags = {k: v for k, v in vars(args).items() if "." in k and v is not None}
+        if args.command in MODES:
+            flags["run.mode"] = args.command
         config = _read_config(text, flags)
         if args.command == "validate":
             _experiment(config)

@@ -36,6 +36,7 @@ exactly over its inputs.
 import numpy as np
 
 from .basis import enumerate_basis, index_of
+from .model import _require_choice
 
 __all__ = [
     "KNOWN_STATES",
@@ -49,6 +50,7 @@ __all__ = [
     "out_of_range",
 ]
 
+# The first entry of each is the default: of a state list, and of the omega2 reading.
 KNOWN_STATES = ("omega0", "omega1", "omega2")
 OMEGA2_CONVENTIONS = ("re_amplitude", "abs_amplitude")
 
@@ -104,7 +106,8 @@ def bell_fidelity_omega1(f_matched_near, f_matched_far, f_cross_near, f_cross_fa
     return (s + cross) / 3.0
 
 
-def bell_fidelity_omega2(cross_amplitudes, final_amplitude, convention: str = "re_amplitude"):
+def bell_fidelity_omega2(cross_amplitudes, final_amplitude,
+                         convention: str = OMEGA2_CONVENTIONS[0]):
     """Closed-form fidelity for the vacuum + two-excitation Bell family, elementwise.
 
     ``cross_amplitudes`` are the two-excitation amplitudes from the sender
@@ -115,11 +118,10 @@ def bell_fidelity_omega2(cross_amplitudes, final_amplitude, convention: str = "r
 
     The final term's printed form is ambiguous between the real part and
     the modulus of the amplitude; ``convention`` selects "re_amplitude"
-    (default) or "abs_amplitude".  The value is returned unclamped and can
-    exceed 1; pair it with ``out_of_range``.
+    (the default, first in OMEGA2_CONVENTIONS) or "abs_amplitude".  The
+    value is returned unclamped and can exceed 1; pair it with ``out_of_range``.
     """
-    if convention not in OMEGA2_CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}; expected one of {OMEGA2_CONVENTIONS}")
+    _require_choice("convention", convention, OMEGA2_CONVENTIONS)
     cross = np.asarray(cross_amplitudes, dtype=complex)
     g = np.asarray(final_amplitude, dtype=complex)
     cross_sum = np.sum(cross.real ** 2 + cross.imag ** 2, axis=-1)
@@ -139,8 +141,7 @@ def family_sector(state: str, n_sites: int):
     receiver configurations, in the order ``family_score`` reads them.  The
     Bell families need N >= 4, so that the receiver pair is distinct.
     """
-    if state not in KNOWN_STATES:
-        raise ValueError(f"unknown state {state!r}; expected one of {KNOWN_STATES}")
+    _require_choice("state", state, KNOWN_STATES)
     n = n_sites
     if state == "omega0":
         k, sources, targets = 1, [(1,)], [(n,)]

@@ -73,6 +73,13 @@ def _require_count(name: str, value, least: int = 0):
         raise FieldError(name, f"{name} must be >= {least}, got {value}")
 
 
+def _require_choice(name: str, value, choices: tuple, what: str = ""):
+    """Raise FieldError on ``name`` unless ``value`` is one of ``choices`` (a set whose first
+    entry is its default, where it has one); ``what``, if given, names it in the message."""
+    if value not in choices:
+        raise FieldError(name, f"unknown {what or name} {value!r}; expected one of {choices}")
+
+
 @dataclass(frozen=True)
 class CouplingProfile:
     """Per-bond couplings: ``j1_bonds[i-1]`` is bond (i, i+1), ``j2_bonds[i-1]`` is (i, i+2)."""
@@ -116,9 +123,7 @@ class ImpuritySpec:
     ratio_nnn_weak: float
 
     def __post_init__(self):
-        if self.kind not in IMPURITY_KINDS:
-            raise FieldError("kind", f"unknown impurity kind {self.kind!r}; "
-                                     f"expected one of {IMPURITY_KINDS}")
+        _require_choice("kind", self.kind, IMPURITY_KINDS, "impurity kind")
         _require_finite(self, "ratio_nn", "ratio_nnn_strong", "ratio_nnn_weak")
         if not self.ratio_nnn_strong >= 1.0:
             raise FieldError("ratio_nnn_strong", "ratio_nnn_strong must be >= 1")

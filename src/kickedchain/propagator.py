@@ -53,7 +53,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .basis import ExcitationBasis
-from .model import (ChainParams, FieldError, _require_count, _require_finite,
+from .model import (ChainParams, FieldError, _require_choice, _require_count, _require_finite,
                     build_hamiltonian, chirality_operator)
 
 __all__ = [
@@ -65,7 +65,7 @@ __all__ = [
     "U0_CONVENTIONS",
 ]
 
-# How the static stretch of one kick period is exponentiated:
+# How the static stretch of one kick period is exponentiated (the first is the default):
 #   "hamiltonian_tau": U0 = exp(-i H0 tau) with tau multiplying all of H0,
 #       including the static field dm_field (free evolution over the interval).
 #   "literal_eq5": tau multiplies only the exchange and magnetic terms while
@@ -87,7 +87,9 @@ _HERMITICITY_TOL = 1e-12
 class KickSchedule:
     """Drive parameters: kick interval tau, kick amplitude e1, kick budget.
 
-    The static field the kicks ride on is ``ChainParams.dm_field``.
+    The static field the kicks ride on is ``ChainParams.dm_field``.  ``e1``
+    defaults to 0.0, the kick-free drive, while ``fidelity_lattice``,
+    ``max_fidelity``, ``SweepPlan`` and the config's ``drive.e1`` default to 1.0.
     """
 
     tau: float
@@ -142,10 +144,7 @@ def _floquet_builder(params: ChainParams, basis: ExcitationBasis, e1: float,
     for a whole stack of taus; "literal_eq5" mixes tau into the matrix it
     exponentiates, so it keeps one eigendecomposition per tau.
     """
-    if u0_convention not in U0_CONVENTIONS:
-        raise ValueError(
-            f"unknown u0_convention {u0_convention!r}; expected one of {U0_CONVENTIONS}"
-        )
+    _require_choice("u0_convention", u0_convention, U0_CONVENTIONS)
     if u0_convention == "hamiltonian_tau":
         w, v, u1 = _hamiltonian_tau_factors(params, basis, e1)
         vh = v.conj().T
@@ -166,7 +165,7 @@ def _floquet_builder(params: ChainParams, basis: ExcitationBasis, e1: float,
 
 
 def kick_step(params: ChainParams, schedule: KickSchedule, basis: ExcitationBasis,
-              u0_convention: str = "hamiltonian_tau") -> np.ndarray:
+              u0_convention: str = U0_CONVENTIONS[0]) -> np.ndarray:
     """One Floquet period U1 U0: free evolution for tau, then a chirality kick.
 
     The static Hamiltonian is ``params``' own, with the field
@@ -277,7 +276,7 @@ def _eigenbasis_blocks(params: ChainParams, basis: ExcitationBasis, taus: np.nda
 
 def kick_lattice(params: ChainParams, basis: ExcitationBasis, taus, e1: float,
                  sources, targets, m_max: int, score,
-                 u0_convention: str = "hamiltonian_tau") -> np.ndarray:
+                 u0_convention: str = U0_CONVENTIONS[0]) -> np.ndarray:
     """Score every (kick interval, kick count) cell of the stroboscopic lattice.
 
     Starting from the basis states at sector indices ``sources``, the

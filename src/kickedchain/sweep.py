@@ -31,12 +31,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .fidelity import (OMEGA2_CONVENTIONS, _state_list_error, family_score, family_sector,
-                       out_of_range)
+from .fidelity import (KNOWN_STATES, OMEGA2_CONVENTIONS, _state_list_error, family_score,
+                       family_sector, out_of_range)
 from .model import (
     ChainParams,
     FieldError,
     ImpuritySpec,
+    _require_choice,
     _require_count,
     _require_finite,
     apply_impurity,
@@ -128,17 +129,16 @@ class SweepPlan:
     params: ChainParams
     axis: str
     grid: tuple[float, ...]
-    states: tuple[str, ...] = ("omega0",)
+    states: tuple[str, ...] = KNOWN_STATES[:1]
     impurity: ImpuritySpec | None = None
     tau_grid: tuple[float, ...] = DEFAULT_TAU_GRID
     m_max: int = DEFAULT_M_MAX
     e1: float = 1.0
-    u0_convention: str = "hamiltonian_tau"
-    omega2_convention: str = "re_amplitude"
+    u0_convention: str = U0_CONVENTIONS[0]
+    omega2_convention: str = OMEGA2_CONVENTIONS[0]
 
     def __post_init__(self):
-        if self.axis not in SWEEP_AXES:
-            raise FieldError("axis", f"unknown sweep axis {self.axis!r}; expected {SWEEP_AXES}")
+        _require_choice("axis", self.axis, SWEEP_AXES)
         object.__setattr__(self, "grid", _check_grid(self.grid, "grid",
                                                      positive=self.axis == "tau"))
         object.__setattr__(self, "tau_grid", _check_grid(self.tau_grid, "tau_grid", positive=True))
@@ -147,10 +147,8 @@ class SweepPlan:
             raise FieldError("states", error[1])
         _require_count("m_max", self.m_max, least=1)
         _require_finite(self, "e1")
-        for name, known in (("u0_convention", U0_CONVENTIONS),
-                            ("omega2_convention", OMEGA2_CONVENTIONS)):
-            if getattr(self, name) not in known:
-                raise FieldError(name, f"unknown {name} {getattr(self, name)!r}")
+        _require_choice("u0_convention", self.u0_convention, U0_CONVENTIONS)
+        _require_choice("omega2_convention", self.omega2_convention, OMEGA2_CONVENTIONS)
         if self.axis == "impurity_ratio" and self.impurity is None:
             raise FieldError("impurity", "impurity_ratio axis needs an impurity template")
         for value in self.grid:
@@ -171,15 +169,15 @@ class SweepRow:
 
 
 def fidelity_lattice(params: ChainParams, state: str, tau_grid: Sequence[float], m_max: int,
-                     e1: float = 1.0,
-                     u0_convention: str = "hamiltonian_tau",
-                     omega2_convention: str = "re_amplitude") -> np.ndarray:
+                     e1: float = 1.0, u0_convention: str = U0_CONVENTIONS[0],
+                     omega2_convention: str = OMEGA2_CONVENTIONS[0]) -> np.ndarray:
     """Fidelity after 0..m_max kicks at every kick interval: a (len(tau_grid), m_max + 1) array.
 
     Entry [i, m] is evaluated just after the m-th kick at interval
     tau_grid[i]; column 0 is the untouched initial state (0.5 for the single
     qubit, whose amplitude has not yet reached the receiver).
     """
+    _require_choice("omega2_convention", omega2_convention, OMEGA2_CONVENTIONS)
     basis, sources, targets = family_sector(state, params.profile.n_sites)
     e_vac = vacuum_energy(params)
 
@@ -191,8 +189,8 @@ def fidelity_lattice(params: ChainParams, state: str, tau_grid: Sequence[float],
 
 
 def fidelity_series(params: ChainParams, schedule: KickSchedule, state: str,
-                    u0_convention: str = "hamiltonian_tau",
-                    omega2_convention: str = "re_amplitude") -> np.ndarray:
+                    u0_convention: str = U0_CONVENTIONS[0],
+                    omega2_convention: str = OMEGA2_CONVENTIONS[0]) -> np.ndarray:
     """Fidelity after each of 0..schedule.n_kicks kicks for one input family.
 
     Entry m is evaluated just after the m-th kick; entry 0 is the
@@ -239,13 +237,14 @@ def _phase_blocks(w: np.ndarray, t: np.ndarray, width: int):
 
 
 def continuous_fidelity_series(params: ChainParams, times: Sequence[float], state: str,
-                               omega2_convention: str = "re_amplitude") -> np.ndarray:
+                               omega2_convention: str = OMEGA2_CONVENTIONS[0]) -> np.ndarray:
     """Fidelity under continuous (kick-free) evolution at each requested time.
 
     All requested amplitudes come from one eigendecomposition per sector,
     and the times are scored one fixed-width block at a time, so long
     integer-time grids are cheap in time and in memory.
     """
+    _require_choice("omega2_convention", omega2_convention, OMEGA2_CONVENTIONS)
     t_arr = np.asarray(times, dtype=float)
     if not np.all(np.isfinite(t_arr)):
         raise ValueError("times must be finite")
@@ -294,8 +293,8 @@ def _maximum(params: ChainParams, state: str, taus: tuple[float, ...], m_max: in
 
 def max_fidelity(params: ChainParams, state: str,
                  tau_grid: Sequence[float] = DEFAULT_TAU_GRID, m_max: int = DEFAULT_M_MAX,
-                 e1: float = 1.0, u0_convention: str = "hamiltonian_tau",
-                 omega2_convention: str = "re_amplitude"):
+                 e1: float = 1.0, u0_convention: str = U0_CONVENTIONS[0],
+                 omega2_convention: str = OMEGA2_CONVENTIONS[0]):
     """Exhaustive maximum of the fidelity over the kick-interval by kick-count lattice.
 
     Returns (max value, argmax tau, argmax kick count); ties go to the
@@ -305,6 +304,7 @@ def max_fidelity(params: ChainParams, state: str,
     (the integer times 1..5000); the row then reports the equivalent
     stroboscopic interval 1.0 and the argmax time in the kick-count slot.
     """
+    _require_choice("u0_convention", u0_convention, U0_CONVENTIONS)
     return _maximum(params, state, _check_grid(tau_grid, "tau_grid", positive=True), m_max, e1,
                     u0_convention, omega2_convention)
 

@@ -937,6 +937,52 @@ def test_main_subcommand_mode_is_set_before_validation(tmp_path):
     assert header.startswith("kick_index,")
 
 
+@pytest.mark.parametrize("command", cli.MODES)
+def test_main_writes_each_mode_command_into_run_mode(tmp_path, monkeypatch, command):
+    # the file says another mode; the command's mode is what run is handed
+    other = next(mode for mode in cli.MODES if mode != command)
+    cfg_file = tmp_path / "cfg.yaml"
+    cfg_file.write_text(f"run: {{mode: {other}, axis: e1, grid: [1.0]}}\n", encoding="utf-8")
+    handed = []
+    monkeypatch.setattr(cli, "run", lambda config: handed.append(config) or [])
+    assert main([command, "--config", str(cfg_file)]) == 0
+    assert [config.run.mode for config in handed] == [command]
+
+
+@pytest.mark.parametrize("mode", cli.MODES)
+def test_main_validate_keeps_the_files_own_mode(tmp_path, capsys, mode):
+    cfg_file = tmp_path / "cfg.yaml"
+    cfg_file.write_text(f"run: {{mode: {mode}, axis: e1, grid: [1.0]}}\n", encoding="utf-8")
+    assert main(["validate", "--config", str(cfg_file)]) == 0
+    assert parse_config(capsys.readouterr().out).run.mode == mode
+
+
+def test_main_takes_the_flags_before_the_command(tmp_path, capsys):
+    cfg_file = tmp_path / "cfg.yaml"
+    cfg_file.write_text(SWEEP_TEXT, encoding="utf-8")
+    assert main(["validate", "--config", str(cfg_file), "--workers", "2"]) == 0
+    after = capsys.readouterr().out
+    assert main(["--config", str(cfg_file), "--workers", "2", "validate"]) == 0
+    assert capsys.readouterr().out == after
+    assert "workers: 2" in after
+
+
+def test_main_rejects_an_unknown_command_before_reading_any_file(tmp_path, capsys):
+    # a missing config read would be a one-line OSError record and status 1
+    with pytest.raises(SystemExit) as exit_info:
+        main(["scan", "--config", str(tmp_path / "missing.yaml")])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'scan'" in capsys.readouterr().err
+
+
+def test_main_help_names_every_command(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    usage = capsys.readouterr().out
+    assert all(command in usage for command in (*cli.MODES, "validate"))
+
+
 def test_main_periodogram_checks_the_kick_count_of_an_evolve_config(tmp_path, capsys):
     cfg_file = tmp_path / "cfg.yaml"
     cfg_file.write_text("chain: {n_sites: 5}\ndrive: {n_kicks: 2}\n", encoding="utf-8")

@@ -12,6 +12,9 @@ import kickedchain.sweep as sweep_module
 from kickedchain import (
     CONTINUOUS_TIMES,
     DEFAULT_TAU_GRID,
+    KNOWN_STATES,
+    OMEGA2_CONVENTIONS,
+    U0_CONVENTIONS,
     ChainParams,
     CouplingProfile,
     ImpuritySpec,
@@ -31,6 +34,7 @@ from kickedchain import (
     impurity_from_strength,
     index_of,
     kick_lattice,
+    kick_step,
     max_fidelity,
     periodogram,
     single_qubit_fidelity,
@@ -691,6 +695,64 @@ def test_plan_rejects_an_impurity_template_off_its_chain():
     with pytest.raises(FieldError, match=r"\[2, 4\], got 9") as err:
         SweepPlan(**PLAN, impurity=impurity_from_strength("type1", 9, 1.5))
     assert err.value.field == "impurity"
+
+
+# Each library entry point a convention name can reach, called with keyword arguments;
+# the states are ones whose score never reads the omega2 convention.
+P4 = params_for(4)
+CONVENTION_ENTRIES = {
+    "fidelity_lattice": lambda **kw: fidelity_lattice(P4, "omega0", (1.0, 2.0), 5, **kw),
+    "fidelity_series": lambda **kw: fidelity_series(P4, KickSchedule(2.0, 1.0, 5), "omega1",
+                                                    **kw),
+    "continuous_fidelity_series": lambda **kw: continuous_fidelity_series(P4, [1.0, 2.0],
+                                                                          "omega1", **kw),
+    "max_fidelity": lambda **kw: max_fidelity(P4, "omega0", (1.0, 2.0), 5, **kw),
+    "max_fidelity-kick-free": lambda **kw: max_fidelity(P4, "omega0", e1=0.0, **kw),
+    "kick_lattice": lambda **kw: kick_lattice(P4, enumerate_basis(4, 1), (1.0, 2.0), 1.0, [0],
+                                              [3], 5, lambda a, t, m: a[..., 0, 0].real, **kw),
+    "kick_step": lambda **kw: kick_step(P4, KickSchedule(2.0, 1.0), enumerate_basis(4, 1), **kw),
+    "bell_fidelity_omega2": lambda **kw: bell_fidelity_omega2([0.5, 0.5], 0.5, **kw),
+    "SweepPlan": lambda **kw: SweepPlan(P4, "e1", (1.0,), tau_grid=(1.0, 2.0), m_max=5, **kw),
+}
+CONVENTION_PARAMETERS = {"u0_convention": U0_CONVENTIONS, "omega2_convention": OMEGA2_CONVENTIONS,
+                         "convention": OMEGA2_CONVENTIONS}
+
+
+@pytest.mark.parametrize("entry,parameter", [
+    pytest.param(entry, parameter, id=f"{entry}-{parameter}")
+    for entry, parameters in [
+        ("fidelity_lattice", ("u0_convention", "omega2_convention")),
+        ("fidelity_series", ("u0_convention", "omega2_convention")),
+        ("continuous_fidelity_series", ("omega2_convention",)),
+        ("max_fidelity", ("u0_convention", "omega2_convention")),
+        ("max_fidelity-kick-free", ("u0_convention", "omega2_convention")),
+        ("kick_lattice", ("u0_convention",)),
+        ("kick_step", ("u0_convention",)),
+        ("bell_fidelity_omega2", ("convention",)),
+        ("SweepPlan", ("u0_convention", "omega2_convention")),
+    ]
+    for parameter in parameters])
+def test_an_unknown_convention_is_rejected_wherever_it_enters(entry, parameter):
+    # one rule (model._require_choice) judges it, on entry, whichever state is scored
+    CONVENTION_ENTRIES[entry]()
+    with pytest.raises(FieldError) as err:
+        CONVENTION_ENTRIES[entry](**{parameter: "bogus"})
+    assert err.value.field == parameter
+    assert str(err.value) == (f"unknown {parameter} 'bogus'; "
+                              f"expected one of {CONVENTION_PARAMETERS[parameter]}")
+
+
+def test_every_convention_and_state_default_is_its_sets_first_entry():
+    # changing a default means reordering one tuple
+    for function in (fidelity_lattice, fidelity_series, continuous_fidelity_series,
+                     max_fidelity, kick_lattice, kick_step, bell_fidelity_omega2):
+        for name, parameter in inspect.signature(function).parameters.items():
+            if name in CONVENTION_PARAMETERS:
+                assert parameter.default == CONVENTION_PARAMETERS[name][0], (function, name)
+    plan = SweepPlan(P4, "e1", (1.0,), tau_grid=(1.0,), m_max=1)
+    assert (plan.u0_convention, plan.omega2_convention) == (U0_CONVENTIONS[0],
+                                                            OMEGA2_CONVENTIONS[0])
+    assert plan.states == KNOWN_STATES[:1]
 
 
 # -- periodogram ------------------------------------------------------------------
