@@ -36,7 +36,7 @@ exactly over its inputs.
 import numpy as np
 
 from .basis import enumerate_basis, index_of
-from .model import _require_choice
+from .model import FieldError, _require_choice
 
 __all__ = [
     "KNOWN_STATES",
@@ -83,7 +83,7 @@ def single_qubit_fidelity(f):
     abs2 = _abs2(f)
     worst = float(np.max(abs2, initial=0.0))
     if worst > (1.0 + 1e-9) ** 2:
-        raise ValueError(f"amplitude modulus {worst ** 0.5} exceeds 1; propagator broken?")
+        raise FieldError("f", f"amplitude modulus {worst ** 0.5} exceeds 1; propagator broken?")
     value = (2.0 * f.real + np.minimum(abs2, 1.0)) / 6.0 + 0.5
     return np.clip(value, 0.0, 1.0)
 
@@ -146,8 +146,8 @@ def family_sector(state: str, n_sites: int):
     if state == "omega0":
         k, sources, targets = 1, [(1,)], [(n,)]
     elif n < 4:
-        raise ValueError(f"Bell transfer ({state}) needs n_sites >= 4 "
-                         f"so the receiver pair is distinct")
+        raise FieldError("state", f"Bell transfer ({state}) needs n_sites >= 4 "
+                                  f"so the receiver pair is distinct")
     elif state == "omega1":
         k, sources, targets = 1, [(1,), (2,)], [(n - 1,), (n,)]
     else:

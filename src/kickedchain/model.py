@@ -80,6 +80,23 @@ def _require_choice(name: str, value, choices: tuple, what: str = ""):
         raise FieldError(name, f"unknown {what or name} {value!r}; expected one of {choices}")
 
 
+def _require_grid(name: str, values, positive: bool = False) -> tuple[float, ...]:
+    """Raise FieldError on ``name`` unless ``values`` is a nonempty 1-d grid of finite,
+    strictly increasing numbers, positive if ``positive``; return them as a tuple of floats."""
+    grid = np.asarray(values, dtype=float)
+    if grid.ndim != 1:
+        raise FieldError(name, f"{name} must be 1-d, got shape {grid.shape}")
+    if grid.size == 0:
+        raise FieldError(name, f"{name} must be nonempty")
+    if not np.all(np.isfinite(grid)):
+        raise FieldError(name, f"{name} values must be finite")
+    if np.any(grid[1:] <= grid[:-1]):
+        raise FieldError(name, f"{name} must be strictly increasing")
+    if positive and grid[0] <= 0:
+        raise FieldError(name, f"{name} values must be positive")
+    return tuple(grid.tolist())
+
+
 @dataclass(frozen=True)
 class CouplingProfile:
     """Per-bond couplings: ``j1_bonds[i-1]`` is bond (i, i+1), ``j2_bonds[i-1]`` is (i, i+2)."""
@@ -230,9 +247,7 @@ def build_hamiltonian(params: ChainParams, basis: ExcitationBasis) -> np.ndarray
     profile = params.profile
     n = profile.n_sites
     if basis.n_sites != n:
-        raise ValueError(
-            f"basis is for {basis.n_sites} sites but params describe {n}"
-        )
+        raise FieldError("basis", f"basis is for {basis.n_sites} sites but params describe {n}")
     bonds = ([(i, i + 1, j, params.dm_field) for i, j in enumerate(profile.j1_bonds, 1)]
              + [(i, i + 2, j, 0.0) for i, j in enumerate(profile.j2_bonds, 1)])
     h = np.zeros((basis.size, basis.size), dtype=complex)

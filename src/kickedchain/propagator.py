@@ -54,7 +54,7 @@ import numpy as np
 
 from .basis import ExcitationBasis
 from .model import (ChainParams, FieldError, _require_choice, _require_count, _require_finite,
-                    build_hamiltonian, chirality_operator)
+                    _require_grid, build_hamiltonian, chirality_operator)
 
 __all__ = [
     "KickSchedule",
@@ -111,10 +111,10 @@ def eigendecompose(h: np.ndarray):
     """
     h = np.asarray(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {h.shape}")
+        raise FieldError("h", f"expected a square matrix, got shape {h.shape}")
     defect = np.max(np.abs(h - h.conj().T)) if h.size else 0.0
     if not defect <= _HERMITICITY_TOL:
-        raise ValueError(f"matrix is not Hermitian (max|H - H^+| = {defect:.3e})")
+        raise FieldError("h", f"matrix is not Hermitian (max|H - H^+| = {defect:.3e})")
     return np.linalg.eigh(h)
 
 
@@ -285,28 +285,21 @@ def kick_lattice(params: ChainParams, basis: ExcitationBasis, taus, e1: float,
     ms)`` a chunk at a time: ``amps`` is (len(taus), len(ms), len(targets),
     len(sources)) and the returned array is (len(taus), len(ms)).  Returns
     the (len(taus), m_max + 1) lattice, in the dtype ``score`` returns.
+    ``taus`` must pass the one grid rule, ``model._require_grid`` (FieldError
+    on ``tau_grid``): 1-d, nonempty, finite, strictly increasing, positive.
 
-    H0 and D are diagonalised, and B worked out, once per call.  Of the two
-    kick loops, the one that issues fewer matrix products runs, and one
-    loop here scores the chunks of either.  For the blocked loop it walks
-    stacks of taus whose steps and target-row stacks together fit in
-    _STEP_STACK_BYTES (at least one tau per stack); per stack that loop
-    makes B - 1 row products, log2(B) squarings and two products per
-    iteration but the first.  The eigenbasis loop, open to
-    "hamiltonian_tau" only, makes two per kick for every tau at once.
-    The loop is chosen for the whole grid and the two loops round
-    differently, so a cell's value can depend on the rest of its grid: at
-    N = 10, J2/J1 = -1, e1 = 1 and 500 kicks, the omega1 lattice runs
-    blocked on tau 0.1..10 step 0.1 and in the eigenbasis on step 0.02, and
-    49 725 of the 50 100 cells the two grids share differ, by up to 3.4e-14.
+    Of the two kick loops, the one that issues fewer matrix products runs.
+    The blocked loop walks stacks of taus whose steps and target-row stacks
+    fit in _STEP_STACK_BYTES (at least one tau per stack), each making B - 1
+    row products, log2(B) squarings and two products per iteration but the
+    first; the eigenbasis loop, "hamiltonian_tau" only, makes two per kick
+    for every tau at once.  The loop is chosen for the whole grid and the
+    two loops round differently, so a cell's value can depend on the rest of
+    its grid: at N = 10, J2/J1 = -1, e1 = 1 and 500 kicks, the omega1 lattice
+    runs blocked on tau 0.1..10 step 0.1 and in the eigenbasis on step 0.02,
+    and 49 725 of the 50 100 cells the two grids share differ, by up to 3.4e-14.
     """
-    taus = np.asarray(taus, dtype=float)
-    if taus.ndim != 1 or taus.size == 0:
-        raise ValueError(f"expected a nonempty 1-d tau grid, got shape {taus.shape}")
-    if not np.all(np.isfinite(taus)):
-        raise ValueError("kick intervals must be finite")
-    if np.any(taus <= 0):
-        raise ValueError("kick intervals must be positive")
+    taus = np.array(_require_grid("tau_grid", taus, positive=True))
     _require_count("m_max", m_max)
     targets = np.asarray(targets, dtype=int)
     b = _kicks_per_iteration(m_max, basis.size, targets.size)

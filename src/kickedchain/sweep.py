@@ -40,6 +40,7 @@ from .model import (
     _require_choice,
     _require_count,
     _require_finite,
+    _require_grid,
     apply_impurity,
     build_hamiltonian,
     impurity_from_strength,
@@ -77,12 +78,13 @@ def float_grid(start: float, stop: float, step: float) -> tuple[float, ...]:
     _MAX_GRID_POINTS (100 000) points is rejected before any point is made.
     """
     if step <= 0:
-        raise ValueError(f"grid step must be positive, got {step}")
+        raise FieldError("step", f"grid step must be positive, got {step}")
     if stop < start:
-        raise ValueError(f"empty grid: stop {stop} < start {start}")
+        raise FieldError("stop", f"empty grid: stop {stop} < start {start}")
     span = (stop - start) / step           # a float: inf when the step underflows it
     if span + 0.5 >= _MAX_GRID_POINTS:
-        raise ValueError(f"grid of about {span + 1:.3g} points; at most {_MAX_GRID_POINTS} allowed")
+        raise FieldError("step", f"grid of about {span + 1:.3g} points; "
+                                 f"at most {_MAX_GRID_POINTS} allowed")
     count = int(math.floor(span + 0.5)) + 1
     values = tuple(round(start + i * step, 12) for i in range(count))
     return tuple(v for v in values if v <= stop + step * 1e-9)
@@ -96,28 +98,15 @@ CONTINUOUS_TIMES = np.arange(1, 5001, dtype=np.int64)
 CONTINUOUS_TIMES.flags.writeable = False
 
 
-def _check_grid(grid: Sequence[float], name: str, positive: bool = False) -> tuple[float, ...]:
-    values = tuple(float(g) for g in grid)
-    if not values:
-        raise FieldError(name, f"{name} must be nonempty")
-    if not all(map(math.isfinite, values)):
-        raise FieldError(name, f"{name} values must be finite")
-    if any(b <= a for a, b in zip(values, values[1:])):
-        raise FieldError(name, f"{name} must be strictly increasing")
-    if positive and values[0] <= 0:
-        raise FieldError(name, f"{name} values must be positive")
-    return values
-
-
 @dataclass(frozen=True)
 class SweepPlan:
     """One swept axis over a chain template.
 
     ``params`` (plus the optional ``impurity``) describes the point every
     grid value perturbs; its ``dm_field`` is the static field of every
-    point.  The states are checked by the one state-list rule, N >= 4 for
-    the Bell states included (``fidelity._state_list_error``).  For axis
-    ``tau`` the grid values are kick intervals and must be positive.  For axis
+    point.  The states pass the one state-list rule, N >= 4 for the Bell
+    states included (``fidelity._state_list_error``), and both grids the one
+    grid rule (``model._require_grid``), positive on axis ``tau``.  For axis
     ``j2_over_j1`` the grid value replaces the ratio of the two uniform
     couplings of the template; for axis ``impurity_ratio`` the template
     impurity supplies kind and site while the grid value sets the strength;
@@ -139,9 +128,8 @@ class SweepPlan:
 
     def __post_init__(self):
         _require_choice("axis", self.axis, SWEEP_AXES)
-        object.__setattr__(self, "grid", _check_grid(self.grid, "grid",
-                                                     positive=self.axis == "tau"))
-        object.__setattr__(self, "tau_grid", _check_grid(self.tau_grid, "tau_grid", positive=True))
+        for name, positive in (("grid", self.axis == "tau"), ("tau_grid", True)):
+            object.__setattr__(self, name, _require_grid(name, getattr(self, name), positive))
         object.__setattr__(self, "states", tuple(self.states))
         if (error := _state_list_error(self.states, self.params.profile.n_sites)) is not None:
             raise FieldError("states", error[1])
@@ -247,7 +235,7 @@ def continuous_fidelity_series(params: ChainParams, times: Sequence[float], stat
     _require_choice("omega2_convention", omega2_convention, OMEGA2_CONVENTIONS)
     t_arr = np.asarray(times, dtype=float)
     if not np.all(np.isfinite(t_arr)):
-        raise ValueError("times must be finite")
+        raise FieldError("times", "times must be finite")
     basis, sources, targets = family_sector(state, params.profile.n_sites)
     w, v = eigendecompose(build_hamiltonian(params, basis))
     # <t|e^{-iHt}|s> = sum_a v[t,a] conj(v[s,a]) e^{-i w_a t}, one weight row per (t, s)
@@ -277,7 +265,7 @@ def _maximum(params: ChainParams, state: str, taus: tuple[float, ...], m_max: in
     scored, so the search runs over tau alone.  With e1 = 0 there is no
     kick, and the search runs over ``CONTINUOUS_TIMES`` instead; it reports
     tau 1.0 and the argmax time in the kick-count slot (ties to the
-    earliest).  ``taus`` is checked: by ``max_fidelity`` or by the plan.
+    earliest).
     """
     if e1 == 0.0:
         series = continuous_fidelity_series(params, CONTINUOUS_TIMES, state,
@@ -303,10 +291,12 @@ def max_fidelity(params: ChainParams, state: str,
     degenerates, so the search instead runs over ``CONTINUOUS_TIMES``
     (the integer times 1..5000); the row then reports the equivalent
     stroboscopic interval 1.0 and the argmax time in the kick-count slot.
+    ``tau_grid`` and ``m_max`` are checked whatever ``e1`` is.
     """
     _require_choice("u0_convention", u0_convention, U0_CONVENTIONS)
-    return _maximum(params, state, _check_grid(tau_grid, "tau_grid", positive=True), m_max, e1,
-                    u0_convention, omega2_convention)
+    taus = _require_grid("tau_grid", tau_grid, positive=True)
+    _require_count("m_max", m_max)
+    return _maximum(params, state, taus, m_max, e1, u0_convention, omega2_convention)
 
 
 def _point_setup(plan: SweepPlan, value: float):
@@ -372,10 +362,10 @@ def periodogram(series: Sequence[float]):
     """
     x = np.asarray(series, dtype=float)
     if x.ndim != 1:
-        raise ValueError(f"expected a 1-d series, got shape {x.shape}")
+        raise FieldError("series", f"expected a 1-d series, got shape {x.shape}")
     if x.size < PERIODOGRAM_MIN_SAMPLES:
-        raise ValueError("series too short for a periodogram: "
-                         f"{x.size} < {PERIODOGRAM_MIN_SAMPLES}")
+        raise FieldError("series", "series too short for a periodogram: "
+                                   f"{x.size} < {PERIODOGRAM_MIN_SAMPLES}")
     y = x - x.mean()
     spectrum = np.fft.fft(y)
     magnitudes = np.abs(spectrum)

@@ -377,8 +377,9 @@ def test_single_qubit_array_clips_to_the_unit_interval():
 def test_single_qubit_array_rejects_moduli_beyond_one():
     with pytest.raises(ValueError, match="exceeds 1"):
         single_qubit_fidelity(np.array([0.5, 1.0 + 1e-4j, 0.0]))
-    with pytest.raises(ValueError, match="exceeds 1"):
+    with pytest.raises(ValueError, match="exceeds 1") as err:
         single_qubit_fidelity(1.0 + 1e-4j)
+    assert err.value.field == "f"
 
 
 def test_omega2_array_is_unclamped_above_one():

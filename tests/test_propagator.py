@@ -47,8 +47,9 @@ def test_eigendecompose_rejects_bad_input():
     with pytest.raises(ValueError):
         eigendecompose(np.zeros((2, 3)))
     # a NaN entry makes the Hermiticity defect NaN, which the tolerance check must not pass
-    with pytest.raises(ValueError, match="not Hermitian"):
+    with pytest.raises(ValueError, match="not Hermitian") as err:
         eigendecompose(np.array([[0.0, np.nan], [np.nan, 0.0]]))
+    assert err.value.field == "h"
 
 
 def test_zero_time_propagator_is_exact_identity():
@@ -209,9 +210,10 @@ def test_norm_is_preserved_over_many_kicks():
 
 def test_sector_mismatch_is_rejected():
     p, sched, _ = kicked_sector(n=5, k=1)
-    with pytest.raises(ValueError, match="basis is for 6 sites"):
+    with pytest.raises(ValueError, match="basis is for 6 sites") as err:
         kick_lattice(p, enumerate_basis(6, 1), (sched.tau,), sched.e1, [0], [0], 1,
                      lambda amps, taus, ms: np.abs(amps[..., 0, 0]))
+    assert err.value.field == "basis"
 
 
 # -- stroboscopic amplitude series ---------------------------------------------

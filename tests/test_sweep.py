@@ -75,12 +75,11 @@ def test_float_grid_endpoint_handling():
 
 
 def test_float_grid_validation():
-    with pytest.raises(ValueError):
-        float_grid(0.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        float_grid(0.0, 1.0, -0.1)
-    with pytest.raises(ValueError):
-        float_grid(2.0, 1.0, 0.1)
+    for bounds, field in [((0.0, 1.0, 0.0), "step"), ((0.0, 1.0, -0.1), "step"),
+                          ((2.0, 1.0, 0.1), "stop"), ((0.0, 1e6, 1.0), "step")]:
+        with pytest.raises(FieldError) as err:
+            float_grid(*bounds)
+        assert err.value.field == field, bounds
 
 
 def test_float_grid_rejects_too_many_points_before_making_any():
@@ -150,24 +149,36 @@ def test_the_chain_dm_field_is_the_only_static_field():
 
 
 def test_bell_states_need_four_sites():
+    # rejected on the state, whichever entry scores it; a config reports it as run.states[i]
     p = params_for(3)
-    with pytest.raises(ValueError):
-        fidelity_series(p, KickSchedule(tau=1.0, e1=1.0, n_kicks=2), "omega1")
-    with pytest.raises(ValueError):
-        continuous_fidelity_series(p, [1.0], "omega2")
+    for state, entry in [
+        ("omega1", lambda: fidelity_series(p, KickSchedule(tau=1.0, e1=1.0, n_kicks=2), "omega1")),
+        ("omega2", lambda: continuous_fidelity_series(p, [1.0], "omega2")),
+        ("omega1", lambda: fidelity_lattice(p, "omega1", (1.0,), 2)),
+        ("omega2", lambda: max_fidelity(p, "omega2", (1.0,), 2)),
+        ("omega1", lambda: max_fidelity(p, "omega1", e1=0.0)),
+    ]:
+        with pytest.raises(FieldError) as err:
+            entry()
+        assert err.value.field == "state"
+        assert str(err.value) == (f"Bell transfer ({state}) needs n_sites >= 4 "
+                                  "so the receiver pair is distinct")
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
 def test_non_finite_intervals_and_times_are_rejected(bad):
-    # a ValueError, not rows of NaN with a RuntimeWarning
+    # a FieldError on the grid or the times, not rows of NaN with a RuntimeWarning
     p = params_for(5)
-    with pytest.raises(ValueError, match="kick intervals must be finite"):
+    with pytest.raises(FieldError, match="^tau_grid values must be finite$") as err:
         fidelity_lattice(p, "omega0", [bad], 5)
-    with pytest.raises(ValueError, match="kick intervals must be finite"):
+    assert err.value.field == "tau_grid"
+    with pytest.raises(FieldError, match="^tau_grid values must be finite$") as err:
         kick_lattice(p, enumerate_basis(5, 1), (1.0, bad), 1.0, [0], [4], 5,
                      lambda amps, taus, ms: abs(amps[..., 0, 0]) ** 2)
-    with pytest.raises(ValueError, match="times must be finite"):
+    assert err.value.field == "tau_grid"
+    with pytest.raises(FieldError, match="^times must be finite$") as err:
         continuous_fidelity_series(p, [bad, 1.0], "omega0")
+    assert err.value.field == "times"
 
 
 def test_continuous_series_matches_per_time_amplitudes():
@@ -669,6 +680,7 @@ def test_numpy_integer_kick_counts_are_accepted():
     assert _lattice_entry("kick_lattice", np.int64(3)).shape == (2, 4)
     assert _lattice_entry("fidelity_lattice", np.int64(3)).shape == (2, 4)
     assert _lattice_entry("max_fidelity", np.int64(3))[2] <= 3
+    assert _lattice_entry("max_fidelity-kick-free", np.int64(3))[1] == 1.0
 
 
 def _lattice_entry(entry, m_max):
@@ -679,15 +691,23 @@ def _lattice_entry(entry, m_max):
                             lambda amps, taus, ms: abs(amps[..., 0, 0]) ** 2)
     if entry == "fidelity_lattice":
         return fidelity_lattice(p, "omega0", taus, m_max)
-    return max_fidelity(p, "omega0", taus, m_max=m_max)
+    return max_fidelity(p, "omega0", taus, m_max=m_max, e1=0.0 if "kick-free" in entry else 1.0)
 
 
-@pytest.mark.parametrize("m_max", [2.5, True], ids=["fractional", "bool"])
-@pytest.mark.parametrize("entry", ["kick_lattice", "fidelity_lattice", "max_fidelity"])
-def test_lattice_entries_reject_a_non_integer_kick_budget(entry, m_max):
-    # not run as m_max = 1, nor a TypeError deep in the kick loop
-    with pytest.raises(ValueError, match="m_max must be an integer"):
+@pytest.mark.parametrize("m_max,message", [
+    (2.5, "m_max must be an integer, got 2.5"),
+    (True, "m_max must be an integer, got True"),
+    (-5, "m_max must be >= 0, got -5"),
+], ids=["fractional", "bool", "negative"])
+@pytest.mark.parametrize("entry", ["kick_lattice", "fidelity_lattice", "max_fidelity",
+                                   "max_fidelity-kick-free"])
+def test_lattice_entries_reject_a_non_integer_kick_budget(entry, m_max, message):
+    # not run as m_max = 1, nor a TypeError deep in the kick loop; the kick-free
+    # search never builds the lattice, but still rejects a bad budget
+    with pytest.raises(FieldError) as err:
         _lattice_entry(entry, m_max)
+    assert err.value.field == "m_max"
+    assert str(err.value) == message
 
 
 def test_plan_rejects_an_impurity_template_off_its_chain():
@@ -740,6 +760,36 @@ def test_an_unknown_convention_is_rejected_wherever_it_enters(entry, parameter):
     assert err.value.field == parameter
     assert str(err.value) == (f"unknown {parameter} 'bogus'; "
                               f"expected one of {CONVENTION_PARAMETERS[parameter]}")
+
+
+# Each library entry point a tau grid can reach, called with that grid.
+TAU_GRID_ENTRIES = {
+    "kick_lattice": lambda taus: kick_lattice(P4, enumerate_basis(4, 1), taus, 1.0, [0], [3], 5,
+                                              lambda a, t, m: a[..., 0, 0].real),
+    "fidelity_lattice": lambda taus: fidelity_lattice(P4, "omega0", taus, 5),
+    "max_fidelity": lambda taus: max_fidelity(P4, "omega0", taus, 5),
+    "SweepPlan": lambda taus: SweepPlan(P4, "e1", (1.0,), tau_grid=taus, m_max=5),
+}
+
+
+@pytest.mark.parametrize("taus,message", [
+    ((), "tau_grid must be nonempty"),
+    ((1.0, NAN), "tau_grid values must be finite"),
+    ((1.0, INF), "tau_grid values must be finite"),
+    ((0.0, 1.0), "tau_grid values must be positive"),
+    ((-1.0, 1.0), "tau_grid values must be positive"),
+    ((2.0, 1.0), "tau_grid must be strictly increasing"),
+    ((1.0, 1.0), "tau_grid must be strictly increasing"),
+    (((1.0, 2.0),), "tau_grid must be 1-d, got shape (1, 2)"),
+], ids=["empty", "nan", "inf", "zero", "negative", "decreasing", "repeated", "2-d"])
+@pytest.mark.parametrize("entry", list(TAU_GRID_ENTRIES))
+def test_a_bad_tau_grid_is_rejected_wherever_it_enters(entry, taus, message):
+    # one rule (model._require_grid) judges it, with one field and one message
+    TAU_GRID_ENTRIES[entry]((1.0, 2.0))
+    with pytest.raises(FieldError) as err:
+        TAU_GRID_ENTRIES[entry](taus)
+    assert err.value.field == "tau_grid"
+    assert str(err.value) == message
 
 
 def test_every_convention_and_state_default_is_its_sets_first_entry():
@@ -809,7 +859,9 @@ def test_periodogram_respects_parseval():
 
 
 def test_periodogram_input_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(FieldError, match="^series too short") as err:
         periodogram([1.0, 2.0, 3.0])
-    with pytest.raises(ValueError):
+    assert err.value.field == "series"
+    with pytest.raises(FieldError, match=r"^expected a 1-d series, got shape \(4, 4\)$") as err:
         periodogram(np.ones((4, 4)))
+    assert err.value.field == "series"
