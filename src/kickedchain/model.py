@@ -83,7 +83,10 @@ def _require_choice(name: str, value, choices: tuple, what: str = ""):
 def _require_grid(name: str, values, positive: bool = False) -> tuple[float, ...]:
     """Raise FieldError on ``name`` unless ``values`` is a nonempty 1-d grid of finite,
     strictly increasing numbers, positive if ``positive``; return them as a tuple of floats."""
-    grid = np.asarray(values, dtype=float)
+    try:
+        grid = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):                 # not numbers, or a ragged nesting
+        raise FieldError(name, f"{name} must be a 1-d sequence of numbers") from None
     if grid.ndim != 1:
         raise FieldError(name, f"{name} must be 1-d, got shape {grid.shape}")
     if grid.size == 0:

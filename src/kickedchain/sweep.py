@@ -11,16 +11,20 @@ Grid points are evaluated one after another, in grid order, in the
 caller's thread.
 
 How the kick-free path runs: each (point, state) diagonalises its sector
-once, H = V diag(w) V+, and every receiver amplitude at every probe time is
-a product of a weight matrix V[r,a] conj(V[s,a]) with the phase table
-e^{-i w_a t}.  On an evenly spaced grid (the integer probe times are one)
-the table is factorized into a coarse and a fine table of about sqrt(n)
-columns each, so it costs about 2*sqrt(n) complex exponentials per
-eigenvalue instead of n.  The table is never held whole: it is made, multiplied
-and scored one column block at a time (``_phase_blocks``), each block one
-chunk of table columns (``propagator._per_chunk``, 384 KiB) rounded down to a
-multiple of 64 probe times, so memory does not grow with the probe count.
-The series is computed once per (point, state).
+once, H = V diag(w) V+, and every receiver amplitude at a probe time t is
+sum_a V[r,a] conj(V[s,a]) e^{-i w_a t}.  The n times are split as
+t[qR + j] = (t[qR] - base) + (t[j] - t[0] + base).  On an exactly even grid
+(the integer probe times are one) R = isqrt(n - 1) + 1 and base = t[0], so
+a coarse table of about sqrt(n) rows and a fine table of R columns take
+about 2*sqrt(n) complex exponentials per eigenvalue instead of n; on any
+other grid R = 1 and base = 0, so the coarse table is e^{-i w t} itself and
+the fine table is exactly 1.  The vacuum angles come from the same split,
+equal to E_vac * t bit for bit on integer grids.  A chunk of whole coarse
+rows (``propagator._per_chunk``, 384 KiB) is one batched product,
+(coarse row * weights) @ fine, scored through a view; no phase table is
+built, so memory does not grow with the probe count, and since every coarse
+row is its own product of one fixed shape, the chunk size changes no output
+bit.  The series is computed once per (point, state).
 """
 
 from __future__ import annotations
@@ -190,68 +194,44 @@ def fidelity_series(params: ChainParams, schedule: KickSchedule, state: str,
                             omega2_convention=omega2_convention)[0]
 
 
-def _phase_blocks(w: np.ndarray, t: np.ndarray, width: int):
-    """The (len(w), len(t)) table e^{-i w_a t_k}, yielded as ``(k0, block)`` of ``width`` columns.
-
-    An evenly spaced grid, t_k == t0 + k*dt exactly in floating point (as
-    every integer-time grid is), is factorized: with R = ceil(sqrt(n)) and
-    k = q*R + r, e^{-i w t_k} = e^{-i w q R dt} * e^{-i w t_r}, so a (dim, Q)
-    and a (dim, R) table of exponentials give the whole table from about
-    2*sqrt(n) exponentials per eigenvalue instead of n.  Each block is cut
-    from the broadcast product of the coarse rows it spans with the fine
-    table, the same elementwise products as one product over all n columns,
-    so it holds at most width + 2R columns at a time.  Any other grid takes
-    one exponential per entry, a block at a time.  The two forms round the
-    phase argument w*t differently, each to within about half an ulp of
-    |w| t (the ulp is 3.6e-12 for the omega2 sector at N = 10, where |w| t
-    reaches 16 464 at t = 5000), so neither is more exact than the other and
-    their entries differ by little more than one such ulp.
-    """
-    n = t.size
-    dt = t[1] - t[0] if n > 1 else 0.0
-    if n == 0 or not np.array_equal(t, t[0] + dt * np.arange(n)):
-        for k0 in range(0, n, width):
-            yield k0, np.exp(-1j * np.outer(w, t[k0:k0 + width]))
-        return
-    r = math.isqrt(n - 1) + 1
-    q = -(-n // r)
-    coarse = np.exp(-1j * np.outer(w, (r * dt) * np.arange(q)))
-    fine = np.exp(-1j * np.outer(w, t[:r]))
-    for k0 in range(0, n, width):
-        k1 = min(k0 + width, n)
-        q0, q1 = k0 // r, -(-k1 // r)
-        rows = (coarse[:, q0:q1, None] * fine[:, None, :]).reshape(w.size, (q1 - q0) * r)
-        yield k0, rows[:, k0 - q0 * r:k1 - q0 * r]
-
-
 def continuous_fidelity_series(params: ChainParams, times: Sequence[float], state: str,
                                omega2_convention: str = OMEGA2_CONVENTIONS[0]) -> np.ndarray:
     """Fidelity under continuous (kick-free) evolution at each requested time.
 
-    All requested amplitudes come from one eigendecomposition per sector,
-    and the times are scored one fixed-width block at a time, so long
-    integer-time grids are cheap in time and in memory.
+    ``times`` is a 1-d sequence of finite times, in any order.  All requested
+    amplitudes come from one eigendecomposition per sector, and each chunk of
+    coarse rows of the time split is one batched product (module docstring),
+    so long integer-time grids are cheap in time and in memory.
     """
     _require_choice("omega2_convention", omega2_convention, OMEGA2_CONVENTIONS)
-    t_arr = np.asarray(times, dtype=float)
-    if not np.all(np.isfinite(t_arr)):
+    t = np.asarray(times, dtype=float)
+    if t.ndim != 1:
+        raise FieldError("times", f"times must be 1-d, got shape {t.shape}")
+    if not np.all(np.isfinite(t)):
         raise FieldError("times", "times must be finite")
     basis, sources, targets = family_sector(state, params.profile.n_sites)
     w, v = eigendecompose(build_hamiltonian(params, basis))
     # <t|e^{-iHt}|s> = sum_a v[t,a] conj(v[s,a]) e^{-i w_a t}, one weight row per (t, s)
     weights = np.stack([v[ti, :] * v[si, :].conj() for ti in targets for si in sources])
     e_vac = vacuum_energy(params)
-    series = np.empty(t_arr.size)
-    # Blocks of whole 64-column panels start where the matrix product's column
-    # panels start, so each block's amplitudes are bit-identical to the same
-    # columns of one product over the whole grid (on OpenBLAS 0.3.31, widths
-    # that are a multiple of 4 kept every bit; 71, 91, 142 and 213 did not).
-    for k0, phases in _phase_blocks(w, t_arr, _per_chunk(16 * w.size, 64)):
-        k1 = k0 + phases.shape[1]
-        # (targets * sources, times) -> a (times, targets, sources) view
-        amps = np.moveaxis((weights @ phases).reshape(len(targets), len(sources), k1 - k0), -1, 0)
-        series[k0:k1] = family_score(state, amps, e_vac * t_arr[k0:k1], omega2_convention)
-    return series
+    n = t.size
+    even = n > 1 and np.array_equal(t, t[0] + (t[1] - t[0]) * np.arange(n))
+    r, base = (math.isqrt(n - 1) + 1, t[0]) if even else (1, 0.0)
+    # t[q*r + j] = coarse_t[q] + fine_t[j]: exactly on an integer grid, and on any grid with r = 1
+    coarse_t, fine_t = t[::r] - base, t[:r] - t[:1] + base
+    coarse = np.exp(-1j * np.outer(coarse_t, w))
+    fine = np.exp(-1j * np.outer(w, fine_t))
+    series = np.empty((coarse_t.size, r))
+    per_chunk = _per_chunk(16 * len(weights) * (w.size + r))
+    for q0 in range(0, coarse_t.size, per_chunk):
+        q1 = min(q0 + per_chunk, coarse_t.size)
+        # one (targets * sources, dim) @ (dim, r) product per coarse row, whatever the chunk
+        amps = np.matmul(coarse[q0:q1, None, :] * weights, fine)
+        # (coarse rows, targets, sources, r) -> a (coarse rows, r, targets, sources) view
+        amps = np.moveaxis(amps.reshape(q1 - q0, len(targets), len(sources), r), -1, 1)
+        series[q0:q1] = family_score(state, amps, e_vac * (coarse_t[q0:q1, None] + fine_t),
+                                     omega2_convention)
+    return series.ravel()[:n]
 
 
 def _maximum(params: ChainParams, state: str, taus: tuple[float, ...], m_max: int,

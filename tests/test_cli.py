@@ -507,6 +507,23 @@ def test_evolve_matches_golden_table(tmp_path):
             assert abs(float(a) - float(b)) <= 1e-12 * max(1.0, abs(float(b)))
 
 
+def test_kick_free_sweep_matches_golden_table(tmp_path):
+    # regenerate with: python -m kickedchain sweep --config tests/data/golden_nokick.yaml
+    #                  --out tests/data/golden_nokick
+    cfg = parse_config((DATA / "golden_nokick.yaml").read_text(encoding="utf-8"))
+    cfg = replace(cfg, output=replace(cfg.output, path=str(tmp_path / "nokick")))
+    with open(DATA / "golden_nokick.csv", encoding="utf-8", newline="") as f:
+        golden = list(csv.DictReader(f))
+    with open(run(cfg)[0], encoding="utf-8", newline="") as f:
+        got = list(csv.DictReader(f))
+    assert len(got) == len(golden) == 9                 # three J2/J1 values by three states
+    for row, want in zip(got, golden):
+        assert row.keys() == want.keys()
+        assert abs(float(row["max_fidelity"]) - float(want["max_fidelity"])) <= 1e-12
+        for key in ("grid_value", "state", "argmax_tau", "argmax_kicks", "out_of_range_flag"):
+            assert row[key] == want[key]
+
+
 def test_rerun_is_byte_identical(tmp_path):
     first = run(replace(evolve_config(tmp_path),
                         output=replace(parse_config(EVOLVE_TEXT).output,

@@ -132,7 +132,9 @@ def test_chunk_budget_changes_no_bit_at_the_canonical_point(monkeypatch, state):
 
     At N = 10 the 100-tau lattice runs blocked for omega0 and omega1 and in
     the eigenbasis for omega2; 4 MiB holds a whole omega0 tau stack.  The
-    kick-free series is 64-column blocks at 16 KiB and one block at 4 MiB.
+    kick-free series (R = 71 probe times per coarse row) takes 1 (omega2),
+    3 (omega1) or 12 (omega0) coarse rows per chunk at 16 KiB and all 71 in
+    one chunk at 4 MiB.
     With ``*`` for omega0's vacuum-gauge product, numpy's temporary elision
     moved 516 omega0 cells at 4 MiB, by up to 2.2e-16.
     """

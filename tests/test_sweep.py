@@ -2,6 +2,7 @@
 
 import dataclasses
 import inspect
+import math
 import tracemalloc
 
 import numpy as np
@@ -44,7 +45,6 @@ from kickedchain import (
 )
 from kickedchain.model import FieldError
 from kickedchain.propagator import _per_chunk
-from kickedchain.sweep import _phase_blocks
 from partial_trace import vacuum_phase
 
 
@@ -181,6 +181,16 @@ def test_non_finite_intervals_and_times_are_rejected(bad):
     assert err.value.field == "times"
 
 
+@pytest.mark.parametrize("times,shape", [(2.0, "()"), ([[1.0, 2.0], [3.0, 4.0]], "(2, 2)")],
+                         ids=["scalar", "2-d"])
+def test_times_that_are_not_1d_are_rejected(times, shape):
+    # not an IndexError or a broadcast ValueError deep in the scoring
+    with pytest.raises(FieldError) as err:
+        continuous_fidelity_series(params_for(4), times, "omega0")
+    assert err.value.field == "times"
+    assert str(err.value) == f"times must be 1-d, got shape {shape}"
+
+
 def test_continuous_series_matches_per_time_amplitudes():
     from kickedchain import build_hamiltonian, enumerate_basis, index_of
     from kickedchain import single_qubit_fidelity, unitary_exp
@@ -196,64 +206,71 @@ def test_continuous_series_matches_per_time_amplitudes():
         assert abs(got - want) < 1e-12
 
 
-# -- the kick-free phase table ----------------------------------------------------
+# -- the kick-free time split -----------------------------------------------------
 
-def phase_table(w, t, width):
-    """The blocks of ``_phase_blocks`` side by side, after checking where each starts."""
-    blocks = list(_phase_blocks(w, t, width))
-    assert [k0 for k0, _ in blocks] == list(range(0, t.size, width))
-    assert all(b.shape == (w.size, min(width, t.size - k0)) for k0, b in blocks)
-    return np.concatenate([b for _, b in blocks], axis=1)
+def exp_arguments(monkeypatch, t):
+    """The argument of each np.exp an omega2 series at N = 10 takes: the coarse, then the fine table.
+
+    The omega2 score takes no exponential, so these are the series' only two.
+    """
+    arguments = []
+    exp = np.exp
+    monkeypatch.setattr(np, "exp", lambda z: arguments.append(np.asarray(z)) or exp(z))
+    series = continuous_fidelity_series(params_for(10), t, "omega2")
+    monkeypatch.setattr(np, "exp", exp)
+    assert series.shape == (len(t),) and len(arguments) == 2
+    return arguments
 
 
 def phase_bound(w, t):
-    """Both tables round each phase w*t to within about half an ulp, so entries
-    may differ by a little over one ulp of |w| t, plus the exp and product round-off."""
+    """The split and the direct product each round the phase w*t to within about an ulp,
+    so entries may differ by a little over one ulp of |w| t, plus the exp and product round-off."""
     return 2 * np.spacing(np.abs(np.multiply.outer(w, t))) + 8 * np.finfo(float).eps
 
 
 @pytest.mark.parametrize("t0, dt, n", [(1.0, 1.0, 1), (1.0, 1.0, 2), (1.0, 1.0, 7),
                                        (1.0, 1.0, 5000), (0.5, 0.25, 20000)])
-def test_factorized_phase_table_matches_direct_exponentials(t0, dt, n):
+def test_factorized_phase_table_matches_direct_exponentials(monkeypatch, t0, dt, n):
     w = sector_eigenvalues(10, 2)
     t = t0 + dt * np.arange(n)
+    coarse, fine = (np.exp(z) for z in exp_arguments(monkeypatch, t))
+    r = math.isqrt(n - 1) + 1 if n > 1 else 1
+    assert coarse.shape == (-(-n // r), 45) and fine.shape == (45, r)
+    # entry k = q*r + j of the table is coarse row q times fine column j
+    table = (coarse.T[:, :, None] * fine[:, None, :]).reshape(45, -1)[:, :n]
     want = np.exp(-1j * np.outer(w, t))
-    default = phase_table(w, t, _per_chunk(16 * w.size, 64))
-    assert default.shape == want.shape == (45, n)
-    assert np.all(np.abs(default - want) <= phase_bound(w, t))
-    # 64-column blocks cut coarse rows apart, and hold the same products
-    assert np.array_equal(phase_table(w, t, 64), default)
+    assert table.shape == want.shape == (45, n)
+    assert np.all(np.abs(table - want) <= phase_bound(w, t))
 
 
 def test_phase_table_takes_about_two_sqrt_n_exponentials_per_eigenvalue(monkeypatch):
-    w = sector_eigenvalues(10, 2)
-    entries = []
-    exp = np.exp
-    monkeypatch.setattr(np, "exp", lambda z: entries.append(np.size(z)) or exp(z))
-    phase_table(w, np.asarray(CONTINUOUS_TIMES, dtype=float), 64)
-    assert sum(entries) == 45 * (71 + 71)   # R = ceil(sqrt(5000)) = 71 = Q, for all blocks
-    entries.clear()
-    phase_table(w, np.array([1.0, 2.0, 4.0]), 64)
-    assert sum(entries) == 45 * 3
+    arguments = exp_arguments(monkeypatch, CONTINUOUS_TIMES)
+    assert sum(z.size for z in arguments) == 45 * (71 + 71)  # R = isqrt(4999) + 1 = 71 = Q
+    arguments = exp_arguments(monkeypatch, np.array([1.0, 2.0, 4.0]))
+    assert sum(z.size for z in arguments) == 45 * (3 + 1)    # R = 1: a row per time, one column
 
 
-def test_unevenly_spaced_grid_keeps_the_direct_exponentials():
+def test_unevenly_spaced_grid_keeps_the_direct_exponentials(monkeypatch):
     w = sector_eigenvalues(10, 2)
-    t = np.array([0.5, 1.0, 2.0, 3.5, 4999.9])
-    assert np.array_equal(phase_table(w, t, 64), np.exp(-1j * np.outer(w, t)))
     # a decimal-clean grid is even only up to round-off, so it is not factorized either
-    t = np.array(float_grid(0.1, 0.4, 0.1))
-    assert not np.array_equal(t, t[0] + (t[1] - t[0]) * np.arange(4))
-    assert np.array_equal(phase_table(w, t, 64), np.exp(-1j * np.outer(w, t)))
-    t = np.linspace(0.3, 700.0, 1001)
-    assert np.array_equal(phase_table(w, t, 64), np.exp(-1j * np.outer(w, t)))
+    clean = np.array(float_grid(0.1, 0.4, 0.1))
+    assert not np.array_equal(clean, clean[0] + (clean[1] - clean[0]) * np.arange(4))
+    for t in (np.array([0.5, 1.0, 2.0, 3.5, 4999.9]), clean, np.linspace(0.3, 700.0, 1001)):
+        coarse, fine = exp_arguments(monkeypatch, t)
+        # the coarse table is e^{-i w t} itself and the fine table exactly 1
+        assert np.array_equal(coarse, -1j * np.outer(t, w))
+        assert fine.shape == (45, 1) and np.array_equal(np.exp(fine), np.ones((45, 1)))
 
 
-# B of the blocked loop at N = 10 and 500 kicks, the eigenbasis loop, the kick-free blocks
+# B of the blocked loop at N = 10 and 500 kicks (16) and at 5 000 (64), the eigenbasis
+# loop and the kick-free series (1)
 @pytest.mark.parametrize("multiple", [16, 1, 64])
 def test_a_chunk_is_whole_groups_of_items_within_the_byte_budget(multiple):
-    assert _per_chunk(16 * 45, 64) == 512               # kick-free omega2 at N = 10
-    assert _per_chunk(16 * 10, 64) == 2432              # kick-free omega0 and omega1 at N = 10
+    # kick-free coarse rows of the probe grid at N = 10 (R = 71): (targets * sources) rows of
+    # the product and of its result, dim + R columns in all
+    assert _per_chunk(16 * 17 * (45 + 71)) == 12        # omega2
+    assert _per_chunk(16 * 4 * (10 + 71)) == 75         # omega1
+    assert _per_chunk(16 * 1 * (10 + 71)) == 303        # omega0
     for item in (16, 32, 160, 720, 16 * 120, 16 * 5000, 10 ** 7):
         n = _per_chunk(item, multiple)
         assert n % multiple == 0 and n >= multiple
@@ -261,24 +278,26 @@ def test_a_chunk_is_whole_groups_of_items_within_the_byte_budget(multiple):
 
 
 @pytest.mark.parametrize("times", [
-    CONTINUOUS_TIMES,                                   # R = 71: 64-column blocks split coarse rows
-    np.linspace(0.3, 700.0, 3001),                      # uneven: direct exponentials
+    CONTINUOUS_TIMES,                                   # R = 71 = Q: the last row runs past n
+    np.linspace(0.3, 700.0, 3001),                      # exactly even here: R = 55, base 0.3
+    np.linspace(0.3, 700.0, 1001),                      # uneven: R = 1, a row per time
     np.array([3.0]),                                    # n = 1
-    np.arange(1, 1001),                                 # n = 15 * 64 + 40
-], ids=["probe-grid", "uneven", "one-time", "n-1000"])
+    np.arange(1, 1001),                                 # R = 32 = Q, n = 31 * 32 + 8
+], ids=["probe-grid", "even-linspace", "uneven", "one-time", "n-1000"])
 @pytest.mark.parametrize("state", ["omega0", "omega1", "omega2"])
 def test_narrow_blocks_give_the_same_series_bit_for_bit(monkeypatch, state, times):
     p = params_for(10)
     default = continuous_fidelity_series(p, times, state)
-    monkeypatch.setattr(propagator_module, "_CHUNK_BYTES", 1)       # every block 64 columns
-    assert _per_chunk(16 * 45, 64) == _per_chunk(16 * 10, 64) == 64
+    monkeypatch.setattr(propagator_module, "_CHUNK_BYTES", 1)       # one coarse row per chunk
+    assert _per_chunk(16 * 1 * (10 + 1)) == 1           # the smallest row here: omega0, R = 1
     narrow = continuous_fidelity_series(p, times, state)
     assert default.shape == narrow.shape == (len(times),)
     assert np.array_equal(narrow, default)
 
 
 def test_series_memory_does_not_grow_with_the_probe_grid():
-    # one (45, 200 000) phase table is 144 MB; a block of it is 0.4 MB
+    # one (45, 200 000) phase table would be 144 MB; at R = 448 the coarse and fine
+    # tables are 0.3 MB each and a chunk of two coarse rows 0.3 MB
     p = params_for(10)
     times = np.arange(1, 200_001)
     tracemalloc.start()
@@ -781,7 +800,10 @@ TAU_GRID_ENTRIES = {
     ((2.0, 1.0), "tau_grid must be strictly increasing"),
     ((1.0, 1.0), "tau_grid must be strictly increasing"),
     (((1.0, 2.0),), "tau_grid must be 1-d, got shape (1, 2)"),
-], ids=["empty", "nan", "inf", "zero", "negative", "decreasing", "repeated", "2-d"])
+    (("a",), "tau_grid must be a 1-d sequence of numbers"),
+    (([1.0], [1.0, 2.0]), "tau_grid must be a 1-d sequence of numbers"),
+], ids=["empty", "nan", "inf", "zero", "negative", "decreasing", "repeated", "2-d", "not-numbers",
+        "ragged"])
 @pytest.mark.parametrize("entry", list(TAU_GRID_ENTRIES))
 def test_a_bad_tau_grid_is_rejected_wherever_it_enters(entry, taus, message):
     # one rule (model._require_grid) judges it, with one field and one message
