@@ -12,8 +12,11 @@ read out just after the kick.
 
 How the lattice search runs: every kicked result, from one fidelity
 series to a full tau x kick lattice, comes from ``kick_lattice``.  Per call
-it builds H0 and D and diagonalises each once, works out B, and scores the
-chunks of whichever of two kick loops issues fewer matrix products.
+it builds H0 and D and diagonalises each once, and scores the chunks of one
+of two kick loops, chosen by the input's shape alone: the eigenbasis loop
+when the convention is "hamiltonian_tau", the grid has more than one tau
+and there are more targets than sources (omega2), the blocked loop
+otherwise (omega0, omega1, every one-tau series and "literal_eq5").
 
 * The blocked loop (``_stroboscopic_blocks``) advances the steps U1 U0(tau)
   of one tau stack B kicks per iteration, B the power of two nearest
@@ -28,20 +31,29 @@ chunks of whichever of two kick loops issues fewer matrix products.
   the split-step scheme of the quantum kicked rotor: with H0 = V diag(w) V+
   and y = V+ x, one kick is y <- K (e^{-i w tau} y), and K = V+ U1 V is
   the same for every tau.  The whole tau grid advances as one matrix, so
-  a kick is one phase multiply and one product, plus one product to read
-  the targets: 2 m_max products in all.
+  a kick is one phase multiply and one product, and every target of every
+  tau is read through one shared product per chunk of kicks.
 
-A lattice over many taus whose sector leaves one or a few taus per stack
-takes the eigenbasis loop: at N = 10 on the 100-tau grid with 500 kicks,
-omega2 (dim 45) needs 8 200 products blocked and 1 000 in the eigenbasis,
-and one lattice, in-process on one core of a 2-core machine, took 68-69 ms
-instead of 124-137 ms.  omega0 and omega1 (164 and 246 blocked), every
-single-tau series (82 at 500 kicks, 2 520 at 20 000 for omega2) and
-"literal_eq5" stay on the blocked loop.  Amplitudes
-are scored a chunk of kicks at a time.  Two fixed byte budgets bound the
-memory: one stack of taus with their steps and row stacks (B is halved
-until one tau fits), and one chunk (``_per_chunk``), the same for every
-scored loop, the kick-free series of ``sweep`` included.  Chunk size
+Neither loop's value for one tau depends on the other taus of its grid, so
+a cell depends only on its own tau, m_max, family and convention; a one-tau
+grid always runs blocked, so a one-tau omega2 series agrees with its row of
+a longer grid by round-off only.  The rule follows the shape: the blocked
+row stack grows as B x targets per tau, the eigenbasis loop reads every
+target of every tau through one product.  Medians in ms, in-process, one
+BLAS thread on a 2-core machine, N = 10 and 500 kicks unless stated (the
+loop that runs is starred):
+
+    lattice                         blocked   eigenbasis
+    omega1, tau step 0.02 (500)      36 *        51
+    omega1, N = 32, 100 taus         24 *        34
+    omega2, 2 taus                    3.5         5.1 *
+    omega2, 8 taus                    8.1         7.2 *
+    omega2, 12 taus                  11.2         8.7 *
+
+Amplitudes are scored a chunk of kicks at a time.  Two fixed byte budgets
+bound the memory: one stack of taus with their steps and row stacks (B is
+halved until one tau fits), and one chunk (``_per_chunk``), the same for
+every scored loop, the kick-free series of ``sweep`` included.  Chunk size
 changes no output bit.
 """
 
@@ -274,6 +286,20 @@ def _eigenbasis_blocks(params: ChainParams, basis: ExcitationBasis, taus: np.nda
         yield m0, block
 
 
+def _require_indices(name: str, values, size: int) -> np.ndarray:
+    """Raise FieldError on ``name`` unless ``values`` is a nonempty 1-d list of integer
+    sector indices in [0, ``size``); return them as an integer array."""
+    try:
+        index = np.asarray(values)
+    except (TypeError, ValueError):                 # a ragged nesting
+        index = np.empty(0)
+    if not (index.ndim == 1 and index.size and index.dtype.kind in "iu"
+            and index.min() >= 0 and index.max() < size):
+        raise FieldError(name, f"{name} must be a nonempty 1-d list of integers in "
+                               f"[0, {size}), got {values!r}")
+    return index
+
+
 def kick_lattice(params: ChainParams, basis: ExcitationBasis, taus, e1: float,
                  sources, targets, m_max: int, score,
                  u0_convention: str = U0_CONVENTIONS[0]) -> np.ndarray:
@@ -288,27 +314,24 @@ def kick_lattice(params: ChainParams, basis: ExcitationBasis, taus, e1: float,
     ``taus`` must pass the one grid rule, ``model._require_grid`` (FieldError
     on ``tau_grid``): 1-d, nonempty, finite, strictly increasing, positive.
 
-    Of the two kick loops, the one that issues fewer matrix products runs.
-    The blocked loop walks stacks of taus whose steps and target-row stacks
-    fit in _STEP_STACK_BYTES (at least one tau per stack), each making B - 1
-    row products, log2(B) squarings and two products per iteration but the
-    first; the eigenbasis loop, "hamiltonian_tau" only, makes two per kick
-    for every tau at once.  The loop is chosen for the whole grid and the
-    two loops round differently, so a cell's value can depend on the rest of
-    its grid: at N = 10, J2/J1 = -1, e1 = 1 and 500 kicks, the omega1 lattice
-    runs blocked on tau 0.1..10 step 0.1 and in the eigenbasis on step 0.02,
-    and 49 725 of the 50 100 cells the two grids share differ, by up to 3.4e-14.
+    ``sources`` and ``targets`` must be nonempty 1-d lists of integer sector
+    indices in [0, basis.size) (FieldError on the parameter).
+
+    The eigenbasis loop runs when the convention is "hamiltonian_tau", the
+    grid has more than one tau and there are more targets than sources;
+    otherwise the blocked loop runs, on stacks of taus that fit in
+    _STEP_STACK_BYTES.  A cell's value depends only on its own tau, m_max,
+    family and convention, except on a one-tau grid (module docstring).
     """
     taus = np.array(_require_grid("tau_grid", taus, positive=True))
     _require_count("m_max", m_max)
-    targets = np.asarray(targets, dtype=int)
-    b = _kicks_per_iteration(m_max, basis.size, targets.size)
-    tau_chunk = max(1, _STEP_STACK_BYTES // _interval_bytes(basis.size, targets.size, b))
-    n_stacks = -(-taus.size // tau_chunk)
-    blocked_products = n_stacks * (b - 1 + b.bit_length() - 1 + 2 * -(-(m_max + 1) // b) - 1)
-    if u0_convention == "hamiltonian_tau" and 2 * m_max < blocked_products:
+    sources = _require_indices("sources", sources, basis.size)
+    targets = _require_indices("targets", targets, basis.size)
+    if u0_convention == "hamiltonian_tau" and taus.size > 1 and targets.size > sources.size:
         stacks = [(0, _eigenbasis_blocks(params, basis, taus, e1, sources, targets, m_max))]
     else:
+        b = _kicks_per_iteration(m_max, basis.size, targets.size)
+        tau_chunk = max(1, _STEP_STACK_BYTES // _interval_bytes(basis.size, targets.size, b))
         build = _floquet_builder(params, basis, e1, u0_convention)
         stacks = ((t0, _stroboscopic_blocks(build(taus[t0:t0 + tau_chunk]), sources, targets,
                                             m_max, b))

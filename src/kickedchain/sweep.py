@@ -204,7 +204,10 @@ def continuous_fidelity_series(params: ChainParams, times: Sequence[float], stat
     so long integer-time grids are cheap in time and in memory.
     """
     _require_choice("omega2_convention", omega2_convention, OMEGA2_CONVENTIONS)
-    t = np.asarray(times, dtype=float)
+    try:
+        t = np.asarray(times, dtype=float)
+    except (TypeError, ValueError):                 # not numbers, or a ragged nesting
+        raise FieldError("times", "times must be a 1-d sequence of numbers") from None
     if t.ndim != 1:
         raise FieldError("times", f"times must be 1-d, got shape {t.shape}")
     if not np.all(np.isfinite(t)):

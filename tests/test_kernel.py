@@ -239,13 +239,13 @@ def test_eigenbasis_loop_gives_identical_rows_when_h0_vanishes():
     assert np.array_equal(lattice[0], lattice[1]) and np.array_equal(lattice[0], lattice[2])
 
 
-def test_the_loop_with_fewer_matrix_products_runs(monkeypatch):
-    """At N = 10 only the 100-tau omega2 lattice issues fewer products in the eigenbasis.
+def test_the_eigenbasis_loop_runs_on_many_taus_with_more_targets_than_sources(monkeypatch):
+    """The loop follows the family's shape and whether the grid has more than one tau.
 
-    Blocked against eigenbasis, at 500 kicks: 8 200 against 1 000 products
-    for omega2, 164 and 246 against 1 000 for omega0 and omega1, 82 against
-    1 000 for one omega2 tau, and 2 520 against 40 000 for one omega2 tau
-    over 20 000 kicks.  literal_eq5 has no shared eigenbasis.
+    Only omega2 (one source, 2N - 3 targets) on a grid of two taus or more
+    under "hamiltonian_tau" runs in the eigenbasis; omega0 (1 and 1) and
+    omega1 (2 and 2) run blocked on any grid, and so does every one-tau
+    series.  literal_eq5 has no shared eigenbasis.
     """
     taken = []
     for name in ("_eigenbasis_blocks", "_stroboscopic_blocks"):
@@ -267,31 +267,32 @@ def test_the_loop_with_fewer_matrix_products_runs(monkeypatch):
     assert loops("omega2", (2.0,), 20000) == {"_stroboscopic_blocks"}
     assert loops("omega2", DEFAULT_TAU_GRID, 500,
                  u0_convention="literal_eq5") == {"_stroboscopic_blocks"}
+    assert loops("omega1", float_grid(0.02, 10.0, 0.02), 500) == {"_stroboscopic_blocks"}
+    assert loops("omega2", (2.0, 5.6), 500) == {"_eigenbasis_blocks"}
 
 
-def test_a_cell_shared_by_two_grids_agrees_across_the_two_loops(monkeypatch):
-    """The loop is chosen for the whole tau grid, so a cell's value depends on its grid.
+@pytest.mark.parametrize("state", ["omega0", "omega1", "omega2"])
+def test_a_cell_has_the_same_value_on_every_grid_that_holds_its_tau(state):
+    """A lattice cell depends on its own tau, not on the rest of its grid.
 
-    At N = 10 the omega1 lattice runs blocked on tau step 0.1 and in the H0
-    eigenbasis on step 0.02.  The two loops round differently: 49 725 of the
-    50 100 cells the grids share differ, by up to 3.4e-14.
+    At N = 10, J2/J1 = -1, e1 = 1 and 500 kicks, every cell of the default
+    grid is bit-identical on tau step 0.02 and on a two-tau sub-grid.  A
+    one-tau series always runs blocked, so for omega2, which runs in the H0
+    eigenbasis on longer grids, it agrees with its row by round-off only.
     """
-    taken = []
-    loop = propagator_module._eigenbasis_blocks
-    monkeypatch.setattr(propagator_module, "_eigenbasis_blocks",
-                        lambda *args: taken.append(True) or loop(*args))
     params = ChainParams(uniform_profile(10, 1.0, -1.0), dm_field=0.1)
-
-    def lattice(taus):
-        taken.clear()
-        return fidelity_lattice(params, "omega1", taus, 500), bool(taken)
-
-    coarse, coarse_in_eigenbasis = lattice(DEFAULT_TAU_GRID)
+    coarse = fidelity_lattice(params, state, DEFAULT_TAU_GRID, 500)
     fine_taus = float_grid(0.02, 10.0, 0.02)
-    fine, fine_in_eigenbasis = lattice(fine_taus)
-    assert (coarse_in_eigenbasis, fine_in_eigenbasis) == (False, True)
-    shared = fine[[fine_taus.index(tau) for tau in DEFAULT_TAU_GRID]]
-    assert np.abs(shared - coarse).max() <= 1e-12
+    fine = fidelity_lattice(params, state, fine_taus, 500)
+    assert np.array_equal(fine[[fine_taus.index(tau) for tau in DEFAULT_TAU_GRID]], coarse)
+    pair = fidelity_lattice(params, state, (2.0, 5.6), 500)
+    assert np.array_equal(pair, coarse[[DEFAULT_TAU_GRID.index(2.0),
+                                        DEFAULT_TAU_GRID.index(5.6)]])
+    single = fidelity_lattice(params, state, (2.0,), 500)[0]
+    if state == "omega2":
+        assert np.abs(single - pair[0]).max() <= 1e-12
+    else:
+        assert np.array_equal(single, pair[0])
 
 
 # -- B kicks per loop iteration -------------------------------------------------------

@@ -181,14 +181,18 @@ def test_non_finite_intervals_and_times_are_rejected(bad):
     assert err.value.field == "times"
 
 
-@pytest.mark.parametrize("times,shape", [(2.0, "()"), ([[1.0, 2.0], [3.0, 4.0]], "(2, 2)")],
-                         ids=["scalar", "2-d"])
-def test_times_that_are_not_1d_are_rejected(times, shape):
-    # not an IndexError or a broadcast ValueError deep in the scoring
+@pytest.mark.parametrize("times,message", [
+    (2.0, "times must be 1-d, got shape ()"),
+    ([[1.0, 2.0], [3.0, 4.0]], "times must be 1-d, got shape (2, 2)"),
+    ([[1.0], [1.0, 2.0]], "times must be a 1-d sequence of numbers"),
+    (["a"], "times must be a 1-d sequence of numbers"),
+], ids=["scalar", "2-d", "ragged", "not-numbers"])
+def test_times_that_are_not_1d_are_rejected(times, message):
+    # not an IndexError or a numpy ValueError deep in the scoring
     with pytest.raises(FieldError) as err:
         continuous_fidelity_series(params_for(4), times, "omega0")
     assert err.value.field == "times"
-    assert str(err.value) == f"times must be 1-d, got shape {shape}"
+    assert str(err.value) == message
 
 
 def test_continuous_series_matches_per_time_amplitudes():
@@ -812,6 +816,23 @@ def test_a_bad_tau_grid_is_rejected_wherever_it_enters(entry, taus, message):
         TAU_GRID_ENTRIES[entry](taus)
     assert err.value.field == "tau_grid"
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("indices", [[], [4], [99], [-1], [0.5], [True], ["a"], 0, [[0, 1]],
+                                     [[0], [0, 1]]],
+                         ids=["empty", "one-past-the-end", "far-out", "negative", "fractional",
+                              "bool", "not-numbers", "scalar", "2-d", "ragged"])
+@pytest.mark.parametrize("parameter", ["sources", "targets"])
+def test_kick_lattice_rejects_sector_indices_off_its_basis(parameter, indices):
+    # not an IndexError, a ZeroDivisionError, nor -1 read silently as the last basis state
+    call = dict(params=P4, basis=enumerate_basis(4, 1), taus=(1.0, 2.0), e1=1.0, sources=[0],
+                targets=[3], m_max=5, score=lambda a, t, m: a[..., 0, 0].real)
+    assert kick_lattice(**call).shape == (2, 6)
+    with pytest.raises(FieldError) as err:
+        kick_lattice(**{**call, parameter: indices})
+    assert err.value.field == parameter
+    assert str(err.value) == (f"{parameter} must be a nonempty 1-d list of integers in [0, 4), "
+                              f"got {indices!r}")
 
 
 def test_every_convention_and_state_default_is_its_sets_first_entry():
