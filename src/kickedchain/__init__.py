@@ -12,53 +12,20 @@ periodograms) -> ``cli`` (config-driven runs).  ``fidelity`` (the family
 table and the closed-form fidelities) sits on ``basis`` and on ``model``'s
 choice rule and feeds ``sweep``; the partial-trace oracle that checks it is
 test code, in ``tests/partial_trace.py``.
+
+The public surface is each layer's ``__all__``, declared once in its own
+module: the package re-exports every such name, and its ``__all__`` is
+their union.
 """
 
-from .basis import ExcitationBasis, enumerate_basis, index_of
-from .model import (
-    IMPURITY_KINDS,
-    ChainParams,
-    CouplingProfile,
-    ImpuritySpec,
-    apply_impurity,
-    build_hamiltonian,
-    chirality_operator,
-    default_impurity_site,
-    impurity_from_strength,
-    uniform_profile,
-    vacuum_energy,
-)
-from .propagator import (
-    U0_CONVENTIONS,
-    KickSchedule,
-    eigendecompose,
-    kick_lattice,
-    kick_step,
-    unitary_exp,
-)
-from .fidelity import (
-    KNOWN_STATES,
-    OMEGA2_CONVENTIONS,
-    bell_fidelity_omega1,
-    bell_fidelity_omega2,
-    classical_threshold,
-    out_of_range,
-    single_qubit_fidelity,
-)
-from .sweep import (
-    CONTINUOUS_TIMES,
-    DEFAULT_TAU_GRID,
-    SWEEP_AXES,
-    SweepPlan,
-    SweepRow,
-    continuous_fidelity_series,
-    fidelity_lattice,
-    fidelity_series,
-    float_grid,
-    max_fidelity,
-    periodogram,
-    sweep_axis,
-)
-from .cli import ExperimentConfig, parse_config, run, serialize_config
+from . import basis, cli, fidelity, model, propagator, sweep
+from .basis import *
+from .model import *
+from .propagator import *
+from .fidelity import *
+from .sweep import *
+from .cli import *
 
+__all__ = [name for layer in (basis, model, propagator, fidelity, sweep, cli)
+           for name in layer.__all__]
 __version__ = "0.1.0"

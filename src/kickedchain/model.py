@@ -58,11 +58,11 @@ class FieldError(ValueError):
         self.field = field
 
 
-def _require_finite(obj, *names: str):
-    """Raise FieldError on the first of ``obj``'s fields ``names`` that is NaN or +-inf."""
-    for name in names:
-        if not math.isfinite(getattr(obj, name)):
-            raise FieldError(name, f"{name} must be finite, got {getattr(obj, name)}")
+def _require_finite(**values):
+    """Raise FieldError on the first ``name=value`` whose value is NaN or +-inf."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise FieldError(name, f"{name} must be finite, got {value}")
 
 
 def _require_count(name: str, value, least: int = 0):
@@ -80,19 +80,26 @@ def _require_choice(name: str, value, choices: tuple, what: str = ""):
         raise FieldError(name, f"unknown {what or name} {value!r}; expected one of {choices}")
 
 
-def _require_grid(name: str, values, positive: bool = False) -> tuple[float, ...]:
-    """Raise FieldError on ``name`` unless ``values`` is a nonempty 1-d grid of finite,
-    strictly increasing numbers, positive if ``positive``; return them as a tuple of floats."""
+def _require_array(name: str, values) -> np.ndarray:
+    """Raise FieldError on ``name`` unless ``values`` is a 1-d sequence of finite numbers;
+    return them as a float array."""
     try:
-        grid = np.asarray(values, dtype=float)
+        array = np.asarray(values, dtype=float)
     except (TypeError, ValueError):                 # not numbers, or a ragged nesting
         raise FieldError(name, f"{name} must be a 1-d sequence of numbers") from None
-    if grid.ndim != 1:
-        raise FieldError(name, f"{name} must be 1-d, got shape {grid.shape}")
+    if array.ndim != 1:
+        raise FieldError(name, f"{name} must be 1-d, got shape {array.shape}")
+    if not np.all(np.isfinite(array)):
+        raise FieldError(name, f"{name} values must be finite")
+    return array
+
+
+def _require_grid(name: str, values, positive: bool = False) -> tuple[float, ...]:
+    """Raise FieldError on ``name`` unless ``values`` passes ``_require_array`` and is
+    nonempty and strictly increasing, and positive if ``positive``; return a tuple of floats."""
+    grid = _require_array(name, values)
     if grid.size == 0:
         raise FieldError(name, f"{name} must be nonempty")
-    if not np.all(np.isfinite(grid)):
-        raise FieldError(name, f"{name} values must be finite")
     if np.any(grid[1:] <= grid[:-1]):
         raise FieldError(name, f"{name} must be strictly increasing")
     if positive and grid[0] <= 0:
@@ -111,13 +118,13 @@ class CouplingProfile:
     def __post_init__(self):
         if self.n_sites < 2:
             raise FieldError("n_sites", f"need at least 2 sites, got {self.n_sites}")
+        for name in ("j1_bonds", "j2_bonds"):
+            bonds = _require_array(name, getattr(self, name))
+            object.__setattr__(self, name, tuple(bonds.tolist()))
         if len(self.j1_bonds) != self.n_sites - 1:
             raise FieldError("j1_bonds", "j1_bonds must have one entry per nearest-neighbour bond")
         if len(self.j2_bonds) != max(self.n_sites - 2, 0):
             raise FieldError("j2_bonds", "j2_bonds must have one entry per next-nearest bond")
-        for name in ("j1_bonds", "j2_bonds"):
-            if not all(map(math.isfinite, getattr(self, name))):
-                raise FieldError(name, f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -144,7 +151,8 @@ class ImpuritySpec:
 
     def __post_init__(self):
         _require_choice("kind", self.kind, IMPURITY_KINDS, "impurity kind")
-        _require_finite(self, "ratio_nn", "ratio_nnn_strong", "ratio_nnn_weak")
+        _require_finite(ratio_nn=self.ratio_nn, ratio_nnn_strong=self.ratio_nnn_strong,
+                        ratio_nnn_weak=self.ratio_nnn_weak)
         if not self.ratio_nnn_strong >= 1.0:
             raise FieldError("ratio_nnn_strong", "ratio_nnn_strong must be >= 1")
         if not 0.0 < self.ratio_nnn_weak <= 1.0:
@@ -164,7 +172,7 @@ class ChainParams:
     b_field: float = 0.0
 
     def __post_init__(self):
-        _require_finite(self, "dm_field", "b_field")
+        _require_finite(dm_field=self.dm_field, b_field=self.b_field)
 
 
 def uniform_profile(n_sites: int, j1: float, j2: float) -> CouplingProfile:

@@ -109,7 +109,7 @@ class KickSchedule:
     n_kicks: int = 1
 
     def __post_init__(self):
-        _require_finite(self, "tau", "e1")
+        _require_finite(tau=self.tau, e1=self.e1)
         if self.tau <= 0:
             raise FieldError("tau", f"kick interval must be positive, got {self.tau}")
         _require_count("n_kicks", self.n_kicks)
@@ -131,7 +131,8 @@ def eigendecompose(h: np.ndarray):
 
 
 def unitary_exp(h: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i h t) for Hermitian h; t = 0 short-circuits to the exact identity."""
+    """exp(-i h t) for Hermitian h and finite t; t = 0 short-circuits to the exact identity."""
+    _require_finite(t=t)
     h = np.asarray(h, dtype=complex)
     if t == 0.0:
         return np.eye(h.shape[0], dtype=complex)
@@ -312,7 +313,8 @@ def kick_lattice(params: ChainParams, basis: ExcitationBasis, taus, e1: float,
     len(sources)) and the returned array is (len(taus), len(ms)).  Returns
     the (len(taus), m_max + 1) lattice, in the dtype ``score`` returns.
     ``taus`` must pass the one grid rule, ``model._require_grid`` (FieldError
-    on ``tau_grid``): 1-d, nonempty, finite, strictly increasing, positive.
+    on ``tau_grid``): 1-d, nonempty, finite, strictly increasing, positive;
+    ``e1`` must be finite (FieldError on ``e1``).
 
     ``sources`` and ``targets`` must be nonempty 1-d lists of integer sector
     indices in [0, basis.size) (FieldError on the parameter).
@@ -324,6 +326,7 @@ def kick_lattice(params: ChainParams, basis: ExcitationBasis, taus, e1: float,
     family and convention, except on a one-tau grid (module docstring).
     """
     taus = np.array(_require_grid("tau_grid", taus, positive=True))
+    _require_finite(e1=e1)
     _require_count("m_max", m_max)
     sources = _require_indices("sources", sources, basis.size)
     targets = _require_indices("targets", targets, basis.size)

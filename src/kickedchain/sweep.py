@@ -41,6 +41,7 @@ from .model import (
     ChainParams,
     FieldError,
     ImpuritySpec,
+    _require_array,
     _require_choice,
     _require_count,
     _require_finite,
@@ -81,6 +82,7 @@ def float_grid(start: float, stop: float, step: float) -> tuple[float, ...]:
     lies on the lattice within half a step.  A grid of more than
     _MAX_GRID_POINTS (100 000) points is rejected before any point is made.
     """
+    _require_finite(start=start, stop=stop, step=step)
     if step <= 0:
         raise FieldError("step", f"grid step must be positive, got {step}")
     if stop < start:
@@ -138,7 +140,7 @@ class SweepPlan:
         if (error := _state_list_error(self.states, self.params.profile.n_sites)) is not None:
             raise FieldError("states", error[1])
         _require_count("m_max", self.m_max, least=1)
-        _require_finite(self, "e1")
+        _require_finite(e1=self.e1)
         _require_choice("u0_convention", self.u0_convention, U0_CONVENTIONS)
         _require_choice("omega2_convention", self.omega2_convention, OMEGA2_CONVENTIONS)
         if self.axis == "impurity_ratio" and self.impurity is None:
@@ -198,20 +200,14 @@ def continuous_fidelity_series(params: ChainParams, times: Sequence[float], stat
                                omega2_convention: str = OMEGA2_CONVENTIONS[0]) -> np.ndarray:
     """Fidelity under continuous (kick-free) evolution at each requested time.
 
-    ``times`` is a 1-d sequence of finite times, in any order.  All requested
+    ``times`` must pass the one array rule, ``model._require_array``: a 1-d
+    sequence of finite times, in any order, possibly empty.  All requested
     amplitudes come from one eigendecomposition per sector, and each chunk of
     coarse rows of the time split is one batched product (module docstring),
     so long integer-time grids are cheap in time and in memory.
     """
     _require_choice("omega2_convention", omega2_convention, OMEGA2_CONVENTIONS)
-    try:
-        t = np.asarray(times, dtype=float)
-    except (TypeError, ValueError):                 # not numbers, or a ragged nesting
-        raise FieldError("times", "times must be a 1-d sequence of numbers") from None
-    if t.ndim != 1:
-        raise FieldError("times", f"times must be 1-d, got shape {t.shape}")
-    if not np.all(np.isfinite(t)):
-        raise FieldError("times", "times must be finite")
+    t = _require_array("times", times)
     basis, sources, targets = family_sector(state, params.profile.n_sites)
     w, v = eigendecompose(build_hamiltonian(params, basis))
     # <t|e^{-iHt}|s> = sum_a v[t,a] conj(v[s,a]) e^{-i w_a t}, one weight row per (t, s)
@@ -341,11 +337,10 @@ def periodogram(series: Sequence[float]):
     frequency in (0, 0.5] with the largest magnitude (ties to the lowest
     frequency).  A flat series has no dominant frequency and reports None;
     the cutoff is a round-off-level threshold, L*eps*max(1, max|x|).
-    Parseval's identity holds as sum(y^2) = sum(|Y|^2)/L.
+    Parseval's identity holds as sum(y^2) = sum(|Y|^2)/L.  ``series`` must
+    pass ``model._require_array`` and hold at least PERIODOGRAM_MIN_SAMPLES.
     """
-    x = np.asarray(series, dtype=float)
-    if x.ndim != 1:
-        raise FieldError("series", f"expected a 1-d series, got shape {x.shape}")
+    x = _require_array("series", series)
     if x.size < PERIODOGRAM_MIN_SAMPLES:
         raise FieldError("series", "series too short for a periodogram: "
                                    f"{x.size} < {PERIODOGRAM_MIN_SAMPLES}")

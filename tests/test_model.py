@@ -29,6 +29,21 @@ def params_for(n, j1, j2, b=0.0, e=0.0):
     return ChainParams(uniform_profile(n, j1, j2), dm_field=e, b_field=b)
 
 
+def test_the_package_exports_every_layer_name_once():
+    # each public name is declared once, in its layer's __all__, and the
+    # package's __all__ is their union
+    import importlib
+
+    import kickedchain
+    layers = [importlib.import_module(f"kickedchain.{layer}")
+              for layer in ("basis", "model", "propagator", "fidelity", "sweep", "cli")]
+    declared = [(layer, name) for layer in layers for name in layer.__all__]
+    missing = [f"{layer.__name__}.{name}" for layer, name in declared
+               if getattr(kickedchain, name, None) is not getattr(layer, name)]
+    assert missing == []
+    assert kickedchain.__all__ == [name for _, name in declared]
+
+
 # -- frozen two-site blocks, checked element by element ----------------------
 
 def test_two_site_blocks_plain_exchange():

@@ -167,7 +167,9 @@ def test_bell_states_need_four_sites():
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
 def test_non_finite_intervals_and_times_are_rejected(bad):
-    # a FieldError on the grid or the times, not rows of NaN with a RuntimeWarning
+    # a FieldError on the parameter: not rows of NaN with a RuntimeWarning, a NaN
+    # "maximum" for a kick amplitude, nor numpy's "cannot convert float NaN to
+    # integer" for a grid bound
     p = params_for(5)
     with pytest.raises(FieldError, match="^tau_grid values must be finite$") as err:
         fidelity_lattice(p, "omega0", [bad], 5)
@@ -176,9 +178,27 @@ def test_non_finite_intervals_and_times_are_rejected(bad):
         kick_lattice(p, enumerate_basis(5, 1), (1.0, bad), 1.0, [0], [4], 5,
                      lambda amps, taus, ms: abs(amps[..., 0, 0]) ** 2)
     assert err.value.field == "tau_grid"
-    with pytest.raises(FieldError, match="^times must be finite$") as err:
+    with pytest.raises(FieldError, match="^times values must be finite$") as err:
         continuous_fidelity_series(p, [bad, 1.0], "omega0")
     assert err.value.field == "times"
+    for entry in (lambda: kick_lattice(p, enumerate_basis(5, 1), (1.0, 2.0), bad, [0], [4], 5,
+                                       lambda amps, taus, ms: amps[..., 0, 0].real),
+                  lambda: fidelity_lattice(p, "omega0", (1.0, 2.0), 5, e1=bad),
+                  lambda: max_fidelity(p, "omega0", (1.0, 2.0), 5, e1=bad)):
+        with pytest.raises(FieldError) as err:
+            entry()
+        assert err.value.field == "e1"
+        assert str(err.value) == f"e1 must be finite, got {bad}"
+    for name in ("start", "stop", "step"):
+        bounds = {"start": 0.0, "stop": 1.0, "step": 0.25, name: bad}
+        with pytest.raises(FieldError) as err:
+            float_grid(**bounds)
+        assert err.value.field == name
+        assert str(err.value) == f"{name} must be finite, got {bad}"
+    with pytest.raises(FieldError) as err:
+        unitary_exp(np.eye(2), bad)
+    assert err.value.field == "t"
+    assert str(err.value) == f"t must be finite, got {bad}"
 
 
 @pytest.mark.parametrize("times,message", [
@@ -543,7 +563,7 @@ def test_impurity_strength_grid_is_checked_when_the_plan_is_built():
 def test_each_grid_value_is_judged_by_building_its_point():
     # a J2 = J1 * value that overflows fails on grid when the plan is built, not
     # at its sweep point and not on a field the plan does not have
-    with pytest.raises(FieldError, match="j2_bonds must be finite") as err:
+    with pytest.raises(FieldError, match="j2_bonds values must be finite") as err:
         SweepPlan(params=params_for(5, j1=1e300), axis="j2_over_j1", grid=(0.5, 1e10))
     assert err.value.field == "grid"
     assert str(err.value).startswith("j2_over_j1 grid value 1")
@@ -818,6 +838,33 @@ def test_a_bad_tau_grid_is_rejected_wherever_it_enters(entry, taus, message):
     assert str(err.value) == message
 
 
+ARRAY_ENTRIES = {
+    "times": lambda values: continuous_fidelity_series(P4, values, "omega0"),
+    "series": periodogram,
+    "tau_grid": lambda values: max_fidelity(P4, "omega0", values, 5),
+    "grid": lambda values: SweepPlan(P4, "e1", values, tau_grid=(1.0,), m_max=5),
+    "j1_bonds": lambda values: CouplingProfile(5, values, (-1.0,) * 3),
+}
+
+
+@pytest.mark.parametrize("values,message", [
+    (["a", "b", "c", "d"], "{} must be a 1-d sequence of numbers"),
+    ([[1.0], [1.0, 2.0], [3.0], [4.0]], "{} must be a 1-d sequence of numbers"),
+    ([[1.0, 2.0], [3.0, 4.0]], "{} must be 1-d, got shape (2, 2)"),
+    ([1.0, 2.0, NAN, 4.0], "{} values must be finite"),
+    ([1.0, 2.0, 3.0, INF], "{} values must be finite"),
+], ids=["not-numbers", "ragged", "2-d", "nan", "inf"])
+@pytest.mark.parametrize("name", list(ARRAY_ENTRIES))
+def test_every_array_input_is_judged_by_one_rule(name, values, message):
+    # one rule (model._require_array) converts every 1-d array input, with one
+    # field and one message, not numpy's ValueError or NaN results
+    ARRAY_ENTRIES[name]([1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(FieldError) as err:
+        ARRAY_ENTRIES[name](values)
+    assert err.value.field == name
+    assert str(err.value) == message.format(name)
+
+
 @pytest.mark.parametrize("indices", [[], [4], [99], [-1], [0.5], [True], ["a"], 0, [[0, 1]],
                                      [[0], [0, 1]]],
                          ids=["empty", "one-past-the-end", "far-out", "negative", "fractional",
@@ -905,6 +952,6 @@ def test_periodogram_input_validation():
     with pytest.raises(FieldError, match="^series too short") as err:
         periodogram([1.0, 2.0, 3.0])
     assert err.value.field == "series"
-    with pytest.raises(FieldError, match=r"^expected a 1-d series, got shape \(4, 4\)$") as err:
+    with pytest.raises(FieldError, match=r"^series must be 1-d, got shape \(4, 4\)$") as err:
         periodogram(np.ones((4, 4)))
     assert err.value.field == "series"
