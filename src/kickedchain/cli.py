@@ -6,15 +6,15 @@ sweep mode needs an axis and a grid.  The block dataclasses are the
 schema: each field is a key, its default is what a missing key takes (the
 canonical ten-site point: N=10, J1=1, J2=-1, E0=0.1, E1=1, tau=2).
 ``_read_config`` reads a config and ``_experiment`` judges it, once per
-command: it reads each field, parsed or built by hand, by its type (a float
-is finite; a NumPy scalar is a number) and choice set, then applies every
-other rule on a value.  The impurity block is a ``model.ImpuritySpec``,
-given by a strength or by all three ratios.  Unknown keys anywhere, and a
-key given twice, are rejected with the offending key path.  Command line
-flags are keys too: the command's ``run.mode``, ``--out``
-(``output.path``) and ``--workers`` (``run.workers``) are written into the
-document before it is read, so each is checked like its key and the
-mode-dependent checks see the final mode.
+command: it reads each field, parsed or built by hand, by its type (numbers
+and integers by ``model._require_finite`` and ``_require_count``) and choice
+set, then applies every other rule on a value.  The impurity block is a
+``model.ImpuritySpec``, given by a strength or by all three ratios.
+Unknown keys anywhere, and a key given twice, are rejected with the
+offending key path.  Command line flags are keys too: the command's
+``run.mode``, ``--out`` (``output.path``) and ``--workers``
+(``run.workers``) are written into the document before it is read, so each
+is checked like its key and the mode-dependent checks see the final mode.
 
 Every run writes two files with the same records, a CSV table (the
 plot-ready artifact) and a JSON mirror; reruns of the same config are
@@ -30,8 +30,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
-import numbers
 import os
 import sys
 from contextlib import ExitStack, contextmanager, suppress
@@ -49,6 +47,7 @@ from .model import (
     ImpuritySpec,
     _require_choice,
     _require_count,
+    _require_finite,
     apply_impurity,
     default_impurity_site,
     impurity_from_strength,
@@ -165,67 +164,63 @@ def _reject_unknown(block: dict, path: str):
         raise ConfigError(f"{path}.{key}" if path else str(key), "unknown key")
 
 
-def _as_int(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(where, f"expected an integer, got {value!r}")
+def _as_int(name: str, value) -> int:
+    _require_count(name, value, least=None)
     return int(value)
 
 
-def _as_float(value, where: str) -> float:
-    """A finite real number, NumPy's too, not a bool; int and float skip the slow ABC check."""
-    if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
+def _as_float(name: str, value) -> float:
+    """``model._require_finite``, with a hint on a number PyYAML reads as a string."""
+    try:
+        _require_finite(**{name: value})
+    except FieldError as exc:
         hint = ""
         if isinstance(value, str) and "e" in value.lower():
             with suppress(ValueError):      # PyYAML reads 1e-3 and 1.0e3 as strings
                 float(value)
                 hint = ("; YAML reads a number with an exponent only with a decimal point "
                         "and a signed exponent (1.0e-3, 1.0e+3)")
-        raise ConfigError(where, f"expected a number, got {value!r}{hint}")
-    try:
-        number = float(value)
-    except OverflowError:     # an integer too large for a float
-        number = math.inf
-    if not math.isfinite(number):
-        raise ConfigError(where, f"expected a finite number, got {value!r}")
-    return number
+        raise FieldError(name, f"{exc}{hint}") from None
+    return float(value)
 
 
-def _as_bool(value, where: str) -> bool:
+def _as_bool(name: str, value) -> bool:
     if not isinstance(value, bool):
-        raise ConfigError(where, f"expected a boolean, got {value!r}")
+        raise FieldError(name, f"expected a boolean, got {value!r}")
     return value
 
 
-def _as_str(value, where: str) -> str:
+def _as_str(name: str, value) -> str:
     if not isinstance(value, str):
-        raise ConfigError(where, f"expected a string, got {value!r}")
+        raise FieldError(name, f"expected a string, got {value!r}")
     return value
 
 
-def _read_grid(value, where: str) -> tuple[float, ...]:
+def _read_grid(name: str, value) -> tuple[float, ...]:
     """A grid is either an explicit list of numbers or {start, stop, step}."""
     if isinstance(value, dict):
         spec = dict(value)
-        bounds = [_as_float(spec.pop(k), f"{where}.{k}") for k in ("start", "stop", "step")
+        bounds = [_as_float(f"{name}.{k}", spec.pop(k)) for k in ("start", "stop", "step")
                   if k in spec]
-        _reject_unknown(spec, where)
+        if spec:
+            raise FieldError(f"{name}.{min(map(str, spec))}", "unknown key")
         if len(bounds) < 3:
-            raise ConfigError(where, "grid mapping needs start, stop and step")
+            raise FieldError(name, "grid mapping needs start, stop and step")
         try:
             return float_grid(*bounds)
-        except ValueError as exc:
-            raise ConfigError(where, str(exc)) from None
+        except FieldError as exc:
+            raise FieldError(name, str(exc)) from None
     if isinstance(value, (list, tuple)):
-        out = [_as_float(v, f"{where}[{i}]") for i, v in enumerate(value)]
+        out = [_as_float(f"{name}[{i}]", v) for i, v in enumerate(value)]
         if not out:
-            raise ConfigError(where, "grid must be nonempty")
+            raise FieldError(name, "grid must be nonempty")
         return tuple(out)
-    raise ConfigError(where, "expected a list of numbers or a start/stop/step mapping")
+    raise FieldError(name, "expected a list of numbers or a start/stop/step mapping")
 
 
-def _read_states(value, where: str) -> tuple[str, ...]:
+def _read_states(name: str, value) -> tuple[str, ...]:
     if not isinstance(value, (list, tuple)):
-        raise ConfigError(where, f"expected a list of state names, got {value!r}")
+        raise FieldError(name, f"expected a list of state names, got {value!r}")
     return tuple(value)
 
 
@@ -243,9 +238,8 @@ def _read_fields(cls, raw: dict, path: str) -> dict:
     values = {}
     for f in fields(cls):
         if f.name in raw:
-            where = f"{path}.{f.name}"
-            value = _READERS[f.type.removesuffix(" | None")](raw.pop(f.name), where)
             with _reported_on(path):
+                value = _READERS[f.type.removesuffix(" | None")](f.name, raw.pop(f.name))
                 _require_choice(f.name, value, f.metadata.get("choices", (value,)))
             values[f.name] = value
     _reject_unknown(raw, path)
@@ -257,7 +251,8 @@ def _parse_impurity(raw: dict, n_sites: int) -> ImpuritySpec | None:
     if not raw:
         return None
     path = "impurity"
-    strength = _as_float(raw.pop("strength"), f"{path}.strength") if "strength" in raw else None
+    with _reported_on(path):
+        strength = _as_float("strength", raw.pop("strength")) if "strength" in raw else None
     ratios = _read_fields(ImpuritySpec, raw, path)     # kind and site are popped off
     if "kind" not in ratios:
         raise ConfigError(f"{path}.kind", "required when an impurity block is present")

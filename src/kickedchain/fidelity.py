@@ -76,13 +76,13 @@ def single_qubit_fidelity(f):
     Implements F = |f| cos(gamma)/3 + |f|^2/6 + 1/2 with gamma = arg(f),
     written as Re(f)/3 + |f|^2/6 + 1/2 so that the trivial values come out
     exact, and clipped to [0, 1].  The amplitude must come from a unitary
-    propagator, so moduli beyond 1 + 1e-9 are rejected as evidence of a
-    broken propagator.  A scalar amplitude gives a ``np.float64``.
+    propagator, so moduli beyond 1 + 1e-9, or NaN, are rejected as evidence
+    of a broken propagator.  A scalar amplitude gives a ``np.float64``.
     """
     f = np.asarray(f, dtype=complex)
     abs2 = _abs2(f)
     worst = float(np.max(abs2, initial=0.0))
-    if worst > (1.0 + 1e-9) ** 2:
+    if not worst <= (1.0 + 1e-9) ** 2:
         raise FieldError("f", f"amplitude modulus {worst ** 0.5} exceeds 1; propagator broken?")
     value = (2.0 * f.real + np.minimum(abs2, 1.0)) / 6.0 + 0.5
     return np.clip(value, 0.0, 1.0)

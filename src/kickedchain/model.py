@@ -59,17 +59,26 @@ class FieldError(ValueError):
 
 
 def _require_finite(**values):
-    """Raise FieldError on the first ``name=value`` whose value is NaN or +-inf."""
+    """Raise FieldError on the first ``name=value`` that is not a real number (NumPy's too,
+    not a bool) or is not finite; an integer too large for a float is not finite.
+    int and float skip the slow ABC check."""
     for name, value in values.items():
-        if not math.isfinite(value):
+        if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
+            raise FieldError(name, f"{name} must be a real number, got {value!r}")
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:
+            finite = False
+        if not finite:
             raise FieldError(name, f"{name} must be finite, got {value}")
 
 
-def _require_count(name: str, value, least: int = 0):
-    """Raise FieldError on ``name`` unless ``value`` is an integer >= ``least``, not a bool."""
+def _require_count(name: str, value, least: int | None = 0):
+    """Raise FieldError on ``name`` unless ``value`` is an integer, not a bool, and
+    >= ``least``; with ``least`` None the type alone is judged."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise FieldError(name, f"{name} must be an integer, got {value!r}")
-    if value < least:
+    if least is not None and value < least:
         raise FieldError(name, f"{name} must be >= {least}, got {value}")
 
 
@@ -81,12 +90,15 @@ def _require_choice(name: str, value, choices: tuple, what: str = ""):
 
 
 def _require_array(name: str, values) -> np.ndarray:
-    """Raise FieldError on ``name`` unless ``values`` is a 1-d sequence of finite numbers;
-    return them as a float array."""
+    """Raise FieldError on ``name`` unless ``values`` is a 1-d sequence of finite numbers,
+    not strings or bools; return them as a float array."""
     try:
-        array = np.asarray(values, dtype=float)
-    except (TypeError, ValueError):                 # not numbers, or a ragged nesting
-        raise FieldError(name, f"{name} must be a 1-d sequence of numbers") from None
+        array = np.asarray(values)
+    except (TypeError, ValueError):                 # a ragged nesting
+        array = np.empty(0, dtype=object)
+    if array.dtype.kind not in "iuf":               # strings, bools, objects or complex
+        raise FieldError(name, f"{name} must be a 1-d sequence of numbers")
+    array = array.astype(float, copy=False)
     if array.ndim != 1:
         raise FieldError(name, f"{name} must be 1-d, got shape {array.shape}")
     if not np.all(np.isfinite(array)):
@@ -116,6 +128,7 @@ class CouplingProfile:
     j2_bonds: tuple[float, ...]
 
     def __post_init__(self):
+        _require_count("n_sites", self.n_sites, least=None)
         if self.n_sites < 2:
             raise FieldError("n_sites", f"need at least 2 sites, got {self.n_sites}")
         for name in ("j1_bonds", "j2_bonds"):
@@ -151,6 +164,7 @@ class ImpuritySpec:
 
     def __post_init__(self):
         _require_choice("kind", self.kind, IMPURITY_KINDS, "impurity kind")
+        _require_count("site", self.site, least=None)     # apply_impurity judges it on a chain
         _require_finite(ratio_nn=self.ratio_nn, ratio_nnn_strong=self.ratio_nnn_strong,
                         ratio_nnn_weak=self.ratio_nnn_weak)
         if not self.ratio_nnn_strong >= 1.0:
@@ -177,11 +191,8 @@ class ChainParams:
 
 def uniform_profile(n_sites: int, j1: float, j2: float) -> CouplingProfile:
     """Profile with every NN bond equal to j1 and every NNN bond equal to j2."""
-    return CouplingProfile(
-        n_sites=n_sites,
-        j1_bonds=(float(j1),) * (n_sites - 1),
-        j2_bonds=(float(j2),) * max(n_sites - 2, 0),
-    )
+    _require_count("n_sites", n_sites, least=None)     # before it sizes the bond tuples
+    return CouplingProfile(n_sites, (j1,) * (n_sites - 1), (j2,) * max(n_sites - 2, 0))
 
 
 def default_impurity_site(n_sites: int) -> int:
@@ -198,6 +209,7 @@ def impurity_from_strength(kind: str, site: int, strength: float) -> ImpuritySpe
     weak 0.825, 2.1 -> 0.725, 3.0 -> 0.50.  For type1 the nearest bonds
     follow the strengthened ratio, for type2 the weakened one.
     """
+    _require_finite(strength=strength)
     if not 1.0 <= strength < 5.0:
         raise FieldError("strength", f"impurity strength must lie in [1, 5), got {strength}")
     weak = 1.0 - (strength - 1.0) / 4.0

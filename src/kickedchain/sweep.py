@@ -218,14 +218,14 @@ def continuous_fidelity_series(params: ChainParams, times: Sequence[float], stat
     r, base = (math.isqrt(n - 1) + 1, t[0]) if even else (1, 0.0)
     # t[q*r + j] = coarse_t[q] + fine_t[j]: exactly on an integer grid, and on any grid with r = 1
     coarse_t, fine_t = t[::r] - base, t[:r] - t[:1] + base
-    coarse = np.exp(-1j * np.outer(coarse_t, w))
     fine = np.exp(-1j * np.outer(w, fine_t))
     series = np.empty((coarse_t.size, r))
     per_chunk = _per_chunk(16 * len(weights) * (w.size + r))
     for q0 in range(0, coarse_t.size, per_chunk):
         q1 = min(q0 + per_chunk, coarse_t.size)
+        coarse = np.exp(-1j * np.outer(coarse_t[q0:q1], w))
         # one (targets * sources, dim) @ (dim, r) product per coarse row, whatever the chunk
-        amps = np.matmul(coarse[q0:q1, None, :] * weights, fine)
+        amps = np.matmul(coarse[:, None, :] * weights, fine)
         # (coarse rows, targets, sources, r) -> a (coarse rows, r, targets, sources) view
         amps = np.moveaxis(amps.reshape(q1 - q0, len(targets), len(sources), r), -1, 1)
         series[q0:q1] = family_score(state, amps, e_vac * (coarse_t[q0:q1, None] + fine_t),
@@ -270,11 +270,12 @@ def max_fidelity(params: ChainParams, state: str,
     degenerates, so the search instead runs over ``CONTINUOUS_TIMES``
     (the integer times 1..5000); the row then reports the equivalent
     stroboscopic interval 1.0 and the argmax time in the kick-count slot.
-    ``tau_grid`` and ``m_max`` are checked whatever ``e1`` is.
+    ``tau_grid``, ``m_max`` and ``e1`` are checked before the search is picked.
     """
     _require_choice("u0_convention", u0_convention, U0_CONVENTIONS)
     taus = _require_grid("tau_grid", tau_grid, positive=True)
     _require_count("m_max", m_max)
+    _require_finite(e1=e1)
     return _maximum(params, state, taus, m_max, e1, u0_convention, omega2_convention)
 
 

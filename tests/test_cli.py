@@ -452,11 +452,14 @@ EXPONENT_HINT = ("; YAML reads a number with an exponent only with a decimal poi
     ("run: {tau_grid: {start: 1e-1, stop: 1.0, step: 0.1}}\n", "run.tau_grid.start", "1e-1"),
 ])
 def test_an_exponent_yaml_reads_as_a_string_is_rejected_with_a_hint(text, key_path, value):
-    # PyYAML (YAML 1.1) reads a float only with a decimal point and a signed exponent
+    # PyYAML (YAML 1.1) reads a float only with a decimal point and a signed exponent;
+    # the message is model._require_finite's, on the key below its block
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     assert err.value.key_path == key_path
-    assert str(err.value) == f"{key_path}: expected a number, got {value!r}{EXPONENT_HINT}"
+    name = key_path.split(".", 1)[1]
+    assert str(err.value) == (f"{key_path}: {name} must be a real number, got {value!r}"
+                              f"{EXPONENT_HINT}")
 
 
 def test_only_a_string_float_reads_with_an_exponent_gets_the_hint():
@@ -465,7 +468,7 @@ def test_only_a_string_float_reads_with_an_exponent_gets_the_hint():
     for text, value in (("one", "one"), ("'2.0'", "2.0"), ("e", "e"), ("1e", "1e")):
         with pytest.raises(ConfigError) as err:
             parse_config(f"chain: {{j1: {text}}}\n")
-        assert str(err.value) == f"chain.j1: expected a number, got {value!r}"
+        assert str(err.value) == f"chain.j1: j1 must be a real number, got {value!r}"
 
 
 # -- table output --------------------------------------------------------------------

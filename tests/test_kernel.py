@@ -383,6 +383,11 @@ def test_single_qubit_array_rejects_moduli_beyond_one():
     with pytest.raises(ValueError, match="exceeds 1") as err:
         single_qubit_fidelity(1.0 + 1e-4j)
     assert err.value.field == "f"
+    # a NaN modulus is no evidence of a unitary propagator either
+    for f in (float("nan"), np.array([0.5, complex(0.0, float("nan"))])):
+        with pytest.raises(ValueError, match="exceeds 1") as err:
+            single_qubit_fidelity(f)
+        assert err.value.field == "f"
 
 
 def test_omega2_array_is_unclamped_above_one():

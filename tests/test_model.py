@@ -282,10 +282,14 @@ def test_impurity_strength_range_keeps_every_bond_positive():
         for strength in (1.0, 3.0, 4.99):
             spec = impurity_from_strength(kind, 6, strength)
             assert 0.0 < spec.ratio_nnn_weak <= 1.0 and spec.ratio_nn > 0.0
-        for strength in (0.5, 5.0, 6.0, math.nan):
+        for strength in (0.5, 5.0, 6.0):
             with pytest.raises(FieldError, match="impurity strength must lie in") as err:
                 impurity_from_strength(kind, 6, strength)
             assert err.value.field == "strength"
+        with pytest.raises(FieldError) as err:
+            impurity_from_strength(kind, 6, math.nan)
+        assert err.value.field == "strength"
+        assert str(err.value) == "strength must be finite, got nan"
 
 
 def test_profile_validation():

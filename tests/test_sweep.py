@@ -233,17 +233,20 @@ def test_continuous_series_matches_per_time_amplitudes():
 # -- the kick-free time split -----------------------------------------------------
 
 def exp_arguments(monkeypatch, t):
-    """The argument of each np.exp an omega2 series at N = 10 takes: the coarse, then the fine table.
+    """The arguments of the np.exp an omega2 series at N = 10 takes: the coarse table, its
+    chunks joined, then the fine table.
 
-    The omega2 score takes no exponential, so these are the series' only two.
+    The omega2 score takes no exponential, so the fine table and one coarse chunk per
+    chunk of rows are the series' only exponentials, the fine table first.
     """
     arguments = []
     exp = np.exp
     monkeypatch.setattr(np, "exp", lambda z: arguments.append(np.asarray(z)) or exp(z))
     series = continuous_fidelity_series(params_for(10), t, "omega2")
     monkeypatch.setattr(np, "exp", exp)
-    assert series.shape == (len(t),) and len(arguments) == 2
-    return arguments
+    fine, *coarse = arguments
+    assert series.shape == (len(t),) and len(coarse) >= 1 and fine.shape[0] == 45
+    return np.concatenate(coarse), fine
 
 
 def phase_bound(w, t):
@@ -332,6 +335,21 @@ def test_series_memory_does_not_grow_with_the_probe_grid():
         tracemalloc.stop()
     assert series.shape == (200_000,) and np.all(np.isfinite(series))
     assert peak < 12e6
+
+
+def test_uneven_series_memory_is_one_chunk_of_coarse_rows():
+    # an uneven grid takes R = 1, a coarse row per time; its whole (20 000, 45) table
+    # with the product that builds it would be about 29 MB
+    p = params_for(10)
+    times = np.sort(np.random.default_rng(0).uniform(1.0, 5000.0, 20_000))
+    tracemalloc.start()
+    try:
+        series = continuous_fidelity_series(p, times, "omega2")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert series.shape == (20_000,) and np.all(np.isfinite(series))
+    assert peak < 4e6
 
 
 def per_time_fidelity(p, state, t):
@@ -849,20 +867,93 @@ ARRAY_ENTRIES = {
 
 @pytest.mark.parametrize("values,message", [
     (["a", "b", "c", "d"], "{} must be a 1-d sequence of numbers"),
+    (["1", "2", "3", "4"], "{} must be a 1-d sequence of numbers"),
+    ([True, False, True, False], "{} must be a 1-d sequence of numbers"),
     ([[1.0], [1.0, 2.0], [3.0], [4.0]], "{} must be a 1-d sequence of numbers"),
     ([[1.0, 2.0], [3.0, 4.0]], "{} must be 1-d, got shape (2, 2)"),
     ([1.0, 2.0, NAN, 4.0], "{} values must be finite"),
     ([1.0, 2.0, 3.0, INF], "{} values must be finite"),
-], ids=["not-numbers", "ragged", "2-d", "nan", "inf"])
+], ids=["not-numbers", "number-strings", "bools", "ragged", "2-d", "nan", "inf"])
 @pytest.mark.parametrize("name", list(ARRAY_ENTRIES))
 def test_every_array_input_is_judged_by_one_rule(name, values, message):
     # one rule (model._require_array) converts every 1-d array input, with one
-    # field and one message, not numpy's ValueError or NaN results
+    # field and one message, not numpy's ValueError or NaN results; a string or a
+    # bool is not read as a number
     ARRAY_ENTRIES[name]([1.0, 2.0, 3.0, 4.0])
     with pytest.raises(FieldError) as err:
         ARRAY_ENTRIES[name](values)
     assert err.value.field == name
     assert str(err.value) == message.format(name)
+
+
+# (field, call) of every scalar number input: model._require_finite judges each
+SCALAR_ENTRIES = {
+    "KickSchedule.tau": ("tau", lambda x: KickSchedule(tau=x, e1=1.0)),
+    "KickSchedule.e1": ("e1", lambda x: KickSchedule(tau=2.0, e1=x)),
+    "ChainParams.dm_field": ("dm_field", lambda x: ChainParams(P4.profile, dm_field=x)),
+    "ChainParams.b_field": ("b_field", lambda x: ChainParams(P4.profile, b_field=x)),
+    "ImpuritySpec.ratio_nn": ("ratio_nn", lambda x: ImpuritySpec("type1", 3, x, 1.5, 0.8)),
+    "SweepPlan.e1": ("e1", lambda x: SweepPlan(P4, "tau", (1.0,), tau_grid=(1.0,), m_max=3,
+                                               e1=x)),
+    "max_fidelity.e1": ("e1", lambda x: max_fidelity(P4, "omega0", (1.0,), 3, e1=x)),
+    "float_grid.start": ("start", lambda x: float_grid(x, 2.0, 0.1)),
+    "unitary_exp.t": ("t", lambda x: unitary_exp(np.eye(2), x)),
+    "impurity_from_strength": ("strength", lambda x: impurity_from_strength("type1", 3, x)),
+}
+
+
+@pytest.mark.parametrize("value,message", [
+    ("2", "{} must be a real number, got '2'"),
+    (None, "{} must be a real number, got None"),
+    (True, "{} must be a real number, got True"),
+    (False, "{} must be a real number, got False"),
+    (NAN, "{} must be finite, got nan"),
+    (INF, "{} must be finite, got inf"),
+    (10 ** 400, "{} must be finite, got " + str(10 ** 400)),
+], ids=["string", "none", "true", "false", "nan", "inf", "int-beyond-float"])
+@pytest.mark.parametrize("entry", list(SCALAR_ENTRIES))
+def test_every_scalar_number_is_judged_by_one_rule(entry, value, message):
+    # not a bare TypeError, and not a bool read as 0 or 1: max_fidelity with e1=False
+    # would run the kick-free search
+    name, call = SCALAR_ENTRIES[entry]
+    call(1.5)
+    with pytest.raises(FieldError) as err:
+        call(value)
+    assert err.value.field == name
+    assert str(err.value) == message.format(name)
+
+
+# (field, call, a good value) of every scalar integer input: model._require_count judges
+# each type, and its bound check keeps its own message
+INTEGER_ENTRIES = {
+    "CouplingProfile.n_sites": ("n_sites", lambda x: CouplingProfile(x, (1.0,) * 3, (0.0,) * 2),
+                                4),
+    "uniform_profile.n_sites": ("n_sites", lambda x: uniform_profile(x, 1.0, -1.0), 4),
+    "ImpuritySpec.site": ("site", lambda x: ImpuritySpec("type1", x, 1.5, 1.5, 0.8), 3),
+    "impurity_from_strength.site": ("site", lambda x: apply_impurity(
+        P4.profile, impurity_from_strength("type1", x, 1.5)), 3),
+}
+
+
+@pytest.mark.parametrize("value", [4.0, 3.5, "4", None, True])
+@pytest.mark.parametrize("entry", list(INTEGER_ENTRIES))
+def test_every_scalar_integer_is_judged_by_one_rule(entry, value):
+    # not accepted and then a TypeError in vacuum_energy or in apply_impurity's bond lists
+    name, call, good = INTEGER_ENTRIES[entry]
+    call(good)
+    with pytest.raises(FieldError) as err:
+        call(value)
+    assert err.value.field == name
+    assert str(err.value) == f"{name} must be an integer, got {value!r}"
+
+
+def test_uniform_profile_passes_its_couplings_to_the_one_array_rule():
+    # no float() of its own, which would read "1.0" and True as numbers
+    for j1, j2, name in (("1.0", -1.0, "j1_bonds"), (1.0, True, "j2_bonds")):
+        with pytest.raises(FieldError) as err:
+            uniform_profile(4, j1, j2)
+        assert err.value.field == name
+        assert str(err.value) == f"{name} must be a 1-d sequence of numbers"
 
 
 @pytest.mark.parametrize("indices", [[], [4], [99], [-1], [0.5], [True], ["a"], 0, [[0, 1]],
